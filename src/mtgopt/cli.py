@@ -7,22 +7,21 @@ precedence is built-in defaults < config file < flags. The seed resolves as
 --seed flag > config mc.seed > MTGOPT_SEED env var > built-in default; no
 command ever falls back to wall-clock entropy.
 
-JSON results go to stdout with sorted keys and a schema_version field. Exit
-codes: 0 ok, 2 invalid input, 3 numerical degeneracy, 4 I/O failure.
+JSON results go to stdout as strict JSON with sorted keys and a
+schema_version field. Exit codes: 0 ok, 2 invalid input, 3 numerical
+degeneracy (a degenerate sample or a non-finite result), 4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
 from .distfit import central_moments, fit_shifted_lognormal, skewness
-from .errors import DegenerateSampleError, ValidationError
+from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .harness import (
-    DEFAULT_SEED,
     BaseParams,
     SweepAxis,
     SweepSpec,
@@ -35,7 +34,7 @@ from .harness import (
     write_csv,
 )
 from .mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
-from .pricer_closed import delta_ln, gamma_ln, ln_terminal_params, price_ln, price_sln
+from .pricer_closed import delta_ln, gamma_ln, ln_kernel, price_ln, price_sln, regime_warning
 
 SCHEMA_VERSION = 1
 
@@ -121,7 +120,16 @@ def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
 
 def _emit(payload: dict) -> None:
     payload["schema_version"] = SCHEMA_VERSION
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NonFiniteResultError(json.dumps(payload, sort_keys=True)) from None
+    sys.stdout.write(text + "\n")
+
+
+def _warn(warning: str | None) -> None:
+    if warning:
+        sys.stderr.write(f"warning: {warning}\n")
 
 
 def _fit_payload(fit) -> dict:
@@ -150,8 +158,7 @@ def cmd_price(args: argparse.Namespace) -> int:
     else:
         res = price_ln(model, dyn, contract)
         law = res.diagnostics
-        if res.warning:
-            sys.stderr.write(f"warning: {res.warning}\n")
+        _warn(res.warning)
         _emit({"method": "ln", "price": res.price, "mu_P": law.mu_P, "sigma_P": law.sigma_P})
     return 0
 
@@ -163,15 +170,14 @@ def cmd_greeks(args: argparse.Namespace) -> int:
         delta = delta_mc(model, dyn, contract, _mc_config(bundle), args.workers)
         _emit({"method": "mc", "delta": delta, "bump": bundle.bump})
         return 0
-    law = ln_terminal_params(model, dyn, contract.T)
-    m1 = math.exp(law.mu_P + 0.5 * law.sigma_P * law.sigma_P)
-    bound = math.exp(-contract.r_f * contract.T) * m1 / model.market.P0
+    _, inp = ln_kernel(model, dyn, contract)
+    _warn(regime_warning(model, dyn, contract.T))
     _emit(
         {
             "method": "ln",
             "delta": delta_ln(model, dyn, contract),
             "gamma": gamma_ln(model, dyn, contract),
-            "sanity": {"delta_upper_bound": bound},
+            "sanity": {"delta_upper_bound": inp.df * inp.M1 / model.market.P0},
         }
     )
     return 0
@@ -251,15 +257,8 @@ def cmd_qq(args: argparse.Namespace) -> int:
 
 def cmd_defaults(args: argparse.Namespace) -> int:
     p = default_params()
-    _emit(
-        {
-            "model": {"L": p.L, "U": p.U, "C": p.C, "x0": p.x0},
-            "market": {"P0": p.P0, "r0": p.r0},
-            "dynamics": {"mu": p.mu, "sigma": p.sigma},
-            "contract": {"K": p.K, "T": p.T, "r_f": p.r_f},
-            "mc": {"n": p.n, "seed": DEFAULT_SEED, "bump": p.bump},
-        }
-    )
+    _emit({block: {leaf: getattr(p, leaf) for leaf in leaves}
+           for block, leaves in _SCHEMA.items()})
     return 0
 
 
@@ -331,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except DegenerateSampleError as exc:
         sys.stderr.write(f"error: degenerate sample: {exc}\n")
+        return 3
+    except NonFiniteResultError as exc:
+        sys.stderr.write(f"error: non-finite result: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

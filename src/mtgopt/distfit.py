@@ -76,7 +76,7 @@ class ShiftedLognormalFit:
 
     def implied_moments(self, n: int = 3) -> SampleMoments:
         """Analytic mean/m2/m3 of the fitted law (plug-back check)."""
-        ez = math.exp(self.log_params.mu_X + 0.5 * self.log_params.sigma_X**2)
+        ez = lognormal_mean(self.log_params)
         m2 = ez * ez * self.eps
         m3 = self.orientation * ez**3 * self.eps**2 * (3.0 + self.eps)
         return SampleMoments(self.theta + self.orientation * ez, m2, m3, n)
@@ -164,12 +164,10 @@ def solve_eta(b: float) -> float:
     return 1.0 + _solve_excess(b)
 
 
-def fit_shifted_lognormal(
-    m: SampleMoments, *, skew_threshold: float = NEAR_ZERO_SKEW_THRESHOLD
-) -> ShiftedLognormalFit:
+def fit_shifted_lognormal(m: SampleMoments) -> ShiftedLognormalFit:
     """Three-moment fit of theta +- LogN(mu_X, sigma_X^2) to (mean, m2, m3).
 
-    Orientation follows the sign of m3. Below |skewness| = skew_threshold the
+    Orientation follows the sign of m3. Below |skewness| = NEAR_ZERO_SKEW_THRESHOLD the
     system degenerates (theta -> +-infinity with a canceling mean), so the fit
     falls back to a plain two-moment lognormal: theta = 0, orientation +1,
     sigma_X^2 = ln(1 + m2/mean^2), mu_X = ln(mean) - sigma_X^2/2.
@@ -177,7 +175,7 @@ def fit_shifted_lognormal(
     if m.m2 <= 0.0:
         raise DegenerateSampleError("cannot fit a constant sample (m2 = 0)")
     skew = skewness(m)
-    if abs(skew) < skew_threshold:
+    if abs(skew) < NEAR_ZERO_SKEW_THRESHOLD:
         if m.mean <= 0.0:
             raise DegenerateSampleError(
                 "two-moment lognormal fallback needs a positive mean"

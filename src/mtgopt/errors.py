@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto its exit codes: ValidationError -> 2,
-DegenerateSampleError -> 3; I/O failures use the stdlib OSError -> 4.
+DegenerateSampleError and NonFiniteResultError -> 3; I/O failures use the
+stdlib OSError -> 4.
 """
 
 
@@ -15,3 +16,7 @@ class ValidationError(MtgoptError):
 
 class DegenerateSampleError(MtgoptError):
     """A sample or fit is numerically degenerate (e.g. zero variance)."""
+
+
+class NonFiniteResultError(MtgoptError):
+    """A result to be reported is NaN or infinite."""

@@ -9,17 +9,19 @@ seeds: accuracy comparisons never grade an engine against its own draw.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
-rel-diff fields, an MC price too small to divide by).
+rel-diff fields, an MC price too small to divide by). A NaN or infinite field
+raises NonFiniteResultError instead of being written.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal, skewness
-from .errors import ValidationError
+from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
     McConfig,
     delta_mc,
@@ -59,10 +61,6 @@ ENGINE_LN = "LN"
 ENGINE_MC = "MC"
 _ENGINES = (ENGINE_SLN, ENGINE_LN, ENGINE_MC)
 
-SWEEP_CSV_HEADER = (
-    "axis1_name,axis1_value,axis2_name,axis2_value,price_mc,se_mc,"
-    "price_sln,price_ln,rel_diff_sln_pct,rel_diff_ln_pct,skew"
-)
 SKEW_CSV_HEADER = "C,skew,orientation,theta,mu_X,sigma_X"
 QQ_CSV_HEADER = "p,empirical_q,fitted_q"
 
@@ -156,16 +154,15 @@ class GridCell:
     skew: float | None = None
 
 
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(GridCell))
+
+
 @dataclass(frozen=True)
 class SkewTableRow:
     """One curvature row: sample skew and the fitted shifted lognormal."""
 
     C: float
     skew: float
-    orientation: int
-    theta: float
-    mu_X: float
-    sigma_X: float
     fit: ShiftedLognormalFit
 
 
@@ -263,17 +260,7 @@ def skew_table(
         model, _, _ = materialize(replace(base, C=c_val), {})
         fit_input = central_moments(model_price(model, rates))
         fit = fit_shifted_lognormal(fit_input)
-        rows.append(
-            SkewTableRow(
-                C=c_val,
-                skew=skewness(fit_input),
-                orientation=fit.orientation,
-                theta=fit.theta,
-                mu_X=fit.log_params.mu_X,
-                sigma_X=fit.log_params.sigma_X,
-                fit=fit,
-            )
-        )
+        rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
     return rows
 
 
@@ -300,53 +287,35 @@ def qq_export(
     return list(zip(ps.tolist(), emp.tolist(), fitted.tolist()))
 
 
-def _fmt(v: float | int | None) -> str:
+def _fmt(v: float | int | str | None) -> str:
     if v is None:
         return ""
-    if isinstance(v, int):
+    if isinstance(v, (int, str)):
         return str(v)
+    if not math.isfinite(v):
+        raise NonFiniteResultError(f"CSV field would be {v}")
     return f"{v:.10g}"
 
 
+def _csv_lines(header: str, rows) -> list[str]:
+    return [header] + [",".join(_fmt(v) for v in row) for row in rows]
+
+
 def sweep_csv_lines(cells: list[GridCell]) -> list[str]:
-    lines = [SWEEP_CSV_HEADER]
-    for cell in cells:
-        lines.append(
-            ",".join(
-                [
-                    cell.axis1_name,
-                    _fmt(cell.axis1_value),
-                    cell.axis2_name,
-                    _fmt(cell.axis2_value),
-                    _fmt(cell.price_mc),
-                    _fmt(cell.se_mc),
-                    _fmt(cell.price_sln),
-                    _fmt(cell.price_ln),
-                    _fmt(cell.rel_diff_sln_pct),
-                    _fmt(cell.rel_diff_ln_pct),
-                    _fmt(cell.skew),
-                ]
-            )
-        )
-    return lines
+    """One column per GridCell field, in declaration order."""
+    return _csv_lines(SWEEP_CSV_HEADER, [astuple(cell) for cell in cells])
 
 
 def skew_csv_lines(rows: list[SkewTableRow]) -> list[str]:
-    lines = [SKEW_CSV_HEADER]
+    values = []
     for r in rows:
-        lines.append(
-            ",".join(
-                [_fmt(r.C), _fmt(r.skew), str(r.orientation), _fmt(r.theta), _fmt(r.mu_X), _fmt(r.sigma_X)]
-            )
-        )
-    return lines
+        f = r.fit
+        values.append((r.C, r.skew, f.orientation, f.theta, f.log_params.mu_X, f.log_params.sigma_X))
+    return _csv_lines(SKEW_CSV_HEADER, values)
 
 
 def qq_csv_lines(points: list[tuple[float, float, float]]) -> list[str]:
-    lines = [QQ_CSV_HEADER]
-    for p, emp, fit in points:
-        lines.append(",".join([_fmt(p), _fmt(emp), _fmt(fit)]))
-    return lines
+    return _csv_lines(QQ_CSV_HEADER, points)
 
 
 def write_csv(lines: list[str], path: str) -> None:

@@ -60,6 +60,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"sample count n must be >= 1, got {self.n}")
+        if not math.isfinite(self.bump):
+            raise ValidationError(f"bump must be finite, got {self.bump}")
         if not self.bump > 0.0:
             raise ValidationError(f"bump must be > 0, got {self.bump}")
 
@@ -109,11 +111,8 @@ def simulate_terminal_prices(
     return model_price(spec, rates)
 
 
-def _discounted_call_mean(
-    spec: ModelSpec, c: OptionContract, rates: np.ndarray
-) -> float:
-    payoff = np.maximum(model_price(spec, rates) - c.K, 0.0)
-    return math.exp(-c.r_f * c.T) * float(np.mean(payoff))
+def _call_payoff(spec: ModelSpec, c: OptionContract, rates: np.ndarray) -> np.ndarray:
+    return np.maximum(model_price(spec, rates) - c.K, 0.0)
 
 
 def price_mc(
@@ -125,7 +124,7 @@ def price_mc(
 ) -> McResult:
     """Discounted mean of (P(r_T) - K)+ with its standard error."""
     rates = simulate_terminal_rates(spec.market, dyn, c.T, cfg, workers)
-    disc = math.exp(-c.r_f * c.T) * np.maximum(model_price(spec, rates) - c.K, 0.0)
+    disc = c.df * _call_payoff(spec, c, rates)
     se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n) if cfg.n > 1 else 0.0
     return McResult(price=float(np.mean(disc)), std_error=se, n=cfg.n)
 
@@ -156,7 +155,7 @@ def delta_mc(
 
     def leg(p0: float, leg_rates: np.ndarray) -> float:
         bumped = ModelSpec.calibrate(spec.duration, MarketState(p0, m.r0))
-        return _discounted_call_mean(bumped, c, leg_rates)
+        return c.df * float(np.mean(_call_payoff(bumped, c, leg_rates)))
 
     if central:
         return (leg(m.P0 + h, rates_bumped) - leg(m.P0 - h, rates)) / (2.0 * h)

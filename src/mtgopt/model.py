@@ -19,12 +19,19 @@ past double range, and k itself grows without bound as C -> 0 through the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import ValidationError
+
+
+def _require_finite(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,7 @@ class DurationParams:
     x0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.L >= 0.0:
             raise ValidationError(f"duration lower bound L must be >= 0, got {self.L}")
         if not self.U > 0.0:
@@ -59,6 +67,7 @@ class MarketState:
     r0: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.P0 > 0.0:
             raise ValidationError(f"spot price P0 must be > 0, got {self.P0}")
 
@@ -71,6 +80,7 @@ class RateDynamics:
     sigma: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.sigma > 0.0:
             raise ValidationError(f"rate volatility sigma must be > 0, got {self.sigma}")
 
@@ -84,10 +94,16 @@ class OptionContract:
     r_f: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.K > 0.0:
             raise ValidationError(f"strike K must be > 0, got {self.K}")
         if not self.T > 0.0:
             raise ValidationError(f"expiry T must be > 0, got {self.T}")
+
+    @property
+    def df(self) -> float:
+        """Discount factor e^{-r_f T}."""
+        return math.exp(-self.r_f * self.T)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # fixed quadrature for the regime proxy: enough nodes to sign the third
 # central moment of the smooth terminal-price curve
-_PROXY_NODES, _PROXY_WEIGHTS = np.polynomial.hermite.hermgauss(21)
+_PROXY_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite.hermgauss(21)
+_PROXY_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,16 @@ class TerminalLognormalLaw:
 
 @dataclass(frozen=True)
 class PriceResult:
-    """Price with its method tag, MC error bars, and fit diagnostics."""
+    """Price with its method tag, fit or law diagnostics, and regime warning."""
 
     price: float
     method: str
-    std_error: float | None = None
-    n: int | None = None
     diagnostics: object | None = None
     warning: str | None = None
+
+
+def _d1(inp: BsKernelInputs) -> float:
+    return (math.log(inp.M1 / inp.K_eff) + 0.5 * inp.W * inp.W) / inp.W
 
 
 def bs_call(inp: BsKernelInputs) -> float:
@@ -79,7 +82,7 @@ def bs_call(inp: BsKernelInputs) -> float:
         return inp.df * (inp.M1 - inp.K_eff)
     if inp.W <= 0.0:
         return inp.df * max(inp.M1 - inp.K_eff, 0.0)
-    d1 = (math.log(inp.M1 / inp.K_eff) + 0.5 * inp.W * inp.W) / inp.W
+    d1 = _d1(inp)
     d2 = d1 - inp.W
     return inp.df * (inp.M1 * ndtr(d1) - inp.K_eff * ndtr(d2))
 
@@ -90,7 +93,7 @@ def bs_put(inp: BsKernelInputs) -> float:
         return 0.0
     if inp.W <= 0.0:
         return inp.df * max(inp.K_eff - inp.M1, 0.0)
-    d1 = (math.log(inp.M1 / inp.K_eff) + 0.5 * inp.W * inp.W) / inp.W
+    d1 = _d1(inp)
     d2 = d1 - inp.W
     return inp.df * (inp.K_eff * ndtr(-d2) - inp.M1 * ndtr(-d1))
 
@@ -102,7 +105,7 @@ def kernel_for_fit(fit: ShiftedLognormalFit, c: OptionContract) -> BsKernelInput
         M1=lognormal_mean(fit.log_params),
         W=fit.log_params.sigma_X,
         K_eff=k_eff,
-        df=math.exp(-c.r_f * c.T),
+        df=c.df,
     )
 
 
@@ -164,13 +167,17 @@ def _skew_sign_proxy(spec: ModelSpec, dyn: RateDynamics, T: float) -> float:
     # sign of the terminal-price third central moment by fixed quadrature
     law = terminal_rate_law(spec.market, dyn, T)
     r = law.mean + math.sqrt(2.0) * law.std * _PROXY_NODES
-    w = _PROXY_WEIGHTS / math.sqrt(math.pi)
     p = model_price(spec, r)
-    centered = p - float(np.sum(w * p))
-    return float(np.sum(w * centered**3))
+    centered = p - float(np.sum(_PROXY_WEIGHTS * p))
+    return float(np.sum(_PROXY_WEIGHTS * centered**3))
 
 
-def _regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
+def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
+    """A warning when the terminal price is negatively skewed, else None.
+
+    The parametric lognormal assumes positive skew. The check costs more than
+    the closed form itself, so delta_ln and gamma_ln leave it to their callers.
+    """
     if _skew_sign_proxy(spec, dyn, T) < 0.0:
         return (
             "parametric lognormal assumes positively skewed terminal prices; "
@@ -180,21 +187,24 @@ def _regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     return None
 
 
-def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
-    """Closed-form call under the matched lognormal terminal law."""
+def ln_kernel(
+    spec: ModelSpec, dyn: RateDynamics, c: OptionContract
+) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
+    """Matched lognormal law and its kernel inputs: M1 = e^{mu_P + sigma_P^2/2}, W = sigma_P."""
     law = ln_terminal_params(spec, dyn, c.T)
     m1 = math.exp(law.mu_P + 0.5 * law.sigma_P * law.sigma_P)
-    px = bs_call(BsKernelInputs(m1, law.sigma_P, c.K, math.exp(-c.r_f * c.T)))
+    return law, BsKernelInputs(m1, law.sigma_P, c.K, c.df)
+
+
+def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
+    """Closed-form call under the matched lognormal terminal law."""
+    law, inp = ln_kernel(spec, dyn, c)
     return PriceResult(
-        price=px,
+        price=bs_call(inp),
         method="LN",
         diagnostics=law,
-        warning=_regime_warning(spec, dyn, c.T),
+        warning=regime_warning(spec, dyn, c.T),
     )
-
-
-def _ln_d1(law: TerminalLognormalLaw, m1: float, K: float) -> float:
-    return (math.log(m1 / K) + 0.5 * law.sigma_P * law.sigma_P) / law.sigma_P
 
 
 def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
@@ -203,21 +213,17 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     Exact because mu_P depends on P0 only through log k (k is linear in P0)
     while mu_X and sigma_X do not depend on P0 at all.
     """
-    law = ln_terminal_params(spec, dyn, c.T)
-    m1 = math.exp(law.mu_P + 0.5 * law.sigma_P * law.sigma_P)
-    df = math.exp(-c.r_f * c.T)
-    if law.sigma_P == 0.0:
-        return df * m1 / spec.market.P0 if m1 > c.K else 0.0
-    return df * m1 * ndtr(_ln_d1(law, m1, c.K)) / spec.market.P0
+    _, inp = ln_kernel(spec, dyn, c)
+    if inp.W == 0.0:
+        return inp.df * inp.M1 / spec.market.P0 if inp.M1 > c.K else 0.0
+    return inp.df * inp.M1 * ndtr(_d1(inp)) / spec.market.P0
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu_P + sigma_P^2/2} phi(d1) / (P0^2 sigma_P)."""
-    law = ln_terminal_params(spec, dyn, c.T)
-    m1 = math.exp(law.mu_P + 0.5 * law.sigma_P * law.sigma_P)
-    df = math.exp(-c.r_f * c.T)
-    if law.sigma_P == 0.0:
+    _, inp = ln_kernel(spec, dyn, c)
+    if inp.W == 0.0:
         return 0.0
-    d1 = _ln_d1(law, m1, c.K)
+    d1 = _d1(inp)
     phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    return df * m1 * phi / (spec.market.P0**2 * law.sigma_P)
+    return inp.df * inp.M1 * phi / (spec.market.P0**2 * inp.W)

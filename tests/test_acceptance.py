@@ -124,8 +124,8 @@ def test_criterion_03_fit_reproduction(reference_sample_rows, capsys):
         _, mu_ref, sigma_ref, tau_ref = REFERENCE_ROWS[c_val]
         r = by_c[c_val]
         checks.append((f"C={c_val} tau", abs(r.fit.tau - tau_ref), tol_tau))
-        checks.append((f"C={c_val} mu_X", abs(r.mu_X - mu_ref), tol_mu))
-        checks.append((f"C={c_val} sigma_X", abs(r.sigma_X - sigma_ref), tol_sigma))
+        checks.append((f"C={c_val} mu_X", abs(r.fit.log_params.mu_X - mu_ref), tol_mu))
+        checks.append((f"C={c_val} sigma_X", abs(r.fit.log_params.sigma_X - sigma_ref), tol_sigma))
     bad = [(n, d, t) for n, d, t in checks if d > t]
     detail = "; ".join(f"{n} dev {d:.4g} (tol {t})" for n, d, t in checks)
     with capsys.disabled():

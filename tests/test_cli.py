@@ -86,6 +86,16 @@ def test_price_ln_no_warning_in_regime(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("C,warns", [("30", True), ("3", False)])
+def test_greeks_ln_regime_warning_on_stderr(capsys, C, warns):
+    _, _, price_err = run_cli(capsys, "price", "--method", "ln", "--set", f"C={C}")
+    code, out, err = run_cli(capsys, "greeks", "--method", "ln", "--set", f"C={C}")
+    assert code == 0
+    assert err == price_err
+    assert ("skew" in err) == warns
+    assert set(json.loads(out)) == {"delta", "gamma", "method", "sanity", "schema_version"}
+
+
 def test_greeks_ln_vs_mc(capsys):
     ln = run_json(capsys, "greeks", "--method", "ln", "--set", "C=3")
     mc = run_json(capsys, "greeks", "--method", "mc", "--set", "C=3", "--seed", "12345")
@@ -193,6 +203,40 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     notint.write_text(json.dumps({"mc": {"n": 1000.5}}))
     code, _, err = run_cli(capsys, "price", "--config", str(notint))
     assert code == 2 and "integer" in err
+
+
+FLOAT_LEAVES = ("L", "U", "C", "x0", "P0", "r0", "mu", "sigma", "K", "T", "r_f", "bump")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("leaf", FLOAT_LEAVES)
+def test_non_finite_input_exit_2_names_leaf(capsys, leaf, value):
+    code, out, err = run_cli(
+        capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=100",
+        "--set", f"{leaf}={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {leaf} must be finite, got {float(value)}\n"
+
+
+# the extreme inputs overflow inside numpy on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exit_3(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=100",
+        "--set", "sigma=1e200",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: non-finite result: ")
+    csv = tmp_path / "ln.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--engines", "ln",
+        "--set", "U=1e300", "--out", str(csv),
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: non-finite result: ")
+    assert not csv.exists()
 
 
 def test_io_failures_exit_4(capsys, tmp_path):

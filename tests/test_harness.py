@@ -175,7 +175,7 @@ def test_skew_table_values_and_flip():
     assert skews[30.0] < 0.0
     # skew magnitude grows with curvature on the negative side
     assert skews[30.0] < skews[10.0]
-    orient = {r.C: r.orientation for r in rows}
+    orient = {r.C: r.fit.orientation for r in rows}
     assert orient[0.5] == 1
     assert orient[30.0] == -1
 
@@ -185,9 +185,9 @@ def test_skew_table_rows_independent_of_listing():
     solo = skew_table([3.0], BaseParams(), McConfig(20000, 777))
     a, b = full[1], solo[0]
     assert a.skew == b.skew
-    assert a.theta == b.theta
-    assert a.mu_X == b.mu_X
-    assert a.sigma_X == b.sigma_X
+    assert a.fit.theta == b.fit.theta
+    assert a.fit.log_params.mu_X == b.fit.log_params.mu_X
+    assert a.fit.log_params.sigma_X == b.fit.log_params.sigma_X
 
 
 def test_skew_table_empty_rejected():
