@@ -1,15 +1,17 @@
 """Command-line front end: price, greeks, fit, sweep, qq, defaults.
 
 Configuration is a JSON file with blocks model (L,U,C,x0), market (P0,r0),
-dynamics (mu,sigma), contract (K,T,r_f), mc (n,seed,bump); unknown keys are
-rejected. `--set leaf=value` overrides apply after the file loads, so
-precedence is built-in defaults < config file < flags. The seed resolves as
+dynamics (mu,sigma), contract (K,T,r_f), mc (n,seed,bump): one block per
+dataclass in harness.BLOCKS, one key per field. Unknown keys are rejected.
+`--set leaf=value` overrides apply after the file loads, so precedence is
+built-in defaults < config file < flags. Every command validates the whole
+resolved bundle, and a sweep every cell of it. The seed resolves as
 --seed flag > config mc.seed > MTGOPT_SEED env var > built-in default; no
 command ever falls back to wall-clock entropy.
 
 JSON results go to stdout as strict JSON with sorted keys and a
 schema_version field. Exit codes: 0 ok, 2 invalid input, 3 numerical
-degeneracy (a degenerate sample or a non-finite result), 4 I/O failure.
+degeneracy (degenerate sample, non-finite result or overflow), 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -17,15 +19,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
+
+import numpy as np
 
 from .distfit import central_moments, fit_shifted_lognormal, skewness
 from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .harness import (
+    BLOCKS,
     BaseParams,
     SweepAxis,
     SweepSpec,
-    default_params,
     materialize,
     qq_csv_lines,
     qq_export,
@@ -33,31 +38,29 @@ from .harness import (
     sweep_csv_lines,
     write_csv,
 )
-from .mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
+from .mc_engine import delta_mc, price_mc, simulate_terminal_prices
 from .pricer_closed import delta_ln, gamma_ln, ln_kernel, price_ln, price_sln, regime_warning
 
 SCHEMA_VERSION = 1
 
 _SCHEMA: dict[str, tuple[str, ...]] = {
-    "model": ("L", "U", "C", "x0"),
-    "market": ("P0", "r0"),
-    "dynamics": ("mu", "sigma"),
-    "contract": ("K", "T", "r_f"),
-    "mc": ("n", "seed", "bump"),
+    block: tuple(f.name for f in fields(cls)) for block, cls in BLOCKS.items()
 }
 _LEAF_BLOCK = {leaf: block for block, leaves in _SCHEMA.items() for leaf in leaves}
-_INT_LEAVES = ("n", "seed")
+_INT_LEAVES = frozenset(leaf for leaf, hint in typing.get_type_hints(BaseParams).items() if hint is int)
+# leaves a config may leave unset (null): those whose bundle default is None
+_NULLABLE_LEAVES = frozenset(f.name for f in fields(BaseParams) if f.default is None)
 
 
 def _coerce(leaf: str, value: object) -> float | int | None:
     if value is None:
-        if leaf == "C":
+        if leaf in _NULLABLE_LEAVES:
             return None
         raise ValidationError(f"{leaf} must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{leaf} must be a number, got {value!r}")
     if leaf in _INT_LEAVES:
-        if float(value) != int(value):
+        if not (isinstance(value, int) or value.is_integer()):
             raise ValidationError(f"{leaf} must be an integer, got {value!r}")
         return int(value)
     return float(value)
@@ -115,7 +118,7 @@ def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
                 leaves["seed"] = int(env)
             except ValueError as exc:
                 raise ValidationError(f"MTGOPT_SEED must be an integer, got {env!r}") from exc
-    return replace(default_params(), **leaves)
+    return replace(BaseParams(), **leaves)
 
 
 def _emit(payload: dict) -> None:
@@ -142,19 +145,14 @@ def _fit_payload(fit) -> dict:
     }
 
 
-def _mc_config(bundle: BaseParams) -> McConfig:
-    return McConfig(n=bundle.n, seed=bundle.seed, bump=bundle.bump)
-
-
 def cmd_price(args: argparse.Namespace) -> int:
-    bundle = _resolve_bundle(args)
-    model, dyn, contract = materialize(bundle, {})
+    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
     if args.method == "mc":
-        res = price_mc(model, dyn, contract, _mc_config(bundle), args.workers)
-        _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": res.n})
+        res = price_mc(model, dyn, contract, cfg, args.workers)
+        _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": cfg.n})
     elif args.method == "sln":
-        res = price_sln(model, dyn, contract, _mc_config(bundle), args.workers)
-        _emit({"method": "sln", "price": res.price, "n": bundle.n, "fit": _fit_payload(res.diagnostics)})
+        res = price_sln(model, dyn, contract, cfg, args.workers)
+        _emit({"method": "sln", "price": res.price, "n": cfg.n, "fit": _fit_payload(res.diagnostics)})
     else:
         res = price_ln(model, dyn, contract)
         law = res.diagnostics
@@ -164,11 +162,10 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_greeks(args: argparse.Namespace) -> int:
-    bundle = _resolve_bundle(args)
-    model, dyn, contract = materialize(bundle, {})
+    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
     if args.method == "mc":
-        delta = delta_mc(model, dyn, contract, _mc_config(bundle), args.workers)
-        _emit({"method": "mc", "delta": delta, "bump": bundle.bump})
+        delta = delta_mc(model, dyn, contract, cfg, args.workers)
+        _emit({"method": "mc", "delta": delta, "bump": cfg.bump})
         return 0
     _, inp = ln_kernel(model, dyn, contract)
     _warn(regime_warning(model, dyn, contract.T))
@@ -184,9 +181,8 @@ def cmd_greeks(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    bundle = _resolve_bundle(args)
-    model, dyn, contract = materialize(bundle, {})
-    prices = simulate_terminal_prices(model, dyn, contract.T, _mc_config(bundle), args.workers)
+    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
+    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
     m = central_moments(prices)
     fit = fit_shifted_lognormal(m)
     _emit(
@@ -244,9 +240,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_qq(args: argparse.Namespace) -> int:
-    bundle = _resolve_bundle(args)
-    model, dyn, contract = materialize(bundle, {})
-    prices = simulate_terminal_prices(model, dyn, contract.T, _mc_config(bundle), args.workers)
+    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
+    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
     fit = fit_shifted_lognormal(central_moments(prices))
     points = qq_export(prices, fit, args.quantiles)
     write_csv(qq_csv_lines(points), args.out)
@@ -256,7 +251,7 @@ def cmd_qq(args: argparse.Namespace) -> int:
 
 
 def cmd_defaults(args: argparse.Namespace) -> int:
-    p = default_params()
+    p = BaseParams()
     _emit({block: {leaf: getattr(p, leaf) for leaf in leaves}
            for block, leaves in _SCHEMA.items()})
     return 0
@@ -324,14 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or NaN inside numpy is a non-finite result, not a warning
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DegenerateSampleError as exc:
         sys.stderr.write(f"error: degenerate sample: {exc}\n")
         return 3
-    except NonFiniteResultError as exc:
+    except (NonFiniteResultError, FloatingPointError, OverflowError) as exc:
         sys.stderr.write(f"error: non-finite result: {exc}\n")
         return 3
     except OSError as exc:

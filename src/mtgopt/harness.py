@@ -1,5 +1,9 @@
 """Experiment harness: parameter bundle, sensitivity sweeps, skew table, QQ export.
 
+BaseParams holds every parameter leaf; materialize builds from it the BLOCKS
+dataclasses, which validate them. A sweep cell is the base bundle with its
+two axis leaves replaced.
+
 Sweeps evaluate a two-axis grid of cells. Per-cell seeds derive from the base
 seed and the axis indices through a 64-bit mix, so cells are independent yet
 reproducible; crn_axis drops the chosen axis index from the hash so one rate
@@ -67,8 +71,8 @@ QQ_CSV_HEADER = "p,empirical_q,fitted_q"
 
 @dataclass(frozen=True)
 class BaseParams:
-    """Scalar parameter bundle; curvature C stays unset until a sweep or
-    command provides it."""
+    """Scalar parameter bundle, one field per leaf of BLOCKS; curvature C
+    stays unset until a sweep or command provides it."""
 
     L: float = 1.0
     U: float = 9.0
@@ -86,10 +90,14 @@ class BaseParams:
     bump: float = 0.0001
 
 
-def default_params() -> BaseParams:
-    """The default bundle: T=0.25, r_f=0.0209, K=100, P0=100, r0=0.01, mu=0,
-    L=1, U=9, sigma=0.02, x0=0.055; C unset."""
-    return BaseParams()
+# config block name -> the dataclass that defines and validates its leaves
+BLOCKS: dict[str, type] = {
+    "model": DurationParams,
+    "market": MarketState,
+    "dynamics": RateDynamics,
+    "contract": OptionContract,
+    "mc": McConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -166,18 +174,14 @@ class SkewTableRow:
     fit: ShiftedLognormalFit
 
 
-def materialize(
-    base: BaseParams, over: dict[str, float]
-) -> tuple[ModelSpec, RateDynamics, OptionContract]:
-    """Build validated model objects from the bundle plus axis overrides."""
-    c = over.get("C", base.C)
-    if c is None:
+def materialize(bundle: BaseParams) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
+    """Build and validate every BLOCKS object from the bundle's leaves."""
+    if bundle.C is None:
         raise ValidationError("curvature C must be set (by config or sweep axis)")
-    dur = DurationParams(L=base.L, U=base.U, C=c, x0=base.x0)
-    market = MarketState(P0=over.get("P0", base.P0), r0=base.r0)
-    dyn = RateDynamics(mu=base.mu, sigma=over.get("sigma", base.sigma))
-    contract = OptionContract(K=over.get("K", base.K), T=base.T, r_f=base.r_f)
-    return ModelSpec.calibrate(dur, market), dyn, contract
+    dur, market, dyn, contract, cfg = (
+        cls(**{f.name: getattr(bundle, f.name) for f in fields(cls)}) for cls in BLOCKS.values()
+    )
+    return ModelSpec.calibrate(dur, market), dyn, contract, cfg
 
 
 def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
@@ -188,12 +192,10 @@ def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
     return mix64(spec.base.seed, i, j)
 
 
-def _price_cell(
-    spec: SweepSpec, model: ModelSpec, dyn: RateDynamics, c: OptionContract, seed: int, workers: int
-) -> dict[str, float | None]:
+def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, workers: int) -> dict[str, float | None]:
+    model, dyn, c, cfg = materialize(bundle)
     out: dict[str, float | None] = {}
-    n, bump = spec.base.n, spec.base.bump
-    ref_cfg = McConfig(n, mix64(seed, _REF_TAG), bump)
+    ref_cfg = replace(cfg, seed=mix64(seed, _REF_TAG))
     if ENGINE_MC in spec.engines:
         if spec.greek == "delta":
             out["price_mc"] = delta_mc(model, dyn, c, ref_cfg, workers)
@@ -206,7 +208,7 @@ def _price_cell(
         sample = simulate_terminal_prices(model, dyn, c.T, ref_cfg, workers)
         out["skew"] = skewness(central_moments(sample))
     if ENGINE_SLN in spec.engines and spec.greek is None:
-        fit_cfg = McConfig(n, mix64(seed, _FIT_TAG), bump)
+        fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
         out["price_sln"] = price_sln(model, dyn, c, fit_cfg, workers).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
@@ -226,10 +228,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     cells = []
     for i, v1 in enumerate(spec.axis1.values):
         for j, v2 in enumerate(spec.axis2.values):
-            model, dyn, c = materialize(
-                spec.base, {spec.axis1.name: v1, spec.axis2.name: v2}
-            )
-            vals = _price_cell(spec, model, dyn, c, _cell_seed(spec, i, j), workers)
+            bundle = replace(spec.base, **{spec.axis1.name: v1, spec.axis2.name: v2})
+            vals = _price_cell(spec, bundle, _cell_seed(spec, i, j), workers)
             cells.append(
                 GridCell(
                     axis1_name=spec.axis1.name,
@@ -242,22 +242,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     return cells
 
 
-def skew_table(
-    curvatures: list[float], base: BaseParams, cfg: McConfig, workers: int = 1
-) -> list[SkewTableRow]:
-    """One row per curvature, all rows driven by ONE rate sample.
+def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> list[SkewTableRow]:
+    """One row per curvature, all rows driven by ONE rate sample (base.n, base.seed).
 
     The terminal rate law does not depend on C, so a single seeded sample maps
     through every curvature's price curve; rows are directly comparable.
     """
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
-    bundle = replace(base, C=curvatures[0])
-    model0, dyn, _ = materialize(bundle, {})
-    rates = simulate_terminal_rates(model0.market, dyn, base.T, cfg, workers)
+    model0, dyn, contract, cfg = materialize(replace(base, C=curvatures[0]))
+    rates = simulate_terminal_rates(model0.market, dyn, contract.T, cfg, workers)
     rows = []
     for c_val in curvatures:
-        model, _, _ = materialize(replace(base, C=c_val), {})
+        model = materialize(replace(base, C=c_val))[0]
         fit_input = central_moments(model_price(model, rates))
         fit = fit_shifted_lognormal(fit_input)
         rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))

@@ -27,16 +27,13 @@ from .model import terminal_rate_law
 SHARD_SIZE = 16384
 
 _MASK64 = (1 << 64) - 1
-# domain tag for the independent bumped leg when CRN is disabled
-_NONCRN_LEG_TAG = 0xD17F
 
 
 def mix64(*parts: int) -> int:
     """Deterministic 64-bit mix (splitmix64 finalizer folded over the parts).
 
     Used wherever a derived seed is needed (sweep cells, fit-vs-reference
-    split, non-CRN legs); the builtin hash() is salted per process and cannot
-    serve here.
+    split); the builtin hash() is salted per process and cannot serve here.
     """
     h = 0x9E3779B97F4A7C15
     for p in parts:
@@ -67,12 +64,15 @@ class McConfig:
 
 
 @dataclass(frozen=True)
-class McResult:
-    """Point estimate with its standard error and sample count."""
+class PriceResult:
+    """Price with its method tag, MC standard error, fit or law diagnostics,
+    and regime warning."""
 
     price: float
-    std_error: float
-    n: int
+    method: str
+    std_error: float | None = None
+    diagnostics: object | None = None
+    warning: str | None = None
 
 
 def _standard_normals(seed: int, n: int, workers: int = 1) -> np.ndarray:
@@ -121,12 +121,12 @@ def price_mc(
     c: OptionContract,
     cfg: McConfig,
     workers: int = 1,
-) -> McResult:
+) -> PriceResult:
     """Discounted mean of (P(r_T) - K)+ with its standard error."""
     rates = simulate_terminal_rates(spec.market, dyn, c.T, cfg, workers)
     disc = c.df * _call_payoff(spec, c, rates)
     se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n) if cfg.n > 1 else 0.0
-    return McResult(price=float(np.mean(disc)), std_error=se, n=cfg.n)
+    return PriceResult(price=float(np.mean(disc)), method="MC", std_error=se)
 
 
 def delta_mc(
@@ -135,28 +135,18 @@ def delta_mc(
     c: OptionContract,
     cfg: McConfig,
     workers: int = 1,
-    central: bool = False,
-    crn: bool = True,
 ) -> float:
     """Finite-difference delta: (C_MC(P0 + bump) - C_MC(P0)) / bump.
 
     Forward difference with an absolute bump on P0 and both legs on the same
-    rate sample (CRN); the bumped model recalibrates its level k. central=True
-    and crn=False are diagnostics only.
+    rate sample (CRN); the bumped model recalibrates its level k.
     """
     h = cfg.bump
     m = spec.market
     rates = simulate_terminal_rates(m, dyn, c.T, cfg, workers)
-    if crn:
-        rates_bumped = rates
-    else:
-        leg_cfg = McConfig(cfg.n, mix64(cfg.seed, _NONCRN_LEG_TAG), cfg.bump)
-        rates_bumped = simulate_terminal_rates(m, dyn, c.T, leg_cfg, workers)
 
-    def leg(p0: float, leg_rates: np.ndarray) -> float:
+    def leg(p0: float) -> float:
         bumped = ModelSpec.calibrate(spec.duration, MarketState(p0, m.r0))
-        return c.df * float(np.mean(_call_payoff(bumped, c, leg_rates)))
+        return c.df * float(np.mean(_call_payoff(bumped, c, rates)))
 
-    if central:
-        return (leg(m.P0 + h, rates_bumped) - leg(m.P0 - h, rates)) / (2.0 * h)
-    return (leg(m.P0 + h, rates_bumped) - leg(m.P0, rates)) / h
+    return (leg(m.P0 + h) - leg(m.P0)) / h

@@ -132,6 +132,7 @@ class ModelSpec:
 
     @property
     def k(self) -> float:
+        """Level k = P0 e^{L r0} (1 + e^{C(r0-x0)})^{U/C}."""
         # may overflow to +inf for tiny C; log_k is the authoritative value
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_k))
@@ -149,12 +150,6 @@ def _log_level(p: DurationParams, m: MarketState) -> float:
         + p.L * m.r0
         + (p.U / p.C) * float(np.logaddexp(0.0, p.C * (m.r0 - p.x0)))
     )
-
-
-def calibrate_level(p: DurationParams, m: MarketState) -> float:
-    """Level k = P0 e^{L r0} (1 + e^{C(r0-x0)})^{U/C}; +inf if it overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(_log_level(p, m)))
 
 
 def log_price(spec: ModelSpec, r):

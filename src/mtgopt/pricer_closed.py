@@ -27,7 +27,7 @@ from .distfit import (
     lognormal_mean,
     match_two_lognormal_sum,
 )
-from .mc_engine import McConfig, simulate_terminal_prices
+from .mc_engine import McConfig, PriceResult, simulate_terminal_prices
 from .model import (
     ModelSpec,
     OptionContract,
@@ -60,16 +60,6 @@ class TerminalLognormalLaw:
 
     mu_P: float
     sigma_P: float
-
-
-@dataclass(frozen=True)
-class PriceResult:
-    """Price with its method tag, fit or law diagnostics, and regime warning."""
-
-    price: float
-    method: str
-    diagnostics: object | None = None
-    warning: str | None = None
 
 
 def _d1(inp: BsKernelInputs) -> float:

@@ -75,7 +75,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def reference_sample_rows():
     t0 = time.monotonic()
-    rows = skew_table(list(CURVATURES), BaseParams(), McConfig(70000, DEFAULT_SEED))
+    rows = skew_table(list(CURVATURES), BaseParams(n=70000, seed=DEFAULT_SEED))
     return rows, time.monotonic() - t0
 
 

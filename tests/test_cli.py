@@ -3,10 +3,12 @@ exit codes, determinism."""
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from mtgopt.cli import main
+from mtgopt.cli import _SCHEMA, main
+from mtgopt.harness import BaseParams
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +26,12 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_schema_leaves_are_base_params_fields():
+    leaves = [leaf for block in _SCHEMA.values() for leaf in block]
+    assert leaves == [f.name for f in fields(BaseParams)]
+    assert len(set(leaves)) == len(leaves)
 
 
 def test_defaults_exact_values(capsys):
@@ -203,6 +211,14 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     notint.write_text(json.dumps({"mc": {"n": 1000.5}}))
     code, _, err = run_cli(capsys, "price", "--config", str(notint))
     assert code == 2 and "integer" in err
+    notint.write_text('{"mc": {"seed": 1e400}}')
+    code, _, err = run_cli(capsys, "price", "--config", str(notint))
+    assert code == 2 and "integer" in err
+    # every command validates the whole bundle, MC leaves included
+    code, _, err = run_cli(capsys, "price", "--method", "ln", "--set", "C=3", "--set", "n=0")
+    assert code == 2 and err == "error: sample count n must be >= 1, got 0\n"
+    code, _, err = run_cli(capsys, "price", "--method", "ln", "--set", "C=3", "--set", "bump=0")
+    assert code == 2 and err == "error: bump must be > 0, got 0.0\n"
 
 
 FLOAT_LEAVES = ("L", "U", "C", "x0", "P0", "r0", "mu", "sigma", "K", "T", "r_f", "bump")
@@ -220,23 +236,30 @@ def test_non_finite_input_exit_2_names_leaf(capsys, leaf, value):
     assert err == f"error: {leaf} must be finite, got {float(value)}\n"
 
 
-# the extreme inputs overflow inside numpy on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_exit_3(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=100",
-        "--set", "sigma=1e200",
-    )
-    assert code == 3 and out == ""
-    assert err.startswith("error: non-finite result: ")
-    csv = tmp_path / "ln.csv"
-    code, out, err = run_cli(
-        capsys, "sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--engines", "ln",
-        "--set", "U=1e300", "--out", str(csv),
-    )
-    assert code == 3 and out == ""
-    assert err.startswith("error: non-finite result: ")
-    assert not csv.exists()
+    # finite inputs whose results overflow: one error line, no numpy warning
+    csv = str(tmp_path / "out.csv")
+    at = ("--set", "C=3")
+    cases = [
+        ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--engines", "ln",
+         "--set", "U=1e300", "--out", csv),
+    ]
+    for cmd in (("price", "--method", "ln"), ("greeks", "--method", "ln")):
+        cases.append(cmd + at + ("--set", "sigma=1e150"))
+        cases.append(cmd + at + ("--set", "T=1e308", "--set", "r_f=-1"))
+    for extreme in ("sigma=1e200", "r0=1e308"):
+        sampled = at + ("--set", "n=100", "--set", extreme)
+        cases += [
+            ("price", "--method", "mc") + sampled,
+            ("fit",) + sampled,
+            ("qq", "--out", csv) + sampled,
+            ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--out", csv) + sampled,
+        ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: non-finite result: ") and err.count("\n") == 1, argv
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_io_failures_exit_4(capsys, tmp_path):

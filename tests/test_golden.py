@@ -18,7 +18,6 @@ import pytest
 
 from mtgopt.cli import main
 from mtgopt.harness import DEFAULT_SEED, BaseParams, skew_csv_lines, skew_table, write_csv
-from mtgopt.mc_engine import McConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -71,7 +70,7 @@ def _run(argv: tuple[str, ...], out_dir: Path, capture) -> tuple[dict, bytes | N
 
 
 def _skew_csv_bytes(out_dir: Path) -> bytes:
-    rows = skew_table(REFERENCE_CURVATURES, BaseParams(), McConfig(70000, DEFAULT_SEED))
+    rows = skew_table(REFERENCE_CURVATURES, BaseParams(n=70000, seed=DEFAULT_SEED))
     path = out_dir / "skew.csv"
     write_csv(skew_csv_lines(rows), str(path))
     return path.read_bytes()

@@ -18,7 +18,6 @@ from mtgopt.harness import (
     BaseParams,
     SweepAxis,
     SweepSpec,
-    default_params,
     qq_csv_lines,
     qq_export,
     run_sweep,
@@ -27,7 +26,6 @@ from mtgopt.harness import (
     sweep_csv_lines,
     write_csv,
 )
-from mtgopt.mc_engine import McConfig
 
 
 def small_spec(**over):
@@ -41,7 +39,7 @@ def small_spec(**over):
 
 
 def test_default_params_values():
-    p = default_params()
+    p = BaseParams()
     assert p.L == 1.0
     assert p.U == 9.0
     assert p.C is None
@@ -163,9 +161,7 @@ def test_fit_and_reference_seeds_differ():
 
 
 def test_skew_table_values_and_flip():
-    rows = skew_table(
-        [0.5, 3.0, 6.0, 10.0, 30.0], BaseParams(), McConfig(70000, 12345)
-    )
+    rows = skew_table([0.5, 3.0, 6.0, 10.0, 30.0], BaseParams(n=70000, seed=12345))
     assert [r.C for r in rows] == [0.5, 3.0, 6.0, 10.0, 30.0]
     skews = {r.C: r.skew for r in rows}
     assert skews[0.5] > 0.0
@@ -181,8 +177,8 @@ def test_skew_table_values_and_flip():
 
 
 def test_skew_table_rows_independent_of_listing():
-    full = skew_table([0.5, 3.0], BaseParams(), McConfig(20000, 777))
-    solo = skew_table([3.0], BaseParams(), McConfig(20000, 777))
+    full = skew_table([0.5, 3.0], BaseParams(n=20000, seed=777))
+    solo = skew_table([3.0], BaseParams(n=20000, seed=777))
     a, b = full[1], solo[0]
     assert a.skew == b.skew
     assert a.fit.theta == b.fit.theta
@@ -192,7 +188,7 @@ def test_skew_table_rows_independent_of_listing():
 
 def test_skew_table_empty_rejected():
     with pytest.raises(ValidationError):
-        skew_table([], BaseParams(), McConfig(1000, 1))
+        skew_table([], BaseParams(n=1000, seed=1))
 
 
 def test_qq_export_matches_law_positive_orientation():
@@ -318,7 +314,7 @@ def test_csv_headers_and_format(tmp_path):
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 1 + len(cells)
 
-    rows = skew_table([3.0], BaseParams(), McConfig(5000, 9))
+    rows = skew_table([3.0], BaseParams(n=5000, seed=9))
     slines = skew_csv_lines(rows)
     assert slines[0] == SKEW_CSV_HEADER
 

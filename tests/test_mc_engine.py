@@ -62,7 +62,6 @@ def test_price_mc_golden():
     )
     assert res.price == GOLDEN_PRICE_MC_C3
     assert res.std_error == GOLDEN_SE_MC_C3
-    assert res.n == 70000
 
 
 def test_same_seed_same_vector():
@@ -150,22 +149,36 @@ def test_delta_deterministic_payoff_limit():
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def bumped_spec(spec: ModelSpec, dp0: float) -> ModelSpec:
+    m = spec.market
+    return ModelSpec.calibrate(spec.duration, MarketState(m.P0 + dp0, m.r0))
+
+
+def mc_price(spec: ModelSpec, cfg: McConfig) -> float:
+    return price_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg).price
+
+
 def test_delta_crn_beats_independent_sampling():
-    # with common random numbers the FD estimator variance collapses
+    # with common random numbers the FD estimator variance collapses; the
+    # independent estimator prices its bumped leg on a second sample
     spec = default_spec(3.0)
+    h = McConfig().bump
+    up = bumped_spec(spec, h)
     crn, indep = [], []
     for seed in range(50):
         cfg = McConfig(n=2000, seed=seed)
         crn.append(delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg))
-        indep.append(delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, crn=False))
+        up_cfg = McConfig(n=2000, seed=mix64(seed, 1))
+        indep.append((mc_price(up, up_cfg) - mc_price(spec, cfg)) / h)
     assert np.var(crn) < np.var(indep)
 
 
 def test_delta_central_close_to_forward():
     spec = default_spec(3.0)
     cfg = McConfig(n=20000, seed=8)
+    h = cfg.bump
     fwd = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
-    ctr = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, central=True)
+    ctr = (mc_price(bumped_spec(spec, h), cfg) - mc_price(bumped_spec(spec, -h), cfg)) / (2.0 * h)
     assert ctr == pytest.approx(fwd, rel=1e-2)
 
 

@@ -12,7 +12,6 @@ from mtgopt.model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
-    calibrate_level,
     duration,
     log_price,
     price,
@@ -53,18 +52,18 @@ def test_duration_strictly_increasing():
 
 def test_calibrate_level_pinned_c3():
     # oracle: 100 e^{0.01} (1+e^{3(0.01-0.055)})^{9/3}
-    k = calibrate_level(default_duration(3.0), DEFAULT_MARKET)
+    k = ModelSpec.calibrate(default_duration(3.0), DEFAULT_MARKET).k
     assert k == pytest.approx(664.437567149752, rel=1e-9)
 
 
 def test_calibrate_level_pinned_c_half():
-    k = calibrate_level(default_duration(0.5), DEFAULT_MARKET)
+    k = ModelSpec.calibrate(default_duration(0.5), DEFAULT_MARKET).k
     assert k == pytest.approx(21648754.340908803, rel=1e-9)
 
 
 def test_calibrate_level_degenerate_duration():
     # L=0 with vanishing U: every factor tends to 1, so k -> P0
-    k = calibrate_level(DurationParams(L=0.0, U=1e-12, C=2.0, x0=0.055), DEFAULT_MARKET)
+    k = ModelSpec.calibrate(DurationParams(L=0.0, U=1e-12, C=2.0, x0=0.055), DEFAULT_MARKET).k
     assert k == pytest.approx(100.0, rel=1e-9)
 
 
