@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, ValidationError
+from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 
 # below this |skewness| the three-moment system degenerates (theta -> +-inf);
 # the fit falls back to a plain two-moment lognormal
@@ -72,7 +72,7 @@ class ShiftedLognormalFit:
 
     @property
     def tau(self) -> float:
-        return self.theta if self.orientation > 0 else -self.theta
+        return self.orientation * self.theta
 
     def implied_moments(self, n: int = 3) -> SampleMoments:
         """Analytic mean/m2/m3 of the fitted law (plug-back check)."""
@@ -215,7 +215,9 @@ def match_two_lognormal_sum(s: TwoLognormalSpec) -> LognormalParams:
 
     log E = lse(mu1 + s1/2, mu2 + s2/2)
     log E^2-moment = lse(2mu1 + 2s1, ln2 + mu1 + mu2 + (s1+s2+2cov)/2, 2mu2 + 2s2)
-    then sigma_X^2 = log M2 - 2 log M1 and mu_X = log M1 - sigma_X^2/2.
+    then sigma_X^2 = log M2 - 2 log M1 and mu_X = log M1 - sigma_X^2/2. Exponents
+    whose variances overflow leave log M1 or sigma_X^2 non-finite, which raises
+    NonFiniteResultError.
     """
     a = np.logaddexp(s.mu1 + 0.5 * s.sigma1_sq, s.mu2 + 0.5 * s.sigma2_sq)
     b = np.logaddexp(
@@ -229,4 +231,6 @@ def match_two_lognormal_sum(s: TwoLognormalSpec) -> LognormalParams:
         2.0 * s.mu2 + 2.0 * s.sigma2_sq,
     )
     s2 = max(float(b) - 2.0 * float(a), 0.0)  # clamp roundoff at sigma -> 0
+    if not (math.isfinite(a) and math.isfinite(s2)):
+        raise NonFiniteResultError(f"matched lognormal has log M1 = {float(a)}, sigma_X^2 = {s2}")
     return LognormalParams(float(a) - 0.5 * s2, math.sqrt(s2))

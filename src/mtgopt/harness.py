@@ -141,6 +141,8 @@ class SweepSpec:
             raise ValidationError(f"engines must be a non-empty subset of {_ENGINES}, got {self.engines}")
         if self.greek not in (None, "delta"):
             raise ValidationError(f"greek must be 'delta' or omitted, got {self.greek!r}")
+        if self.greek == "delta" and ENGINE_LN not in self.engines and ENGINE_MC not in self.engines:
+            raise ValidationError(f"greek 'delta' needs engine LN or MC, got {self.engines}")
         if self.crn_axis not in (None, 1, 2):
             raise ValidationError(f"crn_axis must be 1 or 2, got {self.crn_axis}")
 
@@ -267,9 +269,8 @@ def qq_export(
     """(p, empirical, fitted) at p = (j-0.5)/quantile_count.
 
     Empirical quantiles interpolate order statistics at plotting positions
-    (i-0.5)/n; fitted quantiles are analytic: theta + exp(mu_X + sigma_X
-    ndtri(p)) for orientation +1, theta - exp(mu_X + sigma_X ndtri(1-p))
-    for orientation -1.
+    (i-0.5)/n; fitted quantiles are analytic: theta + o exp(mu_X + sigma_X
+    ndtri(q)) with q = p for orientation o = +1 and q = 1-p for o = -1.
     """
     if quantile_count < 2:
         raise ValidationError(f"need at least 2 quantiles, got {quantile_count}")
@@ -277,10 +278,8 @@ def qq_export(
     ps = (np.arange(1, quantile_count + 1) - 0.5) / quantile_count
     emp = np.quantile(a, ps, method="hazen")
     lp = fit.log_params
-    if fit.orientation > 0:
-        fitted = fit.theta + np.exp(lp.mu_X + lp.sigma_X * ndtri(ps))
-    else:
-        fitted = fit.theta - np.exp(lp.mu_X + lp.sigma_X * ndtri(1.0 - ps))
+    o = fit.orientation
+    fitted = fit.theta + o * np.exp(lp.mu_X + lp.sigma_X * ndtri(ps if o > 0 else 1.0 - ps))
     return list(zip(ps.tolist(), emp.tolist(), fitted.tolist()))
 
 

@@ -122,10 +122,12 @@ def price_mc(
     cfg: McConfig,
     workers: int = 1,
 ) -> PriceResult:
-    """Discounted mean of (P(r_T) - K)+ with its standard error."""
+    """Discounted mean of (P(r_T) - K)+ with its standard error (needs n >= 2)."""
+    if cfg.n < 2:
+        raise ValidationError(f"an MC price needs n >= 2 for its standard error, got n={cfg.n}")
     rates = simulate_terminal_rates(spec.market, dyn, c.T, cfg, workers)
     disc = c.df * _call_payoff(spec, c, rates)
-    se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n) if cfg.n > 1 else 0.0
+    se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n)
     return PriceResult(price=float(np.mean(disc)), method="MC", std_error=se)
 
 
@@ -139,14 +141,18 @@ def delta_mc(
     """Finite-difference delta: (C_MC(P0 + bump) - C_MC(P0)) / bump.
 
     Forward difference with an absolute bump on P0 and both legs on the same
-    rate sample (CRN); the bumped model recalibrates its level k.
+    rate sample (CRN); the bumped model recalibrates its level k. A bump too
+    small to move that level would give delta 0, so it is rejected.
     """
     h = cfg.bump
     m = spec.market
+    up = ModelSpec.calibrate(spec.duration, MarketState(m.P0 + h, m.r0))
+    base = ModelSpec.calibrate(spec.duration, m)
+    if up.log_k == base.log_k:
+        raise ValidationError(f"bump={h} is too small to move the calibrated level at P0={m.P0}")
     rates = simulate_terminal_rates(m, dyn, c.T, cfg, workers)
 
-    def leg(p0: float) -> float:
-        bumped = ModelSpec.calibrate(spec.duration, MarketState(p0, m.r0))
-        return c.df * float(np.mean(_call_payoff(bumped, c, rates)))
+    def leg(s: ModelSpec) -> float:
+        return c.df * float(np.mean(_call_payoff(s, c, rates)))
 
-    return (leg(m.P0 + h) - leg(m.P0)) / h
+    return (leg(up) - leg(base)) / h

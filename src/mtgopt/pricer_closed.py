@@ -1,12 +1,12 @@
 """Closed-form pricing engines.
 
 Three pieces: a shifted Black-Scholes kernel over a lognormal underlier with
-an effective strike; sample-fit pricing, which fits a shifted lognormal to a
-simulated terminal-price sample and prices through the kernel (positive skew
-as a call on Z with K_eff = K - theta, negative skew as a put with
-K_eff = theta - K); and the parametric lognormal, which matches the terminal
-price in closed form by writing e^{-log P / scale} as a sum of two perfectly
-correlated lognormals, so price and Greeks need no sample at all.
+an effective strike, in orientation o = +-1 (a call on Z or a put on Z);
+sample-fit pricing, which fits theta + o Z to a simulated terminal-price
+sample and prices through the kernel with K_eff = o (K - theta); and the
+parametric lognormal, which matches the terminal price in closed form by
+writing e^{-log P / scale} as a sum of two perfectly correlated lognormals, so
+price and Greeks need no sample at all.
 
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an error.
@@ -42,6 +42,10 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # central moment of the smooth terminal-price curve
 _PROXY_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite.hermgauss(21)
 _PROXY_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(math.pi)
+# roundoff of a few ulps in each quadrature price moves the third moment by
+# about 3 m2 times that, so a third moment smaller than 100 eps * mean * m2 is
+# not resolved
+_UNRESOLVED_M3 = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -66,43 +70,28 @@ def _d1(inp: BsKernelInputs) -> float:
     return (math.log(inp.M1 / inp.K_eff) + 0.5 * inp.W * inp.W) / inp.W
 
 
-def bs_call(inp: BsKernelInputs) -> float:
-    """df (M1 N(d1) - K_eff N(d2)); certain exercise for K_eff <= 0 (Z > 0)."""
-    if inp.K_eff <= 0.0:
-        return inp.df * (inp.M1 - inp.K_eff)
-    if inp.W <= 0.0:
-        return inp.df * max(inp.M1 - inp.K_eff, 0.0)
+def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
+    """df E[(o (Z - K_eff))+] for o = orientation: a call for o = +1,
+    df (M1 N(d1) - K_eff N(d2)), a put for o = -1, df (K_eff N(-d2) - M1 N(-d1)).
+
+    Without a strike (K_eff <= 0, Z > 0) or a spread (W <= 0) the value is the
+    discounted intrinsic df max(o (M1 - K_eff), 0); adding 0.0 turns its -0.0
+    at o = -1, M1 = K_eff into +0.0. Negation is exact, so o = -1 gives the
+    put's bits.
+    """
+    o = orientation
+    if inp.K_eff <= 0.0 or inp.W <= 0.0:
+        return inp.df * (max(o * (inp.M1 - inp.K_eff), 0.0) + 0.0)
     d1 = _d1(inp)
     d2 = d1 - inp.W
-    return inp.df * (inp.M1 * ndtr(d1) - inp.K_eff * ndtr(d2))
-
-
-def bs_put(inp: BsKernelInputs) -> float:
-    """df (K_eff N(-d2) - M1 N(-d1)); worthless for K_eff <= 0 (Z > 0)."""
-    if inp.K_eff <= 0.0:
-        return 0.0
-    if inp.W <= 0.0:
-        return inp.df * max(inp.K_eff - inp.M1, 0.0)
-    d1 = _d1(inp)
-    d2 = d1 - inp.W
-    return inp.df * (inp.K_eff * ndtr(-d2) - inp.M1 * ndtr(-d1))
-
-
-def kernel_for_fit(fit: ShiftedLognormalFit, c: OptionContract) -> BsKernelInputs:
-    """Kernel inputs for pricing a call on theta +- Z against strike K."""
-    k_eff = c.K - fit.theta if fit.orientation > 0 else fit.theta - c.K
-    return BsKernelInputs(
-        M1=lognormal_mean(fit.log_params),
-        W=fit.log_params.sigma_X,
-        K_eff=k_eff,
-        df=c.df,
-    )
+    return inp.df * (o * inp.M1 * ndtr(o * d1) - o * inp.K_eff * ndtr(o * d2))
 
 
 def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract) -> float:
-    """Call price under a fitted shifted-lognormal terminal law."""
-    inp = kernel_for_fit(fit, c)
-    return bs_call(inp) if fit.orientation > 0 else bs_put(inp)
+    """Call price under theta + o Z: the kernel in orientation o with K_eff = o (K - theta)."""
+    o = fit.orientation
+    lp = fit.log_params
+    return bs_call(BsKernelInputs(lognormal_mean(lp), lp.sigma_X, o * (c.K - fit.theta), c.df), o)
 
 
 def price_sln(
@@ -153,22 +142,21 @@ def ln_terminal_params(
     )
 
 
-def _skew_sign_proxy(spec: ModelSpec, dyn: RateDynamics, T: float) -> float:
-    # sign of the terminal-price third central moment by fixed quadrature
-    law = terminal_rate_law(spec.market, dyn, T)
-    r = law.mean + math.sqrt(2.0) * law.std * _PROXY_NODES
-    p = model_price(spec, r)
-    centered = p - float(np.sum(_PROXY_WEIGHTS * p))
-    return float(np.sum(_PROXY_WEIGHTS * centered**3))
-
-
 def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     """A warning when the terminal price is negatively skewed, else None.
 
-    The parametric lognormal assumes positive skew. The check costs more than
-    the closed form itself, so delta_ln and gamma_ln leave it to their callers.
+    The third central moment comes from fixed quadrature over the rate law and
+    warns only when it is negative beyond roundoff. The parametric lognormal
+    assumes positive skew. The check costs more than the closed form itself,
+    so delta_ln and gamma_ln leave it to their callers.
     """
-    if _skew_sign_proxy(spec, dyn, T) < 0.0:
+    law = terminal_rate_law(spec.market, dyn, T)
+    p = model_price(spec, law.mean + math.sqrt(2.0) * law.std * _PROXY_NODES)
+    mean = float(_PROXY_WEIGHTS @ p)
+    centered = p - mean
+    weighted = _PROXY_WEIGHTS * centered
+    m2, m3 = float(weighted @ centered), float(weighted @ centered**2)
+    if m3 < -_UNRESOLVED_M3 * mean * m2:
         return (
             "parametric lognormal assumes positively skewed terminal prices; "
             "the terminal law at these parameters is negatively skewed "

@@ -94,10 +94,25 @@ def test_price_ln_no_warning_in_regime(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("C,warns", [("30", True), ("3", False)])
-def test_greeks_ln_regime_warning_on_stderr(capsys, C, warns):
-    _, _, price_err = run_cli(capsys, "price", "--method", "ln", "--set", f"C={C}")
-    code, out, err = run_cli(capsys, "greeks", "--method", "ln", "--set", f"C={C}")
+@pytest.mark.parametrize(
+    "C,sigma,warns",
+    [
+        pytest.param("30", "0.02", True, id="30-True"),
+        pytest.param("3", "0.02", False, id="3-False"),
+        # a skew lost in roundoff gives no warning at any curvature
+        ("3", "1e-300", False),
+        ("3", "1e-15", False),
+        ("3", "1e-12", False),
+        ("3", "1e-9", False),
+        ("3", "1e-6", False),
+        ("30", "1e-9", False),
+        ("30", "1e-6", True),
+    ],
+)
+def test_greeks_ln_regime_warning_on_stderr(capsys, C, sigma, warns):
+    at = ("--set", f"C={C}", "--set", f"sigma={sigma}")
+    _, _, price_err = run_cli(capsys, "price", "--method", "ln", *at)
+    code, out, err = run_cli(capsys, "greeks", "--method", "ln", *at)
     assert code == 0
     assert err == price_err
     assert ("skew" in err) == warns
@@ -219,6 +234,42 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     assert code == 2 and err == "error: sample count n must be >= 1, got 0\n"
     code, _, err = run_cli(capsys, "price", "--method", "ln", "--set", "C=3", "--set", "bump=0")
     assert code == 2 and err == "error: bump must be > 0, got 0.0\n"
+    # an MC price needs two draws for its standard error
+    code, out, err = run_cli(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=1")
+    assert (code, out) == (2, "") and "n=1" in err
+    # a bump that cannot move the calibrated level would give delta 0
+    code, out, err = run_cli(capsys, "greeks", "--method", "mc", "--set", "C=3", "--set", "bump=1e-14")
+    assert (code, out) == (2, "") and "bump=1e-14" in err
+
+
+@pytest.mark.parametrize(
+    "config,argv,env,needle",
+    [
+        ("[1, 2]", (), None, "config root must be a JSON object"),
+        ('{"model": 3}', (), None, "config block 'model' must be an object"),
+        ('{"contract": {"K": null}}', (), None, "K must be a number, got null"),
+        ('{"contract": {"K": true}}', (), None, "K must be a number, got True"),
+        (None, ("--set", "K=abc"), None, "cannot parse K='abc' as a number"),
+        (None, (), "abc", "MTGOPT_SEED must be an integer, got 'abc'"),
+        (None, ("--axis1", "K"), None, "axis must be NAME=v1,v2,... or NAME=start:stop:count"),
+        (None, ("--axis1", "K=1:2"), None, "linear axis needs start:stop:count"),
+        (None, ("--axis1", "K=1:2:x"), None, "cannot parse axis 'K=1:2:x'"),
+        (None, ("--axis1", "K=1,b"), None, "cannot parse axis values in 'K=1,b'"),
+    ],
+)
+def test_config_errors_exit_2(capsys, tmp_path, monkeypatch, config, argv, env, needle):
+    args = ["sweep", "--set", "C=3", "--out", str(tmp_path / "out.csv"), "--axis2", "P0=100"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        args += ["--config", str(tmp_path / "cfg.json")]
+    if env is not None:
+        monkeypatch.setenv("MTGOPT_SEED", env)
+    if "--axis1" not in argv:
+        args += ["--axis1", "K=99,101"]
+    code, out, err = run_cli(capsys, *args, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 FLOAT_LEAVES = ("L", "U", "C", "x0", "P0", "r0", "mu", "sigma", "K", "T", "r_f", "bump")
@@ -247,6 +298,10 @@ def test_non_finite_result_exit_3(capsys, tmp_path):
     for cmd in (("price", "--method", "ln"), ("greeks", "--method", "ln")):
         cases.append(cmd + at + ("--set", "sigma=1e150"))
         cases.append(cmd + at + ("--set", "T=1e308", "--set", "r_f=-1"))
+        # the matched lognormal itself overflows
+        cases.append(cmd + at + ("--set", "L=1e300"))
+        cases.append(cmd + at + ("--set", "L=1e200"))
+        cases.append(cmd + ("--set", "C=1e300"))
     for extreme in ("sigma=1e200", "r0=1e308"):
         sampled = at + ("--set", "n=100", "--set", extreme)
         cases += [
@@ -307,6 +362,18 @@ def test_sweep_mc_only_blank_rel_diffs(capsys, tmp_path):
     for line in out.read_text().splitlines()[1:]:
         cols = line.split(",")
         assert cols[6] == cols[7] == cols[8] == cols[9] == ""
+
+
+def test_sweep_delta_without_ln_or_mc_exit_2(capsys, tmp_path):
+    # SLN has no delta: the grid would be all blanks
+    out = tmp_path / "a.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--engines", "sln",
+        "--greek", "delta", "--set", "n=1000", "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: greek 'delta' needs engine LN or MC, got ('SLN',)\n"
+    assert not out.exists()
 
 
 def test_sweep_linear_axis_grammar(capsys, tmp_path):

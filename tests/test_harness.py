@@ -89,6 +89,13 @@ def test_spec_validation():
         small_spec(crn_axis=3)
 
 
+def test_delta_sweep_needs_ln_or_mc():
+    with pytest.raises(ValidationError, match="delta"):
+        small_spec(greek="delta", engines=("SLN",))
+    for engines in (("LN",), ("MC",), ("SLN", "LN"), ("SLN", "MC")):
+        assert small_spec(greek="delta", engines=engines).engines == engines
+
+
 def test_missing_curvature_rejected():
     spec = SweepSpec(
         base=BaseParams(seed=1, n=1000),
@@ -137,6 +144,16 @@ def test_crn_axis_shares_sample_along_axis():
     free = run_sweep(small_spec())
     skews = {c.skew for c in free}
     assert len(skews) == len(free)
+    # crn_axis=2 drops the axis2 index instead: with strikes on axis2, every
+    # K in a given C row sees the same draw, so MC falls strictly along K
+    rows = run_sweep(
+        small_spec(axis1=SweepAxis("C", (0.5, 3.0)), axis2=SweepAxis("K", (99.0, 100.0, 101.0)), crn_axis=2)
+    )
+    by_row = {}
+    for c in rows:
+        by_row.setdefault(c.axis1_value, set()).add(c.skew)
+    assert [len(s) for s in by_row.values()] == [1, 1]
+    assert rows[0].price_mc > rows[1].price_mc > rows[2].price_mc
 
 
 def test_crn_makes_mc_price_monotone_in_strike():

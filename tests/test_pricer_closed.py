@@ -18,10 +18,8 @@ from mtgopt.model import MarketState, ModelSpec, OptionContract, RateDynamics, p
 from mtgopt.pricer_closed import (
     BsKernelInputs,
     bs_call,
-    bs_put,
     delta_ln,
     gamma_ln,
-    kernel_for_fit,
     ln_terminal_params,
     price_from_fit,
     price_ln,
@@ -44,13 +42,13 @@ def test_kernel_certain_exercise():
 
 
 def test_put_kernel_negative_strike_worthless():
-    assert bs_put(BsKernelInputs(100.0, 0.3, -1.0, 0.99)) == 0.0
+    assert bs_call(BsKernelInputs(100.0, 0.3, -1.0, 0.99), -1) == 0.0
 
 
 def test_put_equals_call_at_forward_strike():
     # parity at M1 = K_eff makes put and call coincide
     call = bs_call(BsKernelInputs(100.0, 0.2, 100.0, 1.0))
-    put = bs_put(BsKernelInputs(100.0, 0.2, 100.0, 1.0))
+    put = bs_call(BsKernelInputs(100.0, 0.2, 100.0, 1.0), -1)
     assert put == pytest.approx(call, rel=1e-12)
 
 
@@ -63,7 +61,7 @@ def test_put_call_parity_randomized():
             K_eff=rng.uniform(-50.0, 300.0),
             df=rng.uniform(0.5, 1.0),
         )
-        lhs = bs_call(inp) - bs_put(inp)
+        lhs = bs_call(inp) - bs_call(inp, -1)
         rhs = inp.df * (inp.M1 - inp.K_eff)
         assert abs(lhs - rhs) <= 1e-12 * (inp.M1 + abs(inp.K_eff))
 
@@ -225,6 +223,21 @@ def test_gamma_ln_matches_second_difference_at_defaults():
     dn = _ln_price_at(100.0 - h, 3.0, DEFAULT_CONTRACT)
     fd = (up - 2 * mid + dn) / (h * h)
     assert gamma_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT) == pytest.approx(fd, rel=1e-3)
+
+
+def test_greeks_ln_without_spread_are_intrinsic():
+    # sigma = 1e-300 leaves W = 0: delta is df M1 / P0 in the money and 0 out
+    # of it, gamma is 0 either way
+    dyn = RateDynamics(mu=0.0, sigma=1e-300)
+    spec = default_spec(3.0)
+    itm, otm = OptionContract(99.0, 0.25, 0.0209), OptionContract(101.0, 0.25, 0.0209)
+    law = ln_terminal_params(spec, dyn, 0.25)
+    assert law.sigma_P == 0.0
+    m1 = math.exp(law.mu_P)
+    assert delta_ln(spec, dyn, itm) == itm.df * m1 / 100.0
+    assert delta_ln(spec, dyn, otm) == 0.0
+    assert gamma_ln(spec, dyn, itm) == 0.0
+    assert gamma_ln(spec, dyn, otm) == 0.0
 
 
 def test_greek_bounds():
