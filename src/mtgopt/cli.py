@@ -105,6 +105,8 @@ def _parse_set(pairs: list[str]) -> dict[str, float | int]:
 
 
 def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
+    if args.workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {args.workers}")
     leaves: dict[str, float | int | None] = {}
     if args.config is not None:
         leaves.update(_read_config_file(args.config))
@@ -151,7 +153,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         res = price_mc(model, dyn, contract, cfg, args.workers)
         _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": cfg.n})
     elif args.method == "sln":
-        res = price_sln(model, dyn, contract, cfg, args.workers)
+        prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
+        res = price_sln(central_moments(prices), contract)
         _emit({"method": "sln", "price": res.price, "n": cfg.n, "fit": _fit_payload(res.diagnostics)})
     else:
         res = price_ln(model, dyn, contract)

@@ -180,22 +180,18 @@ def fit_shifted_lognormal(m: SampleMoments) -> ShiftedLognormalFit:
             raise DegenerateSampleError(
                 "two-moment lognormal fallback needs a positive mean"
             )
+        orientation, ez = 1, m.mean
         s2 = math.log1p(m.m2 / (m.mean * m.mean))
-        return ShiftedLognormalFit(
-            theta=0.0,
-            orientation=1,
-            log_params=LognormalParams(math.log(m.mean) - 0.5 * s2, math.sqrt(s2)),
-            eps=math.expm1(s2),
-        )
-    orientation = 1 if skew > 0.0 else -1
-    eps = _solve_excess(abs(skew))
-    s2 = math.log1p(eps)
-    ez = math.sqrt(m.m2 / eps)
-    mu_X = math.log(ez) - 0.5 * s2
+        eps = math.expm1(s2)
+    else:
+        orientation = 1 if skew > 0.0 else -1
+        eps = _solve_excess(abs(skew))
+        s2 = math.log1p(eps)
+        ez = math.sqrt(m.m2 / eps)
     return ShiftedLognormalFit(
         theta=m.mean - orientation * ez,
         orientation=orientation,
-        log_params=LognormalParams(mu_X, math.sqrt(s2)),
+        log_params=LognormalParams(math.log(ez) - 0.5 * s2, math.sqrt(s2)),
         eps=eps,
     )
 

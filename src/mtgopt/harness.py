@@ -27,6 +27,7 @@ from scipy.special import ndtri
 from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal, skewness
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
+    DEFAULT_SEED,  # noqa: F401  re-exported: the seed of every default bundle
     McConfig,
     delta_mc,
     mix64,
@@ -43,13 +44,6 @@ from .model import (
     price as model_price,
 )
 from .pricer_closed import delta_ln, price_ln, price_sln
-
-# fixed default seed; chosen so that the default-seed sample reproduces the
-# reference skewness/fit tables within their stated tolerances (the reference
-# values correspond to one particular finite sample, so matching them is a
-# property of the draw, not only of the fitter) and so the default grids sit
-# inside the frozen accuracy gates with margin
-DEFAULT_SEED = 38590
 
 # sub-seed tags: fit sample vs MC reference inside one cell
 _FIT_TAG = 1
@@ -85,9 +79,9 @@ class BaseParams:
     K: float = 100.0
     T: float = 90.0 / 360.0
     r_f: float = 0.0209
-    n: int = 70000
-    seed: int = DEFAULT_SEED
-    bump: float = 0.0001
+    n: int = McConfig.n
+    seed: int = McConfig.seed
+    bump: float = McConfig.bump
 
 
 # config block name -> the dataclass that defines and validates its leaves
@@ -211,7 +205,8 @@ def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, workers: int) ->
         out["skew"] = skewness(central_moments(sample))
     if ENGINE_SLN in spec.engines and spec.greek is None:
         fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
-        out["price_sln"] = price_sln(model, dyn, c, fit_cfg, workers).price
+        fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, workers)
+        out["price_sln"] = price_sln(central_moments(fit_sample), c).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
             delta_ln(model, dyn, c) if spec.greek == "delta" else price_ln(model, dyn, c).price

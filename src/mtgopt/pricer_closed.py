@@ -2,8 +2,8 @@
 
 Three pieces: a shifted Black-Scholes kernel over a lognormal underlier with
 an effective strike, in orientation o = +-1 (a call on Z or a put on Z);
-sample-fit pricing, which fits theta + o Z to a simulated terminal-price
-sample and prices through the kernel with K_eff = o (K - theta); and the
+shifted-lognormal pricing, which fits theta + o Z to terminal-price moments and
+prices through the kernel with K_eff = o (K - theta); and the
 parametric lognormal, which matches the terminal price in closed form by
 writing e^{-log P / scale} as a sum of two perfectly correlated lognormals, so
 price and Greeks need no sample at all.
@@ -20,14 +20,13 @@ import numpy as np
 from scipy.special import ndtr
 
 from .distfit import (
+    SampleMoments,
     ShiftedLognormalFit,
     TwoLognormalSpec,
-    central_moments,
     fit_shifted_lognormal,
     lognormal_mean,
     match_two_lognormal_sum,
 )
-from .mc_engine import McConfig, PriceResult, simulate_terminal_prices
 from .model import (
     ModelSpec,
     OptionContract,
@@ -56,6 +55,18 @@ class BsKernelInputs:
     W: float
     K_eff: float
     df: float
+
+
+@dataclass(frozen=True)
+class PriceResult:
+    """Price with its method tag, MC standard error, fit or law diagnostics,
+    and regime warning."""
+
+    price: float
+    method: str
+    std_error: float | None = None
+    diagnostics: object | None = None
+    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -94,21 +105,9 @@ def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract) -> float:
     return bs_call(BsKernelInputs(lognormal_mean(lp), lp.sigma_X, o * (c.K - fit.theta), c.df), o)
 
 
-def price_sln(
-    spec: ModelSpec,
-    dyn: RateDynamics,
-    c: OptionContract,
-    sample_cfg: McConfig,
-    workers: int = 1,
-) -> PriceResult:
-    """Sample, fit a shifted lognormal, and price through the kernel.
-
-    The sample is the caller's own (seeded) draw, independent of any MC
-    reference run; the near-zero-skew fallback prices as a plain lognormal
-    call (theta = 0).
-    """
-    prices = simulate_terminal_prices(spec, dyn, c.T, sample_cfg, workers)
-    fit = fit_shifted_lognormal(central_moments(prices))
+def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
+    """Fit theta +- LogN to terminal-price moments and price through the kernel."""
+    fit = fit_shifted_lognormal(moments)
     return PriceResult(price=price_from_fit(fit, c), method="SLN", diagnostics=fit)
 
 

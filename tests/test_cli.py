@@ -237,9 +237,35 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # an MC price needs two draws for its standard error
     code, out, err = run_cli(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=1")
     assert (code, out) == (2, "") and "n=1" in err
-    # a bump that cannot move the calibrated level would give delta 0
-    code, out, err = run_cli(capsys, "greeks", "--method", "mc", "--set", "C=3", "--set", "bump=1e-14")
-    assert (code, out) == (2, "") and "bump=1e-14" in err
+    # a bump below the roundoff floor (about 9.3e-8 at P0=100) would give a
+    # delta made of roundoff
+    for bump in ("1e-14", "1e-13", "1e-08"):
+        argv = ("greeks", "--method", "mc", "--set", "C=3", "--set", f"bump={bump}")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and f"bump={bump}" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("price", "--method", "mc"),
+        ("price", "--method", "sln"),
+        ("greeks", "--method", "mc"),
+        ("fit",),
+        ("qq", "--out", "qq.csv"),
+        ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--out", "sweep.csv"),
+    ],
+)
+def test_workers_below_one_exit_2_before_drawing(capsys, tmp_path, monkeypatch, argv, workers):
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr("mtgopt.mc_engine._standard_normals", no_draw)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--set", "C=3", "--set", "n=1000", "--workers", workers)
+    assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

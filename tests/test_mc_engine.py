@@ -11,7 +11,9 @@ from conftest import (
     default_spec,
 )
 from mtgopt.errors import ValidationError
+from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
+    DEFAULT_SEED,
     SHARD_SIZE,
     McConfig,
     delta_mc,
@@ -180,6 +182,22 @@ def test_delta_central_close_to_forward():
     fwd = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
     ctr = (mc_price(bumped_spec(spec, h), cfg) - mc_price(bumped_spec(spec, -h), cfg)) / (2.0 * h)
     assert ctr == pytest.approx(fwd, rel=1e-2)
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0])
+def test_delta_smallest_accepted_bump_matches_default(C):
+    # 1e-7 is just above the roundoff floor at P0 = 100; at n = 2000 no path
+    # crosses the strike between the two bumps (at n = 70000 one does, which
+    # moves the delta by about 1.1e-5)
+    spec = default_spec(C)
+    small = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))
+    default = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
+    assert abs(small - default) < 1e-6
+
+
+def test_mc_config_defaults_are_the_bundle_defaults():
+    assert McConfig().seed == DEFAULT_SEED == 38590
+    assert materialize(BaseParams(C=3.0))[3] == McConfig()
 
 
 def test_mc_config_validation():

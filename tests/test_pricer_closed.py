@@ -1,5 +1,9 @@
 """Closed-form pricers: kernel identities, parametric chain, exact Greeks."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from conftest import (
     default_duration,
     default_spec,
 )
-from mtgopt.distfit import central_moments, fit_shifted_lognormal
+import mtgopt
+from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
 from mtgopt.mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
 from mtgopt.model import MarketState, ModelSpec, OptionContract, RateDynamics, price
 from mtgopt.pricer_closed import (
@@ -156,7 +161,10 @@ def test_price_ln_deterministic_rate_limit():
 
 def test_price_sln_near_mc_at_default_curvature():
     # fit sample and reference sample are independent draws
-    sln = price_sln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=601))
+    fit_sample = simulate_terminal_prices(
+        default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT.T, McConfig(n=70000, seed=601)
+    )
+    sln = price_sln(central_moments(fit_sample), DEFAULT_CONTRACT)
     mc = price_mc(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=602))
     assert abs(sln.price - mc.price) / mc.price < 0.02
     assert sln.method == "SLN"
@@ -165,9 +173,11 @@ def test_price_sln_near_mc_at_default_curvature():
 
 def test_price_sln_deterministic_rate_limit():
     dyn = RateDynamics(mu=0.0, sigma=1e-8)
-    itm = price_sln(default_spec(3.0), dyn, OptionContract(99.0, 0.25, 0.0209), McConfig(n=20000, seed=5))
+    sample = simulate_terminal_prices(default_spec(3.0), dyn, 0.25, McConfig(n=20000, seed=5))
+    moments = central_moments(sample)
+    itm = price_sln(moments, OptionContract(99.0, 0.25, 0.0209))
     assert itm.price == pytest.approx(math.exp(-0.0209 * 0.25) * 1.0, abs=1e-5)
-    otm = price_sln(default_spec(3.0), dyn, OptionContract(101.0, 0.25, 0.0209), McConfig(n=20000, seed=5))
+    otm = price_sln(moments, OptionContract(101.0, 0.25, 0.0209))
     assert otm.price == pytest.approx(0.0, abs=1e-8)
 
 
@@ -175,10 +185,46 @@ def test_price_sln_tiny_strike_is_discounted_mean():
     # payoff is the underlier itself; fit matches the mean exactly
     spec = default_spec(3.0)
     c = OptionContract(K=1e-6, T=0.25, r_f=0.0209)
-    sln = price_sln(spec, DEFAULT_DYNAMICS, c, McConfig(n=70000, seed=603))
+    fit_sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=70000, seed=603))
+    sln = price_sln(central_moments(fit_sample), c)
     ref = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=70000, seed=604))
     want = math.exp(-0.0209 * 0.25) * float(np.mean(ref))
     assert abs(sln.price - want) / want < 0.005
+
+
+@pytest.mark.parametrize(
+    "moments,orientation,fallback",
+    [
+        (SampleMoments(100.18, 4.0, 0.5, 70000), 1, False),
+        (SampleMoments(100.18, 4.0, -0.5, 70000), -1, False),
+        # fallback fits: the wide one refits its implied moments through the
+        # three-moment branch, the narrow one through the fallback again
+        (SampleMoments(100.18, 4.0, 0.0, 70000), 1, True),
+        (SampleMoments(100.18, 1e-6, 0.0, 70000), 1, True),
+    ],
+)
+def test_price_sln_on_implied_moments_prices_the_fit(moments, orientation, fallback):
+    # the exact moments of a fitted law price like the sample moments it came from
+    fit = fit_shifted_lognormal(moments)
+    assert fit.orientation == orientation and (fit.theta == 0.0) == fallback
+    sd = math.sqrt(moments.m2)
+    for K in (moments.mean - sd, moments.mean, moments.mean + sd):
+        c = OptionContract(K, 0.25, 0.0209)
+        want = price_from_fit(fit, c)
+        assert price_sln(fit.implied_moments(), c).price == pytest.approx(want, rel=1e-9)
+
+
+def test_pricer_closed_does_not_load_the_sampler():
+    src = str(Path(mtgopt.__file__).resolve().parents[1])
+    code = "import sys, mtgopt.pricer_closed; print('mtgopt.mc_engine' in sys.modules)"
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
 
 def test_sln_strike_monotone_convex():
