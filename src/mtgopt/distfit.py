@@ -1,4 +1,4 @@
-"""Sample moments and the two moment-matching fitters.
+"""Sample moments and the three-moment shifted-lognormal fit.
 
 Three-moment shifted lognormal: match mean, second and third central moments
 of a sample with theta + Z or theta - Z, Z ~ LogN(mu_X, sigma_X^2). Writing
@@ -8,10 +8,6 @@ small b the root is eps ~ (b/3)^2, far below the resolution of a double near
 1.0, and the downstream formulas only ever need eps (sigma_X^2 = log1p(eps),
 E[Z] = sqrt(m2/eps)), so carrying eps preserves the moment plug-back precision
 that eta itself cannot represent.
-
-Two-lognormal-sum matching: a single lognormal with the same first two moments
-as e^{X1} + e^{X2} for jointly normal (X1, X2), computed in log space so
-exponents far outside double range still match to full precision.
 """
 from __future__ import annotations
 
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
+from .errors import DegenerateSampleError, ValidationError
 
 # below this |skewness| the three-moment system degenerates (theta -> +-inf);
 # the fit falls back to a plain two-moment lognormal
@@ -80,24 +76,6 @@ class ShiftedLognormalFit:
         m2 = ez * ez * self.eps
         m3 = self.orientation * ez**3 * self.eps**2 * (3.0 + self.eps)
         return SampleMoments(self.theta + self.orientation * ez, m2, m3, n)
-
-
-@dataclass(frozen=True)
-class TwoLognormalSpec:
-    """Jointly normal exponents (X1, X2) of a correlated lognormal pair."""
-
-    mu1: float
-    sigma1_sq: float
-    mu2: float
-    sigma2_sq: float
-    cov: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma1_sq >= 0.0 or not self.sigma2_sq >= 0.0:
-            raise ValidationError("sigma1_sq and sigma2_sq must be >= 0")
-        # 1-ulp slack: perfectly correlated inputs hit equality in floats
-        if self.cov * self.cov > self.sigma1_sq * self.sigma2_sq * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError("cov^2 must not exceed sigma1_sq * sigma2_sq")
 
 
 def central_moments(sample) -> SampleMoments:
@@ -204,29 +182,3 @@ def lognormal_mean(p: LognormalParams) -> float:
 def lognormal_second_moment(p: LognormalParams) -> float:
     """M2 = E[Z^2] = e^{2 mu_X + 2 sigma_X^2}."""
     return math.exp(2.0 * p.mu_X + 2.0 * p.sigma_X**2)
-
-
-def match_two_lognormal_sum(s: TwoLognormalSpec) -> LognormalParams:
-    """Lognormal with the first two moments of e^{X1} + e^{X2}.
-
-    log E = lse(mu1 + s1/2, mu2 + s2/2)
-    log E^2-moment = lse(2mu1 + 2s1, ln2 + mu1 + mu2 + (s1+s2+2cov)/2, 2mu2 + 2s2)
-    then sigma_X^2 = log M2 - 2 log M1 and mu_X = log M1 - sigma_X^2/2. Exponents
-    whose variances overflow leave log M1 or sigma_X^2 non-finite, which raises
-    NonFiniteResultError.
-    """
-    a = np.logaddexp(s.mu1 + 0.5 * s.sigma1_sq, s.mu2 + 0.5 * s.sigma2_sq)
-    b = np.logaddexp(
-        np.logaddexp(
-            2.0 * s.mu1 + 2.0 * s.sigma1_sq,
-            math.log(2.0)
-            + s.mu1
-            + s.mu2
-            + 0.5 * (s.sigma1_sq + s.sigma2_sq + 2.0 * s.cov),
-        ),
-        2.0 * s.mu2 + 2.0 * s.sigma2_sq,
-    )
-    s2 = max(float(b) - 2.0 * float(a), 0.0)  # clamp roundoff at sigma -> 0
-    if not (math.isfinite(a) and math.isfinite(s2)):
-        raise NonFiniteResultError(f"matched lognormal has log M1 = {float(a)}, sigma_X^2 = {s2}")
-    return LognormalParams(float(a) - 0.5 * s2, math.sqrt(s2))

@@ -113,6 +113,11 @@ class SweepAxis:
     def linear(cls, name: str, start: float, stop: float, count: int) -> "SweepAxis":
         if count < 1:
             raise ValidationError(f"axis needs at least one point, got count={count}")
+        # NaN bounds pass through to the per-value finiteness check
+        if any(math.isinf(x) for x in (start, stop, stop - start)):
+            raise ValidationError(
+                f"axis {name} needs a finite start, stop and stop - start, got {start}:{stop}"
+            )
         return cls(name, tuple(np.linspace(start, stop, count).tolist()))
 
 

@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distfit import (
-    SampleMoments,
-    ShiftedLognormalFit,
-    TwoLognormalSpec,
-    fit_shifted_lognormal,
-    lognormal_mean,
-    match_two_lognormal_sum,
-)
+from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
+from .errors import NonFiniteResultError
 from .model import (
     ModelSpec,
     OptionContract,
@@ -116,28 +110,39 @@ def ln_terminal_params(
 ) -> TerminalLognormalLaw:
     """Matched lognormal terminal law.
 
-    P(r_T)^{-C/U} = e^{X1} + e^{X2} with X1 = (LC/U) r_T - (C/U) log k and
-    X2 = C(L/U+1) r_T - C x0 - (C/U) log k; both are affine in the same normal
-    r_T, hence perfectly correlated (cov = sigma1 sigma2). Matching the sum by
-    one lognormal and raising to -U/C gives mu_P = -(U/C) mu_X + log k,
-    sigma_P = (U/C) sigma_X.
+    P(r_T)^{-C/U} = k^{-C/U} (e^{X1} + e^{X2}) with X1 = a1 r_T, a1 = LC/U, and
+    X2 = a2 r_T - C x0, a2 = C(L/U+1): two lognormals in the same normal r_T, so
+    cov = sigma1 sigma2. LogN(mu_X, sigma_X^2) takes the sum's first two
+    moments, in log space so exponents far outside double range still match:
+
+        log M1 = lse(mu1 + s1/2, mu2 + s2/2)
+        log M2 = lse(2mu1 + 2s1, ln2 + mu1 + mu2 + (s1+s2+2cov)/2, 2mu2 + 2s2)
+
+    with sigma_X^2 = log M2 - 2 log M1 and mu_X = log M1 - sigma_X^2/2. Raising
+    to -U/C gives mu_P = -(U/C) mu_X + log k, sigma_P = (U/C) sigma_X. Variances
+    that overflow leave log M1 or sigma_X^2 non-finite, which raises
+    NonFiniteResultError.
     """
     p = spec.duration
     law = terminal_rate_law(spec.market, dyn, T)
     a1 = p.L * p.C / p.U
     a2 = p.C * (p.L / p.U + 1.0)
     v = law.std * law.std
-    two = TwoLognormalSpec(
-        mu1=a1 * law.mean,
-        sigma1_sq=a1 * a1 * v,
-        mu2=a2 * law.mean - p.C * p.x0,
-        sigma2_sq=a2 * a2 * v,
-        cov=a1 * a2 * v,
-    )
-    matched = match_two_lognormal_sum(two)
+    mu1 = a1 * law.mean
+    s1 = a1 * a1 * v
+    mu2 = a2 * law.mean - p.C * p.x0
+    s2 = a2 * a2 * v
+    cov = a1 * a2 * v
+    cross = math.log(2.0) + mu1 + mu2 + 0.5 * (s1 + s2 + 2.0 * cov)
+    log_m1 = float(np.logaddexp(mu1 + 0.5 * s1, mu2 + 0.5 * s2))
+    log_m2 = float(np.logaddexp(np.logaddexp(2.0 * mu1 + 2.0 * s1, cross), 2.0 * mu2 + 2.0 * s2))
+    var_x = max(log_m2 - 2.0 * log_m1, 0.0)  # clamp roundoff at sigma -> 0
+    if not (math.isfinite(log_m1) and math.isfinite(var_x)):
+        raise NonFiniteResultError(f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x}")
+    scale = p.U / p.C
     return TerminalLognormalLaw(
-        mu_P=-(p.U / p.C) * matched.mu_X + spec.log_k,
-        sigma_P=(p.U / p.C) * matched.sigma_X,
+        mu_P=-scale * (log_m1 - 0.5 * var_x) + spec.log_k,
+        sigma_P=scale * math.sqrt(var_x),
     )
 
 

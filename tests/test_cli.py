@@ -421,6 +421,30 @@ def test_sweep_linear_axis_grammar(capsys, tmp_path):
     assert code == 2 and "start:stop:count" in err
 
 
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        # an infinite bound or an overflowing stop - start never reaches np.linspace
+        ("K=1e400:1e401:2", "axis K needs a finite start, stop and stop - start, got inf:inf"),
+        ("K=1:1e400:2", "axis K needs a finite start, stop and stop - start, got 1.0:inf"),
+        (
+            "K=-1e308:1e308:3",
+            "axis K needs a finite start, stop and stop - start, got -1e+308:1e+308",
+        ),
+        ("K=99,1e400", "K must be finite, got inf"),
+        ("K=nan:1:2", "K must be finite, got nan"),
+        ("K=1:nan:2", "K must be finite, got nan"),
+    ],
+)
+def test_sweep_axis_non_finite_exit_2_names_axis(capsys, tmp_path, axis, message):
+    out = tmp_path / "axis.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--axis1", axis, "--axis2", "C=3", "--engines", "ln", "--out", str(out),
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_qq_writes_csv(capsys, tmp_path):
     out = tmp_path / "qq.csv"
     code, stdout, _ = run_cli(

@@ -1,4 +1,4 @@
-"""Moment statistics, the skew cubic, and both moment-matching fitters."""
+"""Moment statistics, the skew cubic, and the shifted-lognormal fit."""
 import math
 
 import numpy as np
@@ -7,12 +7,10 @@ import pytest
 from mtgopt.distfit import (
     LognormalParams,
     SampleMoments,
-    TwoLognormalSpec,
     central_moments,
     fit_shifted_lognormal,
     lognormal_mean,
     lognormal_second_moment,
-    match_two_lognormal_sum,
     skewness,
     solve_eta,
 )
@@ -195,57 +193,3 @@ def test_log_std_identity():
             p.sigma_X, rel=1e-12, abs=1e-12
         )
 
-
-def test_match_sum_of_constants():
-    got = match_two_lognormal_sum(TwoLognormalSpec(0.0, 0.0, 0.0, 0.0, 0.0))
-    assert got.mu_X == pytest.approx(math.log(2.0), rel=1e-15)
-    assert got.sigma_X == 0.0
-
-
-def test_match_sum_of_unequal_constants():
-    got = match_two_lognormal_sum(TwoLognormalSpec(0.0, 0.0, math.log(3.0), 0.0, 0.0))
-    assert got.mu_X == pytest.approx(math.log(4.0), rel=1e-15)
-    assert got.sigma_X == 0.0
-
-
-def test_match_comonotone_equal_terms():
-    # identical perfectly correlated terms: sum is exactly 2 LogN(0, 0.04)
-    got = match_two_lognormal_sum(TwoLognormalSpec(0.0, 0.04, 0.0, 0.04, 0.04))
-    assert got.mu_X == pytest.approx(math.log(2.0), rel=1e-13)
-    assert got.sigma_X**2 == pytest.approx(0.04, rel=1e-12)
-
-
-def test_match_plug_back_randomized():
-    # matched law reproduces the analytic sum moments to 1e-12, bounded exponents
-    rng = np.random.default_rng(90210)
-    for _ in range(1000):
-        s1, s2 = rng.uniform(0.0, 5.0, size=2)
-        rho = rng.uniform(-1.0, 1.0)
-        spec = TwoLognormalSpec(
-            mu1=rng.uniform(-10.0, 10.0),
-            sigma1_sq=s1,
-            mu2=rng.uniform(-10.0, 10.0),
-            sigma2_sq=s2,
-            cov=rho * math.sqrt(s1 * s2),
-        )
-        got = match_two_lognormal_sum(spec)
-        e_sum = math.exp(spec.mu1 + 0.5 * spec.sigma1_sq) + math.exp(
-            spec.mu2 + 0.5 * spec.sigma2_sq
-        )
-        e2_sum = (
-            math.exp(2.0 * spec.mu1 + 2.0 * spec.sigma1_sq)
-            + 2.0
-            * math.exp(
-                spec.mu1
-                + spec.mu2
-                + 0.5 * (spec.sigma1_sq + spec.sigma2_sq + 2.0 * spec.cov)
-            )
-            + math.exp(2.0 * spec.mu2 + 2.0 * spec.sigma2_sq)
-        )
-        assert lognormal_mean(got) == pytest.approx(e_sum, rel=1e-12)
-        assert lognormal_second_moment(got) == pytest.approx(e2_sum, rel=1e-12)
-
-
-def test_two_lognormal_spec_rejects_excess_covariance():
-    with pytest.raises(ValidationError):
-        TwoLognormalSpec(0.0, 0.01, 0.0, 0.01, 0.02)
