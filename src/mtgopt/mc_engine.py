@@ -141,11 +141,9 @@ def delta_mc(
 ) -> float:
     """Finite-difference delta: (C_MC(P0 + bump) - C_MC(P0)) / bump.
 
-    Forward difference with an absolute bump on P0 and both legs on the same
-    rate sample (CRN); the bumped model recalibrates its level k. A bump
-    below MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, and one
-    that leaves log k unchanged (at tiny C, where log k is huge) a delta of 0,
-    so both are rejected.
+    Both legs price one rate sample (CRN), as (P0 + bump) f(r) and P0 f(r) for
+    one curve shape f. A bump below MIN_RELATIVE_BUMP * P0 would give a delta
+    made of roundoff, so it is rejected.
     """
     h = cfg.bump
     m = spec.market
@@ -153,13 +151,10 @@ def delta_mc(
         raise ValidationError(
             f"bump={h} is below the roundoff floor {MIN_RELATIVE_BUMP:.3g} * P0 at P0={m.P0}"
         )
-    up = ModelSpec.calibrate(spec.duration, MarketState(m.P0 + h, m.r0))
-    base = ModelSpec.calibrate(spec.duration, m)
-    if up.log_k == base.log_k:
-        raise ValidationError(f"bump={h} is too small to move the calibrated level at P0={m.P0}")
     rates = simulate_terminal_rates(m, dyn, c.T, cfg, workers)
 
-    def leg(s: ModelSpec) -> float:
+    def leg(market: MarketState) -> float:
+        s = ModelSpec.calibrate(spec.duration, market)
         return c.df * float(np.mean(_call_payoff(s, c, rates)))
 
-    return (leg(up) - leg(base)) / h
+    return (leg(MarketState(m.P0 + h, m.r0)) - leg(m)) / h

@@ -4,17 +4,17 @@ Duration rises along a logistic curve in the mortgage rate r:
 
     D(r) = L + U / (1 + exp(-C (r - x0)))
 
-Integrating the defining ODE dP/dr = -D(r) P(r) gives the closed-form price
+Integrating the defining ODE dP/dr = -D(r) P(r) from the observed spot
+P(r0) = P0 gives the closed-form price
 
-    P(r) = k exp(-L r) (1 + exp(C (r - x0)))^(-U/C)
+    P(r) = P0 exp(-L (r - r0)) (1 - q + q exp(C (r - r0)))^(-U/C)
 
-with the level k calibrated so that P(r0) equals the observed spot price P0.
-The terminal mortgage rate is normal: r_T ~ N(r0 + mu T, sigma^2 T).
+with q = expit(C (r0 - x0)) = (D(r0) - L) / U. The terminal mortgage rate is
+normal: r_T ~ N(r0 + mu T, sigma^2 T).
 
-All price evaluations run in log space with a logaddexp kernel: curvatures up
-to C ~ 40-50 combined with rates several sigma from x0 push exp(C (r - x0))
-past double range, and k itself grows without bound as C -> 0 through the
-2^(U/C) factor, so k is carried as log k.
+Prices are evaluated in log space on offsets from r0, so neither a small
+curvature nor a coupon rate far from r0 cancels digits, and curvatures up to
+C ~ 40-50 stay inside double range.
 """
 from __future__ import annotations
 
@@ -24,7 +24,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import expit
 
-from .errors import ValidationError
+from .errors import NonFiniteResultError, ValidationError
+
+MIN_CURVATURE = 1e-100
 
 
 def _require_finite(params) -> None:
@@ -53,10 +55,9 @@ class DurationParams:
             raise ValidationError(f"duration lower bound L must be >= 0, got {self.L}")
         if not self.U > 0.0:
             raise ValidationError(f"duration range U must be > 0, got {self.U}")
-        # C = 0 is rejected rather than treated as the constant-duration
-        # limit: C divides U in the price formula. Pass a small C instead.
-        if not self.C > 0.0:
-            raise ValidationError(f"curvature C must be > 0, got {self.C}")
+        # below MIN_CURVATURE, (C sigma)^2 in the LN law underflows at the defaults
+        if not self.C >= MIN_CURVATURE:
+            raise ValidationError(f"curvature C must be >= {MIN_CURVATURE:g}, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -120,22 +121,20 @@ class NormalLaw:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A calibrated model: duration curve, market state, and level k as log k."""
+    """A calibrated model: duration curve, market state and q = expit(C (r0 - x0))."""
 
     duration: DurationParams
     market: MarketState
-    log_k: float
+    q: float
 
     @classmethod
     def calibrate(cls, duration: DurationParams, market: MarketState) -> "ModelSpec":
-        return cls(duration, market, _log_level(duration, market))
-
-    @property
-    def k(self) -> float:
-        """Level k = P0 e^{L r0} (1 + e^{C(r0-x0)})^{U/C}."""
-        # may overflow to +inf for tiny C; log_k is the authoritative value
-        with np.errstate(over="ignore"):
-            return float(np.exp(self.log_k))
+        b = duration.C * (market.r0 - duration.x0)
+        if not math.isfinite(b):
+            raise NonFiniteResultError(
+                f"C (r0 - x0) overflows at C={duration.C}, r0={market.r0}, x0={duration.x0}"
+            )
+        return cls(duration, market, float(expit(b)))
 
 
 def duration(p: DurationParams, r):
@@ -143,24 +142,30 @@ def duration(p: DurationParams, r):
     return p.L + p.U * expit(p.C * (np.asarray(r, dtype=float) - p.x0))
 
 
-def _log_level(p: DurationParams, m: MarketState) -> float:
-    # log k = log P0 + L r0 + (U/C) log(1 + e^{C (r0 - x0)})
-    return (
-        math.log(m.P0)
-        + p.L * m.r0
-        + (p.U / p.C) * float(np.logaddexp(0.0, p.C * (m.r0 - p.x0)))
-    )
+def _softplus(y: float) -> float:
+    return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
 
 
 def log_price(spec: ModelSpec, r):
-    """log P(r) = log k - L r - (U/C) log(1 + e^{C (r - x0)})."""
-    p = spec.duration
-    r = np.asarray(r, dtype=float)
-    return spec.log_k - p.L * r - (p.U / p.C) * np.logaddexp(0.0, p.C * (r - p.x0))
+    """log P(r) = log P0 - (L x + U log(1 - q + q e^x)) / C with x = C (r - r0).
+
+    The bracket is log1p(q expm1(x)) for |x| <= 1, where its argument stays in
+    [1/e, e], and beyond that the log-space sum of log(1 - q) = -sp(b) and
+    log q + x = x - sp(-b), with b = C (r0 - x0) and sp(y) = log(1 + e^y).
+    """
+    p, m = spec.duration, spec.market
+    x = p.C * (np.asarray(r, dtype=float) - m.r0)
+    far = np.abs(x) > 1.0
+    step = np.log1p(spec.q * np.expm1(np.minimum(np.maximum(x, -1.0), 1.0)))
+    if np.count_nonzero(far):
+        b = p.C * (m.r0 - p.x0)
+        far_step = np.logaddexp(-_softplus(b), x - _softplus(-b), out=None, where=far)
+        step = np.where(far, far_step, step)
+    return math.log(m.P0) - (p.L / p.C) * x - (p.U / p.C) * step
 
 
 def price(spec: ModelSpec, r):
-    """Model price P(r); strictly decreasing in r, P(r0) = P0 by calibration."""
+    """Model price P(r); strictly decreasing in r and anchored at P(r0) = P0."""
     return np.exp(log_price(spec, r))
 
 

@@ -25,6 +25,7 @@ from .model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
+    _softplus,
     price as model_price,
     terminal_rate_law,
 )
@@ -105,43 +106,43 @@ def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
     return PriceResult(price=price_from_fit(fit, c), method="SLN", diagnostics=fit)
 
 
-def ln_terminal_params(
-    spec: ModelSpec, dyn: RateDynamics, T: float
-) -> TerminalLognormalLaw:
+def _log_bracket(q: float, b: float, x: float) -> float:
+    """The bracket of model.log_price for one float: log(1 - q + q e^x), q = expit(b)."""
+    if abs(x) <= 1.0:
+        return math.log1p(q * math.expm1(x))
+    u, v = -_softplus(b), x - _softplus(-b)
+    return max(u, v) + math.log1p(math.exp(-abs(u - v)))
+
+
+def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> TerminalLognormalLaw:
     """Matched lognormal terminal law.
 
-    P(r_T)^{-C/U} = k^{-C/U} (e^{X1} + e^{X2}) with X1 = a1 r_T, a1 = LC/U, and
-    X2 = a2 r_T - C x0, a2 = C(L/U+1): two lognormals in the same normal r_T, so
-    cov = sigma1 sigma2. LogN(mu_X, sigma_X^2) takes the sum's first two
-    moments, in log space so exponents far outside double range still match:
-
-        log M1 = lse(mu1 + s1/2, mu2 + s2/2)
-        log M2 = lse(2mu1 + 2s1, ln2 + mu1 + mu2 + (s1+s2+2cov)/2, 2mu2 + 2s2)
-
-    with sigma_X^2 = log M2 - 2 log M1 and mu_X = log M1 - sigma_X^2/2. Raising
-    to -U/C gives mu_P = -(U/C) mu_X + log k, sigma_P = (U/C) sigma_X. Variances
-    that overflow leave log M1 or sigma_X^2 non-finite, which raises
-    NonFiniteResultError.
+    With delta = r_T - r0 ~ N(d, s^2), Y = (P/P0)^{-C/U} = (1 - q) e^{a1 delta} +
+    q e^{a2 delta}, a1 = LC/U, a2 = a1 + C. LogN(mu_X, sigma_X^2) takes Y's first
+    two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
+    means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu_P, sigma_P^2).
     """
-    p = spec.duration
-    law = terminal_rate_law(spec.market, dyn, T)
+    p, m = spec.duration, spec.market
+    law = terminal_rate_law(m, dyn, T)
+    d, s, b = law.mean - m.r0, law.std, p.C * (m.r0 - p.x0)
     a1 = p.L * p.C / p.U
-    a2 = p.C * (p.L / p.U + 1.0)
-    v = law.std * law.std
-    mu1 = a1 * law.mean
-    s1 = a1 * a1 * v
-    mu2 = a2 * law.mean - p.C * p.x0
-    s2 = a2 * a2 * v
-    cov = a1 * a2 * v
-    cross = math.log(2.0) + mu1 + mu2 + 0.5 * (s1 + s2 + 2.0 * cov)
-    log_m1 = float(np.logaddexp(mu1 + 0.5 * s1, mu2 + 0.5 * s2))
-    log_m2 = float(np.logaddexp(np.logaddexp(2.0 * mu1 + 2.0 * s1, cross), 2.0 * mu2 + 2.0 * s2))
-    var_x = max(log_m2 - 2.0 * log_m1, 0.0)  # clamp roundoff at sigma -> 0
+    a1s, a2s = a1 * s, (a1 + p.C) * s  # formed first, so inf * 0 cannot arise
+    g = p.C * d + 0.5 * (p.C * s) * (a1s + a2s)
+    try:
+        step = _log_bracket(spec.q, b, g)
+        w1, w2 = math.exp(-_softplus(b) - step), math.exp(g - _softplus(-b) - step)
+        e11, e12, e22 = math.expm1(a1s * a1s), math.expm1(a1s * a2s), math.expm1(a2s * a2s)
+        var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
+    except OverflowError:
+        raise NonFiniteResultError(
+            f"matched lognormal overflows at C={p.C}, sigma={dyn.sigma}, T={T}"
+        ) from None
+    log_m1 = a1 * d + 0.5 * a1s * a1s + step
     if not (math.isfinite(log_m1) and math.isfinite(var_x)):
         raise NonFiniteResultError(f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x}")
     scale = p.U / p.C
     return TerminalLognormalLaw(
-        mu_P=-scale * (log_m1 - 0.5 * var_x) + spec.log_k,
+        mu_P=math.log(m.P0) - scale * (log_m1 - 0.5 * var_x),
         sigma_P=scale * math.sqrt(var_x),
     )
 
@@ -192,8 +193,8 @@ def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResu
 def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact dC_LN/dP0 = df e^{mu_P + sigma_P^2/2} N(d1) / P0.
 
-    Exact because mu_P depends on P0 only through log k (k is linear in P0)
-    while mu_X and sigma_X do not depend on P0 at all.
+    Exact because mu_P depends on P0 only through its log P0 term, while
+    mu_X and sigma_X do not depend on P0 at all.
     """
     _, inp = ln_kernel(spec, dyn, c)
     if inp.W == 0.0:

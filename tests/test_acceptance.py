@@ -246,8 +246,9 @@ def test_criterion_07_moment_matching_exactness(capsys):
         )
     worst_ln = 0.0
     for _ in range(1000):
-        # LN plug-back: Y = P^(-C/U) is k^(-C/U) (e^{a1 r} + e^{a2 r - C x0}),
-        # a comonotone sum; the matched law must keep its log E[Y], log E[Y^2]
+        # LN plug-back: Y = (P/P0)^(-C/U) is (1 - q) e^{a1 delta} + q e^{a2 delta}
+        # with delta = r_T - r0, a comonotone sum; the matched law must keep its
+        # log E[Y], log E[Y^2]
         dur = DurationParams(
             L=rng.uniform(0.0, 5.0),
             U=rng.uniform(0.5, 20.0),
@@ -258,20 +259,20 @@ def test_criterion_07_moment_matching_exactness(capsys):
         dyn = RateDynamics(mu=rng.uniform(-0.02, 0.02), sigma=rng.uniform(1e-3, 0.1))
         T = rng.uniform(0.05, 5.0)
         law = ln_terminal_params(spec, dyn, T)
-        q = dur.C / dur.U
-        m, v = spec.market.r0 + dyn.mu * T, dyn.sigma**2 * T
-        a1 = dur.L * q
+        c_u = dur.C / dur.U
+        d, v = dyn.mu * T, dyn.sigma**2 * T
+        a1 = dur.L * c_u
         a2 = a1 + dur.C
-        cx = dur.C * dur.x0
-        log_kq = -q * spec.log_k  # log of the factor k^(-C/U)
-        exact1 = log_kq + _log_sum_exp(a1 * m + a1 * a1 * v / 2, a2 * m - cx + a2 * a2 * v / 2)
-        exact2 = 2 * log_kq + _log_sum_exp(
-            2 * a1 * m + 2 * a1 * a1 * v,
-            math.log(2.0) + (a1 + a2) * m - cx + (a1 + a2) ** 2 * v / 2,
-            2 * a2 * m - 2 * cx + 2 * a2 * a2 * v,
+        lq, lq1 = math.log(spec.q), math.log1p(-spec.q)  # log q, log(1 - q)
+        exact1 = _log_sum_exp(lq1 + a1 * d + a1 * a1 * v / 2, lq + a2 * d + a2 * a2 * v / 2)
+        exact2 = _log_sum_exp(
+            2 * lq1 + 2 * a1 * d + 2 * a1 * a1 * v,
+            math.log(2.0) + lq + lq1 + (a1 + a2) * d + (a1 + a2) ** 2 * v / 2,
+            2 * lq + 2 * a2 * d + 2 * a2 * a2 * v,
         )
-        # under the matched law log Y ~ N(-q mu_P, (q sigma_P)^2)
-        mean_y, var_y = -q * law.mu_P, (q * law.sigma_P) ** 2
+        # under the matched law log Y ~ N(-(C/U) (mu_P - log P0), ((C/U) sigma_P)^2)
+        mean_y = -c_u * (law.mu_P - math.log(spec.market.P0))
+        var_y = (c_u * law.sigma_P) ** 2
         worst_ln = max(
             worst_ln,
             abs(mean_y + var_y / 2 - exact1),

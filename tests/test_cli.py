@@ -1,6 +1,7 @@
 """CLI behavior: config/override plumbing, seed precedence, output shape,
 exit codes, determinism."""
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -48,8 +49,8 @@ def test_defaults_exact_values(capsys):
 
 def test_price_mc_matches_engine_anchor(capsys):
     doc = run_json(capsys, "price", "--method", "mc", "--set", "C=3", "--seed", "12345")
-    assert doc["price"] == 2.111313513907059
-    assert doc["std_error"] == 0.011783406227310726
+    assert doc["price"] == 2.11131351390709
+    assert doc["std_error"] == 0.011783406227310807
     assert doc["n"] == 70000
 
 
@@ -341,6 +342,30 @@ def test_non_finite_result_exit_3(capsys, tmp_path):
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: non-finite result: ") and err.count("\n") == 1, argv
         assert not (tmp_path / "out.csv").exists()
+
+
+def test_overflow_messages_name_their_parameters(capsys):
+    code, out, err = run_cli(
+        capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=100", "--set", "r0=1e308"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: non-finite result: C (r0 - x0) overflows at C=3.0, r0=1e+308, x0=0.055\n"
+    code, out, err = run_cli(capsys, "price", "--method", "ln", "--set", "C=3", "--set", "sigma=1e150")
+    assert (code, out) == (3, "")
+    assert err == "error: non-finite result: matched lognormal overflows at C=3.0, sigma=1e+150, T=0.25\n"
+
+
+def test_curvature_below_the_floor_exits_2(capsys):
+    for C in ("1e-101", "1e-300"):
+        code, out, err = run_cli(capsys, "price", "--method", "ln", "--set", f"C={C}")
+        assert (code, out) == (2, "")
+        assert err == f"error: curvature C must be >= 1e-100, got {float(C)}\n"
+
+
+def test_huge_curvature_with_tiny_volatility_is_finite(capsys):
+    # (a2 s)^2 is formed from a2 s, so a huge a2 times a vanishing s^2 is no inf * 0
+    doc = run_json(capsys, "price", "--method", "ln", "--set", "C=1e300", "--set", "sigma=1e-300")
+    assert all(math.isfinite(doc[k]) for k in ("price", "mu_P", "sigma_P"))
 
 
 def test_io_failures_exit_4(capsys, tmp_path):

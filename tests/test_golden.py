@@ -3,8 +3,7 @@
 Each case runs `mtgopt.cli.main` in-process and compares its output with the
 files under tests/golden/, recorded from an earlier version of the package.
 Refactors must keep every byte; re-record (`python tests/test_golden.py`)
-only for an intended output change, and say so in the change log. Changes
-made since recording are listed in STDERR_NOW_AS, not edited into the files.
+only for an intended output change, and say so in the change log.
 """
 import contextlib
 import io
@@ -20,10 +19,6 @@ from mtgopt.cli import main
 from mtgopt.harness import DEFAULT_SEED, BaseParams, skew_csv_lines, skew_table, write_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-
-# case -> case whose recorded stderr it now prints: `greeks --method ln` warns
-# out of regime exactly as `price --method ln` does
-STDERR_NOW_AS = {"greeks_ln_C30": "price_ln_C30"}
 
 REFERENCE_CURVATURES = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 15.0, 20.0, 30.0, 40.0]
 
@@ -92,10 +87,7 @@ def test_cli_bytes_match_golden(name, capsys, tmp_path):
         return got.out, got.err
 
     record, csv = _run(CASES[name], tmp_path, capture)
-    want = _golden(name)
-    if name in STDERR_NOW_AS:
-        want["stderr"] = _golden(STDERR_NOW_AS[name])["stderr"]
-    assert record == want
+    assert record == _golden(name)
     if csv is not None:
         assert csv == (GOLDEN / f"{name}.csv").read_bytes()
 

@@ -34,14 +34,14 @@ GOLDEN_RATES_SEED_12345 = [
     9.409627019972555e-05,
 ]
 GOLDEN_PRICES_C3_SEED_12345 = [
-    98.06256684173222,
-    96.14424995423188,
+    98.06256684173232,
+    96.14424995423197,
     95.93685951211266,
-    105.27777875066246,
-    105.24793556111437,
+    105.27777875066265,
+    105.24793556111447,
 ]
-GOLDEN_PRICE_MC_C3 = 2.111313513907059
-GOLDEN_SE_MC_C3 = 0.011783406227310726
+GOLDEN_PRICE_MC_C3 = 2.11131351390709
+GOLDEN_SE_MC_C3 = 0.011783406227310807
 
 
 def test_rates_golden_vector():
@@ -142,7 +142,7 @@ def test_convergence_against_own_error_bars():
 
 
 def test_delta_deterministic_payoff_limit():
-    # sigma ~ 0, deep ITM: price is linear in P0 through k, so delta = df P*/P0
+    # sigma ~ 0, deep ITM: price is linear in P0, so delta = df P*/P0
     dyn = RateDynamics(mu=0.0, sigma=1e-300)
     spec = default_spec(3.0)
     c = OptionContract(K=50.0, T=0.25, r_f=0.0209)
@@ -193,6 +193,15 @@ def test_delta_smallest_accepted_bump_matches_default(C):
     small = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))
     default = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
     assert abs(small - default) < 1e-6
+
+
+def test_delta_at_small_curvature_is_not_quantized():
+    # both legs share one curve shape, so a small bump still moves the price
+    spec = default_spec(1e-6)
+    default = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
+    for bump in (1e-6, 1e-7):
+        small = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=bump))
+        assert abs(small - default) <= 1e-6
 
 
 def test_mc_config_defaults_are_the_bundle_defaults():

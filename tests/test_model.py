@@ -1,12 +1,15 @@
-"""Model layer: duration curve, level calibration, log-space price, rate law."""
+"""Model layer: duration curve, spot-anchored log-space price, rate law."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import DEFAULT_MARKET, default_duration, default_spec
 from mtgopt.errors import ValidationError
+from mtgopt.mc_engine import McConfig, simulate_terminal_rates
 from mtgopt.model import (
+    MIN_CURVATURE,
     DurationParams,
     MarketState,
     ModelSpec,
@@ -51,28 +54,56 @@ def test_duration_strictly_increasing():
 
 
 def test_calibrate_level_pinned_c3():
-    # oracle: 100 e^{0.01} (1+e^{3(0.01-0.055)})^{9/3}
-    k = ModelSpec.calibrate(default_duration(3.0), DEFAULT_MARKET).k
-    assert k == pytest.approx(664.437567149752, rel=1e-9)
+    # oracle: P(0) = k (1+e^{-C x0})^{-U/C} with k = 100 e^{0.01} (1+e^{3(0.01-0.055)})^{9/3}
+    k = 664.437567149752
+    want = k * (1.0 + math.exp(-3.0 * 0.055)) ** (-9.0 / 3.0)
+    assert price(default_spec(3.0), 0.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_calibrate_level_pinned_c_half():
-    k = ModelSpec.calibrate(default_duration(0.5), DEFAULT_MARKET).k
-    assert k == pytest.approx(21648754.340908803, rel=1e-9)
+    k = 21648754.340908803
+    want = k * (1.0 + math.exp(-0.5 * 0.055)) ** (-9.0 / 0.5)
+    assert price(default_spec(0.5), 0.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_calibrate_level_degenerate_duration():
     # L=0 with vanishing U: every factor tends to 1, so k -> P0
-    k = ModelSpec.calibrate(DurationParams(L=0.0, U=1e-12, C=2.0, x0=0.055), DEFAULT_MARKET).k
-    assert k == pytest.approx(100.0, rel=1e-9)
+    k = 100.0
+    spec = ModelSpec.calibrate(DurationParams(L=0.0, U=1e-12, C=2.0, x0=0.055), DEFAULT_MARKET)
+    want = k * (1.0 + math.exp(-2.0 * 0.055)) ** (-1e-12 / 2.0)
+    assert price(spec, 0.0) == pytest.approx(want, rel=1e-9)
 
 
-def test_level_survives_extreme_curvature_via_log():
-    # naive evaluation overflows; log_k must stay finite
-    spec = ModelSpec.calibrate(default_duration(1e-3), DEFAULT_MARKET)
-    assert math.isfinite(spec.log_k)
-    assert spec.k == math.inf  # exp overflow is the documented +inf guard
-    assert price(spec, 0.01) == pytest.approx(100.0, rel=1e-12)
+def _mp_log_price(p: DurationParams, m: MarketState, r: float) -> mpmath.mpf:
+    # 50 digits: log P0 - L (r - r0) - (U/C) log((1 + e^{C (r - x0)}) / (1 + e^{C (r0 - x0)}))
+    with mpmath.workdps(50):
+        L, U, C, x0, P0, r0, r = (mpmath.mpf(v) for v in (p.L, p.U, p.C, p.x0, m.P0, m.r0, r))
+        ratio = (1 + mpmath.exp(C * (r - x0))) / (1 + mpmath.exp(C * (r0 - x0)))
+        return mpmath.log(P0) - L * (r - r0) - U / C * mpmath.log(ratio)
+
+
+@pytest.mark.parametrize(
+    "C, x0, sigma",
+    [(C, 0.055, 0.02) for C in (1e-12, 1e-8, 1e-3, 0.5, 3.0, 40.0)]
+    + [(3.0, -1e8, 0.02)]
+    + [(40.0, x0, 2.0) for x0 in (0.055, 30.0, -30.0)],
+)
+def test_price_map_matches_50_digit_reference(C, x0, sigma):
+    # 300 default draws; relative price error is the absolute log-price error
+    p = DurationParams(L=1.0, U=9.0, C=C, x0=x0)
+    spec = ModelSpec.calibrate(p, DEFAULT_MARKET)
+    rates = simulate_terminal_rates(DEFAULT_MARKET, RateDynamics(0.0, sigma), 0.25, McConfig(n=300))
+    got = log_price(spec, rates)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(g) - _mp_log_price(p, DEFAULT_MARKET, r)) for g, r in zip(got, rates))
+    assert worst <= 1e-14
+
+
+def test_curvature_floor():
+    assert DurationParams(L=1.0, U=9.0, C=MIN_CURVATURE, x0=0.055).C == 1e-100
+    for C in (1e-101, 1e-300):
+        with pytest.raises(ValidationError, match="curvature C must be >= 1e-100"):
+            DurationParams(L=1.0, U=9.0, C=C, x0=0.055)
 
 
 def test_price_reproduces_spot():

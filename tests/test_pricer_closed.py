@@ -19,9 +19,18 @@ from conftest import (
 import mtgopt
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
 from mtgopt.mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
-from mtgopt.model import MarketState, ModelSpec, OptionContract, RateDynamics, price
+from mtgopt.model import (
+    DurationParams,
+    MarketState,
+    ModelSpec,
+    OptionContract,
+    RateDynamics,
+    log_price,
+    price,
+)
 from mtgopt.pricer_closed import (
     BsKernelInputs,
+    _log_bracket,
     bs_call,
     delta_ln,
     gamma_ln,
@@ -125,6 +134,43 @@ def test_ln_forward_mean_consistent_with_sample_mean():
         sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=70000, seed=seed))
         se = float(np.std(sample, ddof=1)) / math.sqrt(sample.size)
         assert abs(m1 - float(np.mean(sample))) <= 3.0 * se
+
+
+def test_scalar_bracket_matches_the_price_map():
+    # with L = 0, U = C = 1, r0 = 0, P0 = 1 and x0 = -b, log P(x) is minus the bracket
+    for b in (-800.0, -50.0, -5.0, -1.0, -1e-3, 0.0, 1e-8, 0.7, 5.0, 50.0, 800.0):
+        spec = ModelSpec.calibrate(DurationParams(0.0, 1.0, 1.0, -b), MarketState(1.0, 0.0))
+        for x in (-100.0, -3.0, -1.0, -0.999, -0.5, -1e-6, 0.0, 1e-12, 0.3, 1.0, 1.0001, 7.0, 100.0):
+            want = -float(log_price(spec, x))
+            assert abs(_log_bracket(spec.q, b, x) - want) <= 1e-15 * abs(want), (b, x)
+
+
+def _lognormal_call(w: float) -> float:
+    # constant duration D: P_T = P0 e^{-D (r_T - r0)} is LogN(log P0, w^2) at mu = 0, so
+    # the call at K = P0 = 100 is Black-Scholes with d1 = w and d2 = 0
+    c = DEFAULT_CONTRACT
+    return math.exp(-c.r_f * c.T) * 100.0 * (math.exp(0.5 * w * w) * ndtr(w) - 0.5)
+
+
+def test_small_curvature_converges_to_the_lognormal_limit():
+    # as C -> 0, D -> L + U/2 = 5.5, so sigma_P = 5.5 sigma sqrt(T) = 0.055
+    exact = _lognormal_call(0.055)
+    assert exact == pytest.approx(2.2602379191, abs=1e-10)
+    for C, tol in ((1e-6, 1e-7), (1e-8, 1e-9), (1e-100, 1e-13)):
+        assert abs(price_ln(default_spec(C), DEFAULT_DYNAMICS, DEFAULT_CONTRACT).price - exact) <= tol
+    mc = price_mc(default_spec(1e-100), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig())
+    assert abs(mc.price - exact) <= 4.0 * mc.std_error
+
+
+@pytest.mark.parametrize("x0", [-1e8, -1e13, -1e17])
+def test_coupon_far_below_rate_is_the_constant_duration_limit(x0):
+    # D -> L + U = 10 when x0 << r0, so sigma_P = 10 sigma sqrt(T) = 0.1
+    exact = _lognormal_call(0.1)
+    assert exact == pytest.approx(4.2312076392, abs=1e-10)
+    spec = ModelSpec.calibrate(DurationParams(1.0, 9.0, 3.0, x0), DEFAULT_MARKET)
+    assert abs(price_ln(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT).price - exact) <= 1e-12
+    mc = price_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig())
+    assert abs(mc.price - exact) <= 4.0 * mc.std_error
 
 
 def test_price_ln_pinned():
@@ -256,7 +302,7 @@ def _ln_price_at(p0: float, C: float, c: OptionContract) -> float:
 
 
 def test_delta_ln_matches_finite_difference_at_defaults():
-    # h = 1e-3 P0, recalibrating k each bump
+    # h = 1e-3 P0, recalibrating each bump
     h = 0.1
     fd = (_ln_price_at(100.0 + h, 3.0, DEFAULT_CONTRACT) - _ln_price_at(100.0 - h, 3.0, DEFAULT_CONTRACT)) / (2 * h)
     assert delta_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT) == pytest.approx(fd, rel=1e-5)
