@@ -38,7 +38,7 @@ from .harness import (
     sweep_csv_lines,
     write_csv,
 )
-from .mc_engine import delta_mc, price_mc, simulate_terminal_prices
+from .mc_engine import Draws, delta_mc, price_mc, simulate_terminal_prices
 from .pricer_closed import delta_ln, gamma_ln, ln_kernel, price_ln, price_sln, regime_warning
 
 SCHEMA_VERSION = 1
@@ -104,9 +104,9 @@ def _parse_set(pairs: list[str]) -> dict[str, float | int]:
     return out
 
 
-def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
-    if args.workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {args.workers}")
+def _resolve_bundle(args: argparse.Namespace) -> tuple[BaseParams, Draws]:
+    """The bundle and the command's sample provider; workers is checked first."""
+    draws = Draws(args.workers)
     leaves: dict[str, float | int | None] = {}
     if args.config is not None:
         leaves.update(_read_config_file(args.config))
@@ -120,7 +120,7 @@ def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
                 leaves["seed"] = int(env)
             except ValueError as exc:
                 raise ValidationError(f"MTGOPT_SEED must be an integer, got {env!r}") from exc
-    return replace(BaseParams(), **leaves)
+    return replace(BaseParams(), **leaves), draws
 
 
 def _emit(payload: dict) -> None:
@@ -147,13 +147,18 @@ def _fit_payload(fit) -> dict:
     }
 
 
+def _materialize(args: argparse.Namespace):
+    bundle, draws = _resolve_bundle(args)
+    return (*materialize(bundle), draws)
+
+
 def cmd_price(args: argparse.Namespace) -> int:
-    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
+    model, dyn, contract, cfg, draws = _materialize(args)
     if args.method == "mc":
-        res = price_mc(model, dyn, contract, cfg, args.workers)
+        res = price_mc(model, dyn, contract, cfg, draws)
         _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": cfg.n})
     elif args.method == "sln":
-        prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
+        prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
         res = price_sln(central_moments(prices), contract)
         _emit({"method": "sln", "price": res.price, "n": cfg.n, "fit": _fit_payload(res.diagnostics)})
     else:
@@ -165,9 +170,9 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_greeks(args: argparse.Namespace) -> int:
-    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
+    model, dyn, contract, cfg, draws = _materialize(args)
     if args.method == "mc":
-        delta = delta_mc(model, dyn, contract, cfg, args.workers)
+        delta = delta_mc(model, dyn, contract, cfg, draws)
         _emit({"method": "mc", "delta": delta, "bump": cfg.bump})
         return 0
     _, inp = ln_kernel(model, dyn, contract)
@@ -184,8 +189,8 @@ def cmd_greeks(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
-    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
+    model, dyn, contract, cfg, draws = _materialize(args)
+    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
     m = central_moments(prices)
     fit = fit_shifted_lognormal(m)
     _emit(
@@ -219,7 +224,7 @@ def _parse_axis(raw: str) -> SweepAxis:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    bundle = _resolve_bundle(args)
+    bundle, draws = _resolve_bundle(args)
     engines = tuple(e.strip().upper() for e in args.engines.split(","))
     spec = SweepSpec(
         base=bundle,
@@ -229,7 +234,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         greek=args.greek,
         crn_axis=args.crn_axis,
     )
-    cells = run_sweep(spec, args.workers)
+    cells = run_sweep(spec, draws.workers)
     write_csv(sweep_csv_lines(cells), args.out)
     diffs = [
         abs(d)
@@ -243,8 +248,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_qq(args: argparse.Namespace) -> int:
-    model, dyn, contract, cfg = materialize(_resolve_bundle(args))
-    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, args.workers)
+    model, dyn, contract, cfg, draws = _materialize(args)
+    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
     fit = fit_shifted_lognormal(central_moments(prices))
     points = qq_export(prices, fit, args.quantiles)
     write_csv(qq_csv_lines(points), args.out)

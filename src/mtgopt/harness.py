@@ -11,6 +11,12 @@ sample is reused along that axis (for exactly-monotone curves). Within a cell
 the closed-form fit sample and the MC reference sample use separately derived
 seeds: accuracy comparisons never grade an engine against its own draw.
 
+One sample provider (mc_engine.Draws) serves a whole sweep or skew table, and
+every engine reads its draw. Along a CRN axis it draws each (seed, n) once for
+all the cells that share it, and the MC delta legs of cells on one sample,
+rate law and duration curve share their P0-free log shape. A sweep without a
+CRN axis keeps nothing from one cell to the next.
+
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
 rel-diff fields, an MC price too small to divide by). A NaN or infinite field
@@ -28,8 +34,9 @@ from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
     DEFAULT_SEED,  # noqa: F401  re-exported: the seed of every default bundle
+    Draws,
     McConfig,
-    delta_mc,
+    crn_delta,
     mix64,
     price_mc,
     simulate_terminal_prices,
@@ -193,24 +200,30 @@ def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
     return mix64(spec.base.seed, i, j)
 
 
-def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, workers: int) -> dict[str, float | None]:
+def _mc_fields(
+    spec: SweepSpec, model: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig, draws: Draws
+) -> dict[str, float | None]:
+    """The MC engine's fields; its price sample dies on return, before SLN draws."""
+    if spec.greek == "delta":
+        delta, sample = crn_delta(model, dyn, c, cfg, draws)
+        out = {"price_mc": delta}
+    else:
+        res = price_mc(model, dyn, c, cfg, draws)
+        out = {"price_mc": res.price, "se_mc": res.std_error}
+        sample = res.diagnostics
+    # skew describes the sample MC priced (the base leg, for delta sweeps)
+    out["skew"] = skewness(central_moments(sample))
+    return out
+
+
+def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, draws: Draws) -> dict[str, float | None]:
     model, dyn, c, cfg = materialize(bundle)
     out: dict[str, float | None] = {}
-    ref_cfg = replace(cfg, seed=mix64(seed, _REF_TAG))
     if ENGINE_MC in spec.engines:
-        if spec.greek == "delta":
-            out["price_mc"] = delta_mc(model, dyn, c, ref_cfg, workers)
-        else:
-            res = price_mc(model, dyn, c, ref_cfg, workers)
-            out["price_mc"] = res.price
-            out["se_mc"] = res.std_error
-        # same cfg -> bit-identical redraw of the reference sample (the base
-        # leg, for delta sweeps); skew always describes what MC actually saw
-        sample = simulate_terminal_prices(model, dyn, c.T, ref_cfg, workers)
-        out["skew"] = skewness(central_moments(sample))
+        out.update(_mc_fields(spec, model, dyn, c, replace(cfg, seed=mix64(seed, _REF_TAG)), draws))
     if ENGINE_SLN in spec.engines and spec.greek is None:
         fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
-        fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, workers)
+        fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, draws)
         out["price_sln"] = price_sln(central_moments(fit_sample), c).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
@@ -227,11 +240,12 @@ def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, workers: int) ->
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     """Evaluate the grid row-major over axis1 x axis2; deterministic in seeds."""
+    draws = Draws(workers, keep=spec.crn_axis is not None)
     cells = []
     for i, v1 in enumerate(spec.axis1.values):
         for j, v2 in enumerate(spec.axis2.values):
             bundle = replace(spec.base, **{spec.axis1.name: v1, spec.axis2.name: v2})
-            vals = _price_cell(spec, bundle, _cell_seed(spec, i, j), workers)
+            vals = _price_cell(spec, bundle, _cell_seed(spec, i, j), draws)
             cells.append(
                 GridCell(
                     axis1_name=spec.axis1.name,
@@ -253,7 +267,7 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
     model0, dyn, contract, cfg = materialize(replace(base, C=curvatures[0]))
-    rates = simulate_terminal_rates(model0.market, dyn, contract.T, cfg, workers)
+    rates = simulate_terminal_rates(model0.market, dyn, contract.T, cfg, Draws(workers))
     rows = []
     for c_val in curvatures:
         model = materialize(replace(base, C=c_val))[0]

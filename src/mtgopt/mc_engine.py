@@ -9,6 +9,11 @@ bit-identical regardless of worker count or scheduling, and all reductions run
 on the assembled array afterwards. Inverse-CDF sampling also preserves the
 monotone rate/price coupling that common-random-number finite differences
 rely on.
+
+Draws is the one sample provider: it maps (seed, n) to z, and every engine
+reads its rates as law.mean + law.std * z. One provider serves one sweep, skew
+table or CLI command; a keeping provider (a sweep with a CRN axis) draws each
+(seed, n) once for every cell and engine that reads it.
 """
 from __future__ import annotations
 
@@ -21,8 +26,8 @@ from scipy.special import ndtri
 
 from .errors import ValidationError
 from .model import MarketState, ModelSpec, OptionContract, RateDynamics
+from .model import log_price_at, log_shape, terminal_rate_law
 from .model import price as model_price
-from .model import terminal_rate_law
 from .pricer_closed import PriceResult
 
 SHARD_SIZE = 16384
@@ -76,7 +81,7 @@ class McConfig:
             raise ValidationError(f"bump must be > 0, got {self.bump}")
 
 
-def _standard_normals(seed: int, n: int, workers: int = 1) -> np.ndarray:
+def _standard_normals(seed: int, n: int, workers: int) -> np.ndarray:
     out = np.empty(n, dtype=float)
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
 
@@ -96,24 +101,49 @@ def _standard_normals(seed: int, n: int, workers: int = 1) -> np.ndarray:
     return out
 
 
+class Draws:
+    """Standard normals z by (seed, n), drawn by `workers` threads.
+
+    With keep=True each z, and each array made from it that a later call asks
+    for again (the delta legs' log shape), is kept for the provider's life;
+    with keep=False nothing outlives the call. Arrays handed out are read-only.
+    """
+
+    def __init__(self, workers: int = 1, keep: bool = False):
+        if workers < 1:
+            raise ValidationError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
+        self._kept: dict[tuple, tuple[np.ndarray, ...]] | None = {} if keep else None
+
+    def reuse(self, key: tuple, make) -> tuple[np.ndarray, ...]:
+        """The arrays make() returns, read-only, and kept under key if keep=True."""
+        arrays = None if self._kept is None else self._kept.get(key)
+        if arrays is None:
+            arrays = make()
+            for a in arrays:
+                a.flags.writeable = False
+            if self._kept is not None:
+                self._kept[key] = arrays
+        return arrays
+
+    def normals(self, seed: int, n: int) -> np.ndarray:
+        return self.reuse(("z", seed, n), lambda: (_standard_normals(seed, n, self.workers),))[0]
+
+
 def simulate_terminal_rates(
-    m: MarketState, dyn: RateDynamics, T: float, cfg: McConfig, workers: int = 1
+    m: MarketState, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
 ) -> np.ndarray:
     """n draws of r_T ~ N(r0 + mu T, sigma^2 T), fully determined by cfg.seed."""
     law = terminal_rate_law(m, dyn, T)
-    return law.mean + law.std * _standard_normals(cfg.seed, cfg.n, workers)
+    return law.mean + law.std * (draws or Draws()).normals(cfg.seed, cfg.n)
 
 
 def simulate_terminal_prices(
-    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, workers: int = 1
+    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
 ) -> np.ndarray:
     """Terminal prices P(r_T) for the simulated rates."""
-    rates = simulate_terminal_rates(spec.market, dyn, T, cfg, workers)
+    rates = simulate_terminal_rates(spec.market, dyn, T, cfg, draws)
     return model_price(spec, rates)
-
-
-def _call_payoff(spec: ModelSpec, c: OptionContract, rates: np.ndarray) -> np.ndarray:
-    return np.maximum(model_price(spec, rates) - c.K, 0.0)
 
 
 def price_mc(
@@ -121,29 +151,33 @@ def price_mc(
     dyn: RateDynamics,
     c: OptionContract,
     cfg: McConfig,
-    workers: int = 1,
+    draws: Draws | None = None,
 ) -> PriceResult:
-    """Discounted mean of (P(r_T) - K)+ with its standard error (needs n >= 2)."""
+    """Discounted mean of (P(r_T) - K)+ with its standard error (needs n >= 2);
+    the diagnostics are the price sample P(r_T) it averaged over."""
     if cfg.n < 2:
         raise ValidationError(f"an MC price needs n >= 2 for its standard error, got n={cfg.n}")
-    rates = simulate_terminal_rates(spec.market, dyn, c.T, cfg, workers)
-    disc = c.df * _call_payoff(spec, c, rates)
+    prices = simulate_terminal_prices(spec, dyn, c.T, cfg, draws)
+    disc = c.df * np.maximum(prices - c.K, 0.0)
     se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n)
-    return PriceResult(price=float(np.mean(disc)), method="MC", std_error=se)
+    return PriceResult(price=float(np.mean(disc)), method="MC", std_error=se, diagnostics=prices)
 
 
-def delta_mc(
+def crn_delta(
     spec: ModelSpec,
     dyn: RateDynamics,
     c: OptionContract,
     cfg: McConfig,
-    workers: int = 1,
-) -> float:
-    """Finite-difference delta: (C_MC(P0 + bump) - C_MC(P0)) / bump.
+    draws: Draws | None = None,
+) -> tuple[float, np.ndarray]:
+    """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump, and the
+    base leg's price sample.
 
-    Both legs price one rate sample (CRN), as (P0 + bump) f(r) and P0 f(r) for
-    one curve shape f. A bump below MIN_RELATIVE_BUMP * P0 would give a delta
-    made of roundoff, so it is rejected.
+    Both legs price one rate sample (CRN) as exp(log P0' - A - B) for the
+    P0-free terms (A, B) of model.log_shape; a keeping provider shares those
+    terms with every call on the same sample, rate law and duration curve. A
+    bump below MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, so
+    it is rejected.
     """
     h = cfg.bump
     m = spec.market
@@ -151,10 +185,26 @@ def delta_mc(
         raise ValidationError(
             f"bump={h} is below the roundoff floor {MIN_RELATIVE_BUMP:.3g} * P0 at P0={m.P0}"
         )
-    rates = simulate_terminal_rates(m, dyn, c.T, cfg, workers)
+    bumped = MarketState(m.P0 + h, m.r0)
+    draws = draws or Draws()
+    key = (cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
+    shape = draws.reuse(key, lambda: log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws)))
 
-    def leg(market: MarketState) -> float:
-        s = ModelSpec.calibrate(spec.duration, market)
-        return c.df * float(np.mean(_call_payoff(s, c, rates)))
+    def leg(P0: float) -> tuple[float, np.ndarray]:
+        prices = np.exp(log_price_at(P0, shape))
+        return c.df * float(np.mean(np.maximum(prices - c.K, 0.0))), prices
 
-    return (leg(MarketState(m.P0 + h, m.r0)) - leg(m)) / h
+    up, _ = leg(bumped.P0)
+    base, sample = leg(m.P0)
+    return (up - base) / h, sample
+
+
+def delta_mc(
+    spec: ModelSpec,
+    dyn: RateDynamics,
+    c: OptionContract,
+    cfg: McConfig,
+    draws: Draws | None = None,
+) -> float:
+    """The delta of crn_delta."""
+    return crn_delta(spec, dyn, c, cfg, draws)[0]

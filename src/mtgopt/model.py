@@ -58,6 +58,10 @@ class DurationParams:
         # below MIN_CURVATURE, (C sigma)^2 in the LN law underflows at the defaults
         if not self.C >= MIN_CURVATURE:
             raise ValidationError(f"curvature C must be >= {MIN_CURVATURE:g}, got {self.C}")
+        # the price map scales its two terms by L/C and U/C
+        for name, value in (("L", self.L), ("U", self.U)):
+            if not math.isfinite(value / self.C):
+                raise ValidationError(f"{name}/C must be finite, got {name}={value}, C={self.C}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,9 @@ def _softplus(y: float) -> float:
     return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
 
 
-def log_price(spec: ModelSpec, r):
-    """log P(r) = log P0 - (L x + U log(1 - q + q e^x)) / C with x = C (r - r0).
+def log_shape(spec: ModelSpec, r):
+    """The P0-free terms (A, B) of log P(r) = log P0 - A - B: A = (L/C) x and
+    B = (U/C) log(1 - q + q e^x), with x = C (r - r0).
 
     The bracket is log1p(q expm1(x)) for |x| <= 1, where its argument stays in
     [1/e, e], and beyond that the log-space sum of log(1 - q) = -sp(b) and
@@ -161,7 +166,21 @@ def log_price(spec: ModelSpec, r):
         b = p.C * (m.r0 - p.x0)
         far_step = np.logaddexp(-_softplus(b), x - _softplus(-b), out=None, where=far)
         step = np.where(far, far_step, step)
-    return math.log(m.P0) - (p.L / p.C) * x - (p.U / p.C) * step
+    return (p.L / p.C) * x, (p.U / p.C) * step
+
+
+def log_price_at(P0: float, shape):
+    """log P0 - A - B: the log price at spot P0 for the terms (A, B) of log_shape.
+
+    Every spot on one duration curve and rate sample shares those terms.
+    """
+    A, B = shape
+    return math.log(P0) - A - B
+
+
+def log_price(spec: ModelSpec, r):
+    """log P(r), anchored at log P(r0) = log P0."""
+    return log_price_at(spec.market.P0, log_shape(spec, r))
 
 
 def price(spec: ModelSpec, r):

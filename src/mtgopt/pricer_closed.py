@@ -107,7 +107,7 @@ def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
 
 
 def _log_bracket(q: float, b: float, x: float) -> float:
-    """The bracket of model.log_price for one float: log(1 - q + q e^x), q = expit(b)."""
+    """The bracket of model.log_shape for one float: log(1 - q + q e^x), q = expit(b)."""
     if abs(x) <= 1.0:
         return math.log1p(q * math.expm1(x))
     u, v = -_softplus(b), x - _softplus(-b)

@@ -355,6 +355,16 @@ def test_overflow_messages_name_their_parameters(capsys):
     assert err == "error: non-finite result: matched lognormal overflows at C=3.0, sigma=1e+150, T=0.25\n"
 
 
+@pytest.mark.parametrize(
+    "method,leaf",
+    [(("--method", "ln"), "U"), (("--method", "mc", "--set", "n=100"), "U"), (("--method", "mc"), "L")],
+)
+def test_duration_scale_that_overflows_exits_2(capsys, method, leaf):
+    # L/C and U/C scale the price map's two terms
+    code, out, err = run_cli(capsys, "price", *method, "--set", "C=1e-100", "--set", f"{leaf}=1e250")
+    assert (code, out, err) == (2, "", f"error: {leaf}/C must be finite, got {leaf}=1e+250, C=1e-100\n")
+
+
 def test_curvature_below_the_floor_exits_2(capsys):
     for C in ("1e-101", "1e-300"):
         code, out, err = run_cli(capsys, "price", "--method", "ln", "--set", f"C={C}")

@@ -1,14 +1,21 @@
 """Sweep grid determinism, CRN behavior, skew table, QQ export, CSV shape."""
 import math
+import os
+import subprocess
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mtgopt import harness
 from mtgopt.distfit import (
     LognormalParams,
     ShiftedLognormalFit,
     central_moments,
     fit_shifted_lognormal,
+    skewness,
 )
 from mtgopt.errors import ValidationError
 from mtgopt.harness import (
@@ -18,6 +25,7 @@ from mtgopt.harness import (
     BaseParams,
     SweepAxis,
     SweepSpec,
+    materialize,
     qq_csv_lines,
     qq_export,
     run_sweep,
@@ -26,6 +34,9 @@ from mtgopt.harness import (
     sweep_csv_lines,
     write_csv,
 )
+from mtgopt.mc_engine import delta_mc, mix64, price_mc, simulate_terminal_prices
+
+PACKAGE_ROOT = str(Path(harness.__file__).resolve().parents[1])
 
 
 def small_spec(**over):
@@ -116,6 +127,89 @@ def test_sweep_worker_count_invariance():
     lines1 = sweep_csv_lines(run_sweep(small_spec(), workers=1))
     lines3 = sweep_csv_lines(run_sweep(small_spec(), workers=3))
     assert lines1 == lines3
+
+
+# the sweeps of the sample-reuse test: a CRN delta sweep along P0 (every cell
+# of a column shares the delta legs' log shape), CRN delta sweeps along C and
+# sigma (one draw, a new duration curve or rate law per row), a CRN price
+# sweep along sigma and a sweep without a CRN axis, which keeps nothing
+REUSE_SWEEPS = {
+    "crn_delta_P0": small_spec(
+        axis1=SweepAxis("P0", (98.0, 100.0, 102.0)), greek="delta", engines=("LN", "MC"), crn_axis=1
+    ),
+    "crn_delta_C": small_spec(
+        axis1=SweepAxis("C", (0.5, 3.0)),
+        axis2=SweepAxis("P0", (99.0, 101.0)),
+        greek="delta",
+        engines=("MC",),
+        crn_axis=1,
+    ),
+    "crn_delta_sigma": small_spec(
+        axis1=SweepAxis("sigma", (0.01, 0.02)),
+        axis2=SweepAxis("P0", (99.0, 101.0)),
+        base=BaseParams(seed=12345, n=4000, C=3.0),
+        greek="delta",
+        engines=("MC",),
+        crn_axis=1,
+    ),
+    "crn_price_sigma": small_spec(
+        axis1=SweepAxis("sigma", (0.01, 0.02, 0.03)),
+        axis2=SweepAxis("K", (99.0, 101.0)),
+        base=BaseParams(seed=12345, n=4000, C=3.0),
+        crn_axis=1,
+    ),
+    "free_K": small_spec(),
+}
+
+
+def cell_bits(cells) -> list[tuple]:
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(c)) for c in cells]
+
+
+def reference_seed(spec: SweepSpec, i: int, j: int) -> int:
+    # the documented derivation: the cell seed mixes the base seed with the
+    # axis indices, minus the CRN axis, and the MC reference mixes in tag 2
+    idx = {None: (i, j), 1: (j,), 2: (i,)}[spec.crn_axis]
+    return mix64(mix64(spec.base.seed, *idx), 2)
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_SWEEPS))
+def test_sweep_cells_equal_standalone_engine_calls(name):
+    spec = REUSE_SWEEPS[name]
+    cells = run_sweep(spec, workers=1)
+    assert cell_bits(run_sweep(spec, workers=3)) == cell_bits(cells)
+    n2 = len(spec.axis2.values)
+    for k, cell in enumerate(cells):
+        i, j = divmod(k, n2)
+        axes = {spec.axis1.name: cell.axis1_value, spec.axis2.name: cell.axis2_value}
+        model, dyn, c, cfg = materialize(replace(spec.base, **axes))
+        ref = replace(cfg, seed=reference_seed(spec, i, j))
+        sample = simulate_terminal_prices(model, dyn, c.T, ref)
+        if spec.greek == "delta":
+            want = (delta_mc(model, dyn, c, ref), None)
+        else:
+            res = price_mc(model, dyn, c, ref)
+            want = (res.price, res.std_error)
+        assert (cell.price_mc, cell.se_mc) == want, (name, k)
+        assert cell.skew == skewness(central_moments(sample)), (name, k)
+
+
+def test_no_state_survives_a_sweep():
+    # two sweeps on different seeds, each alone in a fresh interpreter and
+    # both in either order in this one, give the same bits
+    specs = [replace(REUSE_SWEEPS["crn_delta_P0"], base=BaseParams(seed=s, n=4000)) for s in (3, 4)]
+    alone = []
+    for spec in specs:
+        code = (
+            "import sys; from dataclasses import astuple; from mtgopt.harness import *; "
+            f"print(repr([astuple(c) for c in run_sweep({spec!r})]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+        alone.append(proc.stdout)
+    for order in ((0, 1), (1, 0)):
+        for k in order:
+            assert repr([astuple(c) for c in run_sweep(specs[k])]) + "\n" == alone[k]
 
 
 def test_sweep_row_major_order():

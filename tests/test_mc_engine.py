@@ -15,14 +15,16 @@ from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
     DEFAULT_SEED,
     SHARD_SIZE,
+    Draws,
     McConfig,
+    crn_delta,
     delta_mc,
     mix64,
     price_mc,
     simulate_terminal_prices,
     simulate_terminal_rates,
 )
-from mtgopt.model import MarketState, ModelSpec, OptionContract, RateDynamics, price
+from mtgopt.model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics, price
 
 # golden stream frozen at first implementation; any change to the generator,
 # uniform mapping, or normal transform is a breaking change and must fail here
@@ -75,12 +77,72 @@ def test_same_seed_same_vector():
 
 def test_worker_count_does_not_change_results():
     cfg = McConfig(n=3 * SHARD_SIZE + 17, seed=4242)
-    base = price_mc(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, workers=1)
+    base = price_mc(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, Draws(1))
     for workers in (2, 4):
-        got = price_mc(
-            default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, workers=workers
-        )
-        assert got == base
+        got = price_mc(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg, Draws(workers))
+        assert (got.price, got.std_error) == (base.price, base.std_error)
+        assert np.array_equal(got.diagnostics, base.diagnostics)
+
+
+def test_workers_below_one_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            Draws(workers)
+
+
+def test_price_mc_hands_back_its_price_sample():
+    spec = default_spec(3.0)
+    cfg = McConfig(n=3000, seed=21)
+    res = price_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+    sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
+    assert res.diagnostics.tobytes() == sample.tobytes()
+
+
+@pytest.mark.parametrize("C", [1e-6, 3.0, 40.0])
+def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
+    # exp(log P0' - A - B) on the shared terms is the map's own evaluation order
+    spec = default_spec(C)
+    cfg = McConfig(n=3000, seed=22)
+    delta, sample = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+    assert sample.tobytes() == simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg).tobytes()
+    legs = []
+    for P0 in (100.0 + cfg.bump, 100.0):
+        prices = simulate_terminal_prices(bumped_spec(spec, P0 - 100.0), DEFAULT_DYNAMICS, 0.25, cfg)
+        legs.append(DEFAULT_CONTRACT.df * float(np.mean(np.maximum(prices - DEFAULT_CONTRACT.K, 0.0))))
+    assert delta == (legs[0] - legs[1]) / cfg.bump
+    assert delta == delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+
+
+def test_kept_log_shape_is_keyed_by_what_it_depends_on():
+    # one keeping provider across specs that differ only in L, U or sigma:
+    # each delta must still equal a fresh one
+    draws = Draws(keep=True)
+    cfg = McConfig(n=2000, seed=5)
+    cases = [(default_spec(3.0), DEFAULT_DYNAMICS), (default_spec(3.0), RateDynamics(0.0, 0.03))]
+    for L, U in ((2.0, 9.0), (1.0, 8.0)):
+        spec = ModelSpec.calibrate(DurationParams(L, U, 3.0, 0.055), DEFAULT_MARKET)
+        cases.append((spec, DEFAULT_DYNAMICS))
+    for spec, dyn in cases:
+        kept = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws)[0]
+        assert kept == delta_mc(spec, dyn, DEFAULT_CONTRACT, cfg)
+
+
+def test_kept_arrays_are_read_only_and_drawn_once():
+    draws = Draws(keep=True)
+    z = draws.normals(5, 100)
+    assert draws.normals(5, 100) is z
+    with pytest.raises(ValueError, match="read-only"):
+        z[0] = 0.0
+    shape = draws.reuse(("terms",), lambda: (np.zeros(3), np.ones(3)))
+    assert draws.reuse(("terms",), lambda: pytest.fail("made twice")) is shape
+    for a in shape:
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+    # a provider that keeps nothing draws again, still read-only
+    fresh = Draws()
+    first = fresh.normals(5, 100)
+    assert fresh.normals(5, 100) is not first and not first.flags.writeable
+    assert first.tobytes() == z.tobytes()
 
 
 def test_sample_prefix_stable_in_n():
