@@ -5,9 +5,9 @@ dynamics (mu,sigma), contract (K,T,r_f), mc (n,seed,bump): one block per
 dataclass in harness.BLOCKS, one key per field. Unknown keys are rejected.
 `--set leaf=value` overrides apply after the file loads, so precedence is
 built-in defaults < config file < flags. Every command validates the whole
-resolved bundle, and a sweep every cell of it. The seed resolves as
---seed flag > config mc.seed > MTGOPT_SEED env var > built-in default; no
-command ever falls back to wall-clock entropy.
+resolved bundle, and a sweep every cell of it before it draws. The seed
+resolves as --seed flag > config mc.seed > MTGOPT_SEED env var > built-in
+default; no command ever falls back to wall-clock entropy.
 
 JSON results go to stdout as strict JSON with sorted keys and a
 schema_version field. Exit codes: 0 ok, 2 invalid input, 3 numerical

@@ -12,6 +12,7 @@ that eta itself cannot represent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,13 @@ def central_moments(sample) -> SampleMoments:
 
 
 def skewness(m: SampleMoments) -> float:
-    """m3 / m2^(3/2)."""
+    """m3 / m2^(3/2); unresolved once m2^(3/2) leaves the normal floats."""
     if m.m2 <= 0.0:
         raise DegenerateSampleError("skewness undefined: sample has zero variance")
-    return m.m3 / m.m2**1.5
+    scale = m.m2**1.5
+    if scale < sys.float_info.min:
+        raise DegenerateSampleError(f"skewness unresolved: m2^(3/2) underflows at m2={m.m2:.6g}")
+    return m.m3 / scale
 
 
 def _solve_excess(b: float) -> float:

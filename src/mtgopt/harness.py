@@ -11,11 +11,13 @@ sample is reused along that axis (for exactly-monotone curves). Within a cell
 the closed-form fit sample and the MC reference sample use separately derived
 seeds: accuracy comparisons never grade an engine against its own draw.
 
-One sample provider (mc_engine.Draws) serves a whole sweep or skew table, and
-every engine reads its draw. Along a CRN axis it draws each (seed, n) once for
-all the cells that share it, and the MC delta legs of cells on one sample,
-rate law and duration curve share their P0-free log shape. A sweep without a
-CRN axis keeps nothing from one cell to the next.
+A sweep validates every cell before it draws, then prices the cells one seed
+group at a time: the cells that share a cell seed share one sample provider
+(mc_engine.Draws), which every engine reads and which is dropped before the
+next group draws. A group of several cells (along a CRN axis) draws each
+(seed, n) once, and the MC delta legs of its cells on one rate law and
+duration curve share their P0-free log shape; a single-cell group keeps
+nothing. A skew table is one group: every row reads one kept sample.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -40,16 +42,8 @@ from .mc_engine import (
     mix64,
     price_mc,
     simulate_terminal_prices,
-    simulate_terminal_rates,
 )
-from .model import (
-    DurationParams,
-    MarketState,
-    ModelSpec,
-    OptionContract,
-    RateDynamics,
-    price as model_price,
-)
+from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
 from .pricer_closed import delta_ln, price_ln, price_sln
 
 # sub-seed tags: fit sample vs MC reference inside one cell
@@ -216,8 +210,9 @@ def _mc_fields(
     return out
 
 
-def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, draws: Draws) -> dict[str, float | None]:
-    model, dyn, c, cfg = materialize(bundle)
+def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[str, float | None]:
+    """One cell's fields from its materialized (model, dyn, contract, cfg)."""
+    model, dyn, c, cfg = built
     out: dict[str, float | None] = {}
     if ENGINE_MC in spec.engines:
         out.update(_mc_fields(spec, model, dyn, c, replace(cfg, seed=mix64(seed, _REF_TAG)), draws))
@@ -239,23 +234,24 @@ def _price_cell(spec: SweepSpec, bundle: BaseParams, seed: int, draws: Draws) ->
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
-    """Evaluate the grid row-major over axis1 x axis2; deterministic in seeds."""
-    draws = Draws(workers, keep=spec.crn_axis is not None)
-    cells = []
-    for i, v1 in enumerate(spec.axis1.values):
-        for j, v2 in enumerate(spec.axis2.values):
-            bundle = replace(spec.base, **{spec.axis1.name: v1, spec.axis2.name: v2})
-            vals = _price_cell(spec, bundle, _cell_seed(spec, i, j), draws)
-            cells.append(
-                GridCell(
-                    axis1_name=spec.axis1.name,
-                    axis1_value=v1,
-                    axis2_name=spec.axis2.name,
-                    axis2_value=v2,
-                    **vals,
-                )
-            )
-    return cells
+    """Evaluate the grid over axis1 x axis2, returned row-major; deterministic in seeds.
+
+    Every cell is validated before anything is drawn. The cells that share a
+    cell seed are priced together on one provider, which keeps its draws only
+    for a group of several cells and is dropped before the next group draws.
+    """
+    a1, a2 = spec.axis1, spec.axis2
+    points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
+    built = [materialize(replace(spec.base, **{a1.name: v1, a2.name: v2})) for _, _, v1, v2 in points]
+    groups: dict[int, list[int]] = {}
+    for k, (i, j, _, _) in enumerate(points):
+        groups.setdefault(_cell_seed(spec, i, j), []).append(k)
+    vals: dict[int, dict[str, float | None]] = {}
+    for seed, group in groups.items():
+        draws = Draws(workers, keep=len(group) > 1)
+        for k in group:
+            vals[k] = _price_cell(spec, built[k], seed, draws)
+    return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]
 
 
 def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> list[SkewTableRow]:
@@ -266,12 +262,11 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     """
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
-    model0, dyn, contract, cfg = materialize(replace(base, C=curvatures[0]))
-    rates = simulate_terminal_rates(model0.market, dyn, contract.T, cfg, Draws(workers))
+    built = [materialize(replace(base, C=c_val)) for c_val in curvatures]
+    draws = Draws(workers, keep=True)
     rows = []
-    for c_val in curvatures:
-        model = materialize(replace(base, C=c_val))[0]
-        fit_input = central_moments(model_price(model, rates))
+    for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
+        fit_input = central_moments(simulate_terminal_prices(model, dyn, contract.T, cfg, draws))
         fit = fit_shifted_lognormal(fit_input)
         rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
     return rows

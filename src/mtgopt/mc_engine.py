@@ -11,9 +11,10 @@ monotone rate/price coupling that common-random-number finite differences
 rely on.
 
 Draws is the one sample provider: it maps (seed, n) to z, and every engine
-reads its rates as law.mean + law.std * z. One provider serves one sweep, skew
-table or CLI command; a keeping provider (a sweep with a CRN axis) draws each
-(seed, n) once for every cell and engine that reads it.
+reads its rates as law.mean + law.std * z. One provider serves one CLI
+command, one skew table or one seed group of a sweep (the cells that share a
+cell seed); a keeping provider draws each (seed, n) once for every cell and
+engine that reads it, and lives only as long as that group.
 """
 from __future__ import annotations
 
@@ -105,8 +106,9 @@ class Draws:
     """Standard normals z by (seed, n), drawn by `workers` threads.
 
     With keep=True each z, and each array made from it that a later call asks
-    for again (the delta legs' log shape), is kept for the provider's life;
-    with keep=False nothing outlives the call. Arrays handed out are read-only.
+    for again (the delta legs' log shape), is kept for the provider's life,
+    which a sweep bounds to one seed group; with keep=False nothing outlives
+    the call. Arrays handed out are read-only.
     """
 
     def __init__(self, workers: int = 1, keep: bool = False):

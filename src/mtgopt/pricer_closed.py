@@ -14,6 +14,7 @@ curvature); results outside that regime carry a warning rather than an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,11 @@ class TerminalLognormalLaw:
 
 
 def _d1(inp: BsKernelInputs) -> float:
-    return (math.log(inp.M1 / inp.K_eff) + 0.5 * inp.W * inp.W) / inp.W
+    """d1; where M1 / K_eff underflows to 0 (a worthless call), its limit -inf."""
+    ratio = inp.M1 / inp.K_eff
+    if ratio == 0.0:
+        return -math.inf
+    return (math.log(ratio) + 0.5 * inp.W * inp.W) / inp.W
 
 
 def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
@@ -209,4 +214,7 @@ def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
         return 0.0
     d1 = _d1(inp)
     phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    return inp.df * inp.M1 * phi / (spec.market.P0**2 * inp.W)
+    p0_sq = spec.market.P0**2
+    if p0_sq < sys.float_info.min:
+        raise NonFiniteResultError(f"gamma divides by P0^2, which underflows at P0={spec.market.P0}")
+    return inp.df * inp.M1 * phi / (p0_sq * inp.W)

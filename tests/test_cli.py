@@ -5,9 +5,11 @@ import math
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from mtgopt import mc_engine
 from mtgopt.cli import _SCHEMA, main
 from mtgopt.harness import BaseParams
 
@@ -378,6 +380,23 @@ def test_huge_curvature_with_tiny_volatility_is_finite(capsys):
     assert all(math.isfinite(doc[k]) for k in ("price", "mu_P", "sigma_P"))
 
 
+def test_sweep_validates_every_cell_before_it_draws(capsys, tmp_path, monkeypatch):
+    # C = 3 is valid, C = 1e10 overflows C (r0 - x0): nothing may be drawn
+    def no_draw(*args):
+        raise AssertionError("drew before every cell was validated")
+
+    monkeypatch.setattr(mc_engine, "_standard_normals", no_draw)
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis1", "K=99,101", "--axis2", "C=3,1e10", "--set", "x0=-1e300",
+        "--out", str(tmp_path / "s.csv"),
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: non-finite result: C (r0 - x0) overflows at C=10000000000.0, r0=0.01, x0=-1e+300\n"
+    )
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_io_failures_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "price", "--config", str(tmp_path / "missing.json"))
     assert code == 4
@@ -509,3 +528,99 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+EXTREME_VALUES = ("1e-300", "-1e-300", "1e-150", "1e-110", "1e150", "1e300", "-1e300")
+EXTREME_COMMANDS = {
+    "price-mc": ("price", "--method", "mc"),
+    "price-sln": ("price", "--method", "sln"),
+    "price-ln": ("price", "--method", "ln"),
+    "greeks-ln": ("greeks", "--method", "ln"),
+    "greeks-mc": ("greeks", "--method", "mc"),
+    "fit": ("fit",),
+    "qq": ("qq", "--quantiles", "9"),
+    "sweep": ("sweep",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXTREME_COMMANDS))
+def test_extreme_finite_inputs_exit_cleanly(capsys, tmp_path, command):
+    # every float leaf at tiny and huge magnitudes: exit 0 with strict JSON or
+    # a finite CSV, or exit 2/3 with one stderr line; no exception escapes main
+    csv = tmp_path / "out.csv"
+    for leaf in FLOAT_LEAVES:
+        argv = EXTREME_COMMANDS[command]
+        if command in ("qq", "sweep"):
+            argv += ("--out", str(csv))
+        if command == "sweep":
+            # axes that leave the leaf under test to the base bundle
+            argv += ("--axis1", "P0=99,101" if leaf == "K" else "K=99,101",
+                     "--axis2", "P0=100" if leaf == "sigma" else "sigma=0.02")
+        for value in EXTREME_VALUES:
+            case = argv + ("--set", "C=3", "--set", "n=200", "--set", f"{leaf}={value}")
+            code, out, err = run_cli(capsys, *case)
+            assert code in (0, 2, 3), (case, err)
+            assert err.count("\n") <= 1, (case, err)
+            if code != 0:
+                assert out == "" and err.startswith("error: "), (case, err)
+                continue
+            if command in ("qq", "sweep"):
+                rows = csv.read_text(encoding="utf-8").splitlines()[1:]
+                assert all(math.isfinite(float(v)) for r in rows for v in r.split(",") if v
+                           and v not in ("K", "P0", "sigma")), case
+                csv.unlink()
+            else:
+                _strict_json(out)
+
+
+def test_tiny_spot_skewness_underflow_exits_3(capsys, tmp_path):
+    # m2^(3/2) underflows while m2 > 0, so the sample skewness is not resolved
+    csv = str(tmp_path / "out.csv")
+    at = ("--set", "C=3", "--set", "n=200", "--set", "P0=1e-150")
+    for argv in (
+        ("price", "--method", "sln") + at,
+        ("fit",) + at,
+        ("qq", "--out", csv) + at,
+        ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--out", csv) + at,
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: degenerate sample: ") and err.count("\n") == 1, argv
+        assert "underflows" in err, argv
+
+
+@pytest.mark.parametrize("mu", ["1e150", "1e300"])
+def test_ln_underflowed_mean_prices_a_worthless_call(capsys, mu):
+    # the matched mean M1 underflows to 0; MC prices this case at 0.0 too
+    at = ("--method", "ln", "--set", "C=3", "--set", f"mu={mu}")
+    code, out, err = run_cli(capsys, "price", *at)
+    assert code == 0 and err.count("\n") <= 1, err
+    assert _strict_json(out)["price"] == 0.0
+    code, out, err = run_cli(capsys, "greeks", *at)
+    assert code == 0 and err.count("\n") <= 1, err
+    doc = _strict_json(out)
+    assert (doc["delta"], doc["gamma"], doc["sanity"]["delta_upper_bound"]) == (0.0, 0.0, 0.0)
+    assert run_json(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=200",
+                    "--set", f"mu={mu}")["price"] == 0.0
+
+
+@pytest.mark.parametrize("P0", ["1e-300", "1e-160"])
+def test_ln_gamma_at_a_spot_whose_square_underflows_exits_3(capsys, P0):
+    # at 1e-160 P0^2 is subnormal and would move gamma by 0.2 % without a sign
+    code, out, err = run_cli(capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={P0}")
+    assert (code, out) == (3, "")
+    assert err == f"error: non-finite result: gamma divides by P0^2, which underflows at P0={P0}\n"
+
+
+def test_readme_price_example_is_current(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    prompt = "$ mtgopt price --method sln --set C=3\n"
+    block = readme.split(prompt, 1)[1].split("```", 1)[0]
+    assert run_json(capsys, "price", "--method", "sln", "--set", "C=3") == json.loads(block)

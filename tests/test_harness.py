@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -210,6 +211,28 @@ def test_no_state_survives_a_sweep():
     for order in ((0, 1), (1, 0)):
         for k in order:
             assert repr([astuple(c) for c in run_sweep(specs[k])]) + "\n" == alone[k]
+
+
+def test_crn_sweep_memory_does_not_grow_with_the_group_count():
+    # along C every strike column shares one sample; each column's sample and
+    # log shapes are dropped before the next column draws
+    def peak(strikes):
+        spec = small_spec(
+            base=BaseParams(seed=12345, n=20000),
+            axis1=SweepAxis("C", (0.5, 1.0, 2.0, 3.0, 4.0, 6.0)),
+            axis2=SweepAxis("K", strikes),
+            greek="delta",
+            engines=("MC",),
+            crn_axis=1,
+        )
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((97.0, 98.0, 99.0, 100.0, 101.0, 102.0)) <= 1.2 * peak((99.0, 101.0))
 
 
 def test_sweep_row_major_order():
