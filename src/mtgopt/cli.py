@@ -38,7 +38,7 @@ from .harness import (
     sweep_csv_lines,
     write_csv,
 )
-from .mc_engine import Draws, delta_mc, price_mc, simulate_terminal_prices
+from .mc_engine import Draws, crn_delta, price_mc, simulate_terminal_prices
 from .pricer_closed import delta_ln, gamma_ln, ln_kernel, price_ln, price_sln, regime_warning
 
 SCHEMA_VERSION = 1
@@ -172,7 +172,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 def cmd_greeks(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
     if args.method == "mc":
-        delta = delta_mc(model, dyn, contract, cfg, draws)
+        delta = crn_delta(model, dyn, contract, cfg, draws)[0]
         _emit({"method": "mc", "delta": delta, "bump": cfg.bump})
         return 0
     _, inp = ln_kernel(model, dyn, contract)

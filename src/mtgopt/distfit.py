@@ -71,30 +71,29 @@ class ShiftedLognormalFit:
     def tau(self) -> float:
         return self.orientation * self.theta
 
-    def implied_moments(self, n: int = 3) -> SampleMoments:
-        """Analytic mean/m2/m3 of the fitted law (plug-back check)."""
-        ez = lognormal_mean(self.log_params)
-        m2 = ez * ez * self.eps
-        m3 = self.orientation * ez**3 * self.eps**2 * (3.0 + self.eps)
-        return SampleMoments(self.theta + self.orientation * ez, m2, m3, n)
 
+def central_moments(sample, out=None) -> SampleMoments:
+    """Mean and 1/n central moments m2, m3 of a sample (n >= 3).
 
-def central_moments(sample) -> SampleMoments:
-    """Mean and 1/n central moments m2, m3 of a sample (n >= 3)."""
+    out, a pair of float arrays shaped like the sample, holds the deviations
+    and their powers; without it they are new arrays. The sample is not written.
+    """
     a = np.asarray(sample, dtype=float)
     if a.ndim != 1:
         raise ValidationError(f"sample must be one-dimensional, got shape {a.shape}")
     n = a.size
     if n < 3:
         raise ValidationError(f"need n >= 3 for a third moment, got n={n}")
+    d_out, p_out = (None, None) if out is None else out
     # constant samples short-circuit to exact zeros: mean roundoff would
     # otherwise manufacture m2 ~ (ulp*mean)^2 and a spurious |skew| of 1
     if np.all(a == a[0]):
         return SampleMoments(float(a[0]), 0.0, 0.0, n)
     mean = float(np.mean(a))
-    d = a - mean
-    m2 = float(np.mean(d * d))
-    m3 = float(np.mean(d * d * d))
+    d = np.subtract(a, mean, out=d_out)
+    power = np.multiply(d, d, out=p_out)
+    m2 = float(np.mean(power))
+    m3 = float(np.mean(np.multiply(power, d, out=power)))
     return SampleMoments(mean, m2, m3, n)
 
 
@@ -139,13 +138,6 @@ def _solve_excess(b: float) -> float:
     return eps
 
 
-def solve_eta(b: float) -> float:
-    """Unique eta >= 1 with (eta+2) sqrt(eta-1) = b, for absolute skewness b >= 0."""
-    if not b >= 0.0:
-        raise ValidationError(f"absolute skewness must be >= 0, got {b}")
-    return 1.0 + _solve_excess(b)
-
-
 def fit_shifted_lognormal(m: SampleMoments) -> ShiftedLognormalFit:
     """Three-moment fit of theta +- LogN(mu_X, sigma_X^2) to (mean, m2, m3).
 
@@ -182,7 +174,3 @@ def lognormal_mean(p: LognormalParams) -> float:
     """M1 = E[Z] = e^{mu_X + sigma_X^2/2}."""
     return math.exp(p.mu_X + 0.5 * p.sigma_X**2)
 
-
-def lognormal_second_moment(p: LognormalParams) -> float:
-    """M2 = E[Z^2] = e^{2 mu_X + 2 sigma_X^2}."""
-    return math.exp(2.0 * p.mu_X + 2.0 * p.sigma_X**2)

@@ -17,7 +17,9 @@ group at a time: the cells that share a cell seed share one sample provider
 next group draws. A group of several cells (along a CRN axis) draws each
 (seed, n) once, and the MC delta legs of its cells on one rate law and
 duration curve share their P0-free log shape; a single-cell group keeps
-nothing. A skew table is one group: every row reads one kept sample.
+nothing. A skew table is one group: every row reads one kept sample. The
+providers of a sweep share one set of work buffers (mc_engine.Buffers), in
+which every n-sized stage of a cell runs; it dies with the sweep.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -36,6 +38,7 @@ from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
     DEFAULT_SEED,  # noqa: F401  re-exported: the seed of every default bundle
+    Buffers,
     Draws,
     McConfig,
     crn_delta,
@@ -206,7 +209,7 @@ def _mc_fields(
         out = {"price_mc": res.price, "se_mc": res.std_error}
         sample = res.diagnostics
     # skew describes the sample MC priced (the base leg, for delta sweeps)
-    out["skew"] = skewness(central_moments(sample))
+    out["skew"] = skewness(central_moments(sample, draws.buffers.take(2, cfg.n)))
     return out
 
 
@@ -219,7 +222,8 @@ def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[
     if ENGINE_SLN in spec.engines and spec.greek is None:
         fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
         fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, draws)
-        out["price_sln"] = price_sln(central_moments(fit_sample), c).price
+        moments = central_moments(fit_sample, draws.buffers.take(2, cfg.n))
+        out["price_sln"] = price_sln(moments, c).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
             delta_ln(model, dyn, c) if spec.greek == "delta" else price_ln(model, dyn, c).price
@@ -247,8 +251,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     for k, (i, j, _, _) in enumerate(points):
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
     vals: dict[int, dict[str, float | None]] = {}
+    buffers = Buffers()
     for seed, group in groups.items():
-        draws = Draws(workers, keep=len(group) > 1)
+        draws = Draws(workers, keep=len(group) > 1, buffers=buffers)
         for k in group:
             vals[k] = _price_cell(spec, built[k], seed, draws)
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]

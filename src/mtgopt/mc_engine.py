@@ -11,10 +11,17 @@ monotone rate/price coupling that common-random-number finite differences
 rely on.
 
 Draws is the one sample provider: it maps (seed, n) to z, and every engine
-reads its rates as law.mean + law.std * z. One provider serves one CLI
+reads its rates as z * law.std + law.mean. One provider serves one CLI
 command, one skew table or one seed group of a sweep (the cells that share a
 cell seed); a keeping provider draws each (seed, n) once for every cell and
 engine that reads it, and lives only as long as that group.
+
+Buffer lifetime: every n-sized stage (draw, rates, price map, payoff,
+standard error, delta legs) runs in place on the provider's work Buffers.
+The providers of one sweep share one set, which lives exactly as long as the
+sweep; outside a sweep a provider has its own. No array a call hands back
+lives in them: callers own what they get, and a later call never overwrites
+it. A provider and its buffers serve one thread.
 """
 from __future__ import annotations
 
@@ -82,8 +89,8 @@ class McConfig:
             raise ValidationError(f"bump must be > 0, got {self.bump}")
 
 
-def _standard_normals(seed: int, n: int, workers: int) -> np.ndarray:
-    out = np.empty(n, dtype=float)
+def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty(n, dtype=float) if out is None else out
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
 
     def fill(j: int) -> None:
@@ -91,7 +98,10 @@ def _standard_normals(seed: int, n: int, workers: int) -> np.ndarray:
         hi = min(n, lo + SHARD_SIZE)
         key = np.array([seed & _MASK64, j], dtype=np.uint64)
         raw = np.random.Philox(key=key).random_raw(hi - lo)
-        out[lo:hi] = ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53)
+        u = out[lo:hi]
+        np.add(np.right_shift(raw, np.uint64(11), out=raw), 0.5, out=u)
+        np.multiply(u, 2.0**-53, out=u)
+        ndtri(u, out=u)
 
     if workers > 1 and n_shards > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -102,20 +112,47 @@ def _standard_normals(seed: int, n: int, workers: int) -> np.ndarray:
     return out
 
 
+class Buffers:
+    """Work arrays of n floats that the engines overwrite from call to call.
+
+    One set serves a whole sweep (or one provider outside a sweep) and dies
+    with it. No array a call hands back lives in them, so nothing a caller
+    holds is overwritten by a later call.
+    """
+
+    def __init__(self):
+        self._arrays: list[np.ndarray] = []
+
+    def take(self, k: int, n: int) -> list[np.ndarray]:
+        """The first k work arrays, each of n floats."""
+        if self._arrays and self._arrays[0].size != n:
+            self._arrays = []
+        while len(self._arrays) < k:
+            self._arrays.append(np.empty(n, dtype=float))
+        return self._arrays[:k]
+
+
 class Draws:
-    """Standard normals z by (seed, n), drawn by `workers` threads.
+    """Standard normals z by (seed, n), drawn by `workers` threads, and the
+    work buffers of the calls that read them.
 
     With keep=True each z, and each array made from it that a later call asks
     for again (the delta legs' log shape), is kept for the provider's life,
     which a sweep bounds to one seed group; with keep=False nothing outlives
-    the call. Arrays handed out are read-only.
+    the call. Arrays handed out are read-only. `buffers` is shared by the
+    providers of one sweep; by default a provider has its own.
     """
 
-    def __init__(self, workers: int = 1, keep: bool = False):
+    def __init__(self, workers: int = 1, keep: bool = False, buffers: Buffers | None = None):
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
+        self.buffers = Buffers() if buffers is None else buffers
         self._kept: dict[tuple, tuple[np.ndarray, ...]] | None = {} if keep else None
+
+    @property
+    def keep(self) -> bool:
+        return self._kept is not None
 
     def reuse(self, key: tuple, make) -> tuple[np.ndarray, ...]:
         """The arrays make() returns, read-only, and kept under key if keep=True."""
@@ -128,24 +165,36 @@ class Draws:
                 self._kept[key] = arrays
         return arrays
 
-    def normals(self, seed: int, n: int) -> np.ndarray:
+    def normals(self, seed: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """z for (seed, n): read-only, or drawn into out by a provider that keeps nothing."""
+        if out is not None and not self.keep:
+            return _standard_normals(seed, n, self.workers, out)
         return self.reuse(("z", seed, n), lambda: (_standard_normals(seed, n, self.workers),))[0]
 
 
 def simulate_terminal_rates(
-    m: MarketState, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
+    m: MarketState,
+    dyn: RateDynamics,
+    T: float,
+    cfg: McConfig,
+    draws: Draws | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """n draws of r_T ~ N(r0 + mu T, sigma^2 T), fully determined by cfg.seed."""
+    """n draws of r_T ~ N(r0 + mu T, sigma^2 T), fully determined by cfg.seed,
+    written into out (a new array by default)."""
     law = terminal_rate_law(m, dyn, T)
-    return law.mean + law.std * (draws or Draws()).normals(cfg.seed, cfg.n)
+    out = np.empty(cfg.n, dtype=float) if out is None else out
+    z = (draws or Draws()).normals(cfg.seed, cfg.n, out)
+    return np.add(np.multiply(z, law.std, out=out), law.mean, out=out)
 
 
 def simulate_terminal_prices(
     spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
 ) -> np.ndarray:
-    """Terminal prices P(r_T) for the simulated rates."""
+    """Terminal prices P(r_T) for the simulated rates, in a new array."""
+    draws = draws or Draws()
     rates = simulate_terminal_rates(spec.market, dyn, T, cfg, draws)
-    return model_price(spec, rates)
+    return model_price(spec, rates, (rates, draws.buffers.take(1, cfg.n)[0]))
 
 
 def price_mc(
@@ -156,13 +205,23 @@ def price_mc(
     draws: Draws | None = None,
 ) -> PriceResult:
     """Discounted mean of (P(r_T) - K)+ with its standard error (needs n >= 2);
-    the diagnostics are the price sample P(r_T) it averaged over."""
+    the diagnostics are the price sample P(r_T) it averaged over.
+
+    The standard error is np.std(payoff, ddof=1) / sqrt(n), worked in place:
+    sqrt(sum((payoff - mean)^2) / (n - 1)) with the mean np.std takes.
+    """
     if cfg.n < 2:
         raise ValidationError(f"an MC price needs n >= 2 for its standard error, got n={cfg.n}")
+    draws = draws or Draws()
     prices = simulate_terminal_prices(spec, dyn, c.T, cfg, draws)
-    disc = c.df * np.maximum(prices - c.K, 0.0)
-    se = float(np.std(disc, ddof=1)) / math.sqrt(cfg.n)
-    return PriceResult(price=float(np.mean(disc)), method="MC", std_error=se, diagnostics=prices)
+    (disc,) = draws.buffers.take(1, cfg.n)
+    np.multiply(np.maximum(np.subtract(prices, c.K, out=disc), 0.0, out=disc), c.df, out=disc)
+    mean = np.mean(disc)
+    np.subtract(disc, mean, out=disc)
+    sd = math.sqrt(np.add.reduce(np.multiply(disc, disc, out=disc)) / (cfg.n - 1))
+    return PriceResult(
+        price=float(mean), method="MC", std_error=sd / math.sqrt(cfg.n), diagnostics=prices
+    )
 
 
 def crn_delta(
@@ -189,24 +248,24 @@ def crn_delta(
         )
     bumped = MarketState(m.P0 + h, m.r0)
     draws = draws or Draws()
-    key = (cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
-    shape = draws.reuse(key, lambda: log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws)))
+    if draws.keep:
+        key = (cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
 
-    def leg(P0: float) -> tuple[float, np.ndarray]:
-        prices = np.exp(log_price_at(P0, shape))
-        return c.df * float(np.mean(np.maximum(prices - c.K, 0.0))), prices
+        def make() -> tuple[np.ndarray, np.ndarray]:
+            rates = simulate_terminal_rates(m, dyn, c.T, cfg, draws)
+            return log_shape(spec, rates, (rates, np.empty(cfg.n, dtype=float)))
 
-    up, _ = leg(bumped.P0)
-    base, sample = leg(m.P0)
+        shape = draws.reuse(key, make)
+        (work,) = draws.buffers.take(1, cfg.n)
+    else:
+        work, rates, step = draws.buffers.take(3, cfg.n)
+        shape = log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws, rates), (rates, step))
+
+    def leg(P0: float, out: np.ndarray) -> tuple[float, np.ndarray]:
+        prices = np.exp(log_price_at(P0, shape, out), out=out)
+        payoff = np.maximum(np.subtract(prices, c.K, out=work), 0.0, out=work)
+        return c.df * float(np.mean(payoff)), prices
+
+    up, _ = leg(bumped.P0, work)
+    base, sample = leg(m.P0, np.empty(cfg.n, dtype=float))
     return (up - base) / h, sample
-
-
-def delta_mc(
-    spec: ModelSpec,
-    dyn: RateDynamics,
-    c: OptionContract,
-    cfg: McConfig,
-    draws: Draws | None = None,
-) -> float:
-    """The delta of crn_delta."""
-    return crn_delta(spec, dyn, c, cfg, draws)[0]

@@ -141,51 +141,62 @@ class ModelSpec:
         return cls(duration, market, float(expit(b)))
 
 
-def duration(p: DurationParams, r):
-    """Duration D(r) = L + U/(1+e^{-C(r-x0)}); strictly increasing, range (L, L+U)."""
-    return p.L + p.U * expit(p.C * (np.asarray(r, dtype=float) - p.x0))
-
-
 def _softplus(y: float) -> float:
     return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
 
 
-def log_shape(spec: ModelSpec, r):
+def log_shape(spec: ModelSpec, r, out=None):
     """The P0-free terms (A, B) of log P(r) = log P0 - A - B: A = (L/C) x and
     B = (U/C) log(1 - q + q e^x), with x = C (r - r0).
 
     The bracket is log1p(q expm1(x)) for |x| <= 1, where its argument stays in
     [1/e, e], and beyond that the log-space sum of log(1 - q) = -sp(b) and
     log q + x = x - sp(-b), with b = C (r0 - x0) and sp(y) = log(1 + e^y).
+
+    out, a pair of float arrays shaped like r, receives A and B; without it
+    both are new arrays. r is written only if it is out[0].
     """
     p, m = spec.duration, spec.market
-    x = p.C * (np.asarray(r, dtype=float) - m.r0)
-    far = np.abs(x) > 1.0
-    step = np.log1p(spec.q * np.expm1(np.minimum(np.maximum(x, -1.0), 1.0)))
+    A, B = (None, None) if out is None else out
+    x = np.multiply(np.subtract(r, m.r0, out=A, dtype=float), p.C, out=A)
+    # the array the bracket is worked in; asarray turns the scalar that a
+    # ufunc returns for a 0-d r into an array that out= can write
+    step = np.asarray(np.abs(x, out=B))
+    far = step > 1.0
+    np.maximum(x, -1.0, out=step)
+    np.minimum(step, 1.0, out=step)
+    np.expm1(step, out=step)
+    np.multiply(step, spec.q, out=step)
+    np.log1p(step, out=step)
     if np.count_nonzero(far):
         b = p.C * (m.r0 - p.x0)
-        far_step = np.logaddexp(-_softplus(b), x - _softplus(-b), out=None, where=far)
-        step = np.where(far, far_step, step)
-    return (p.L / p.C) * x, (p.U / p.C) * step
+        np.subtract(x, _softplus(-b), out=step, where=far)
+        np.logaddexp(-_softplus(b), step, out=step, where=far)
+    return np.multiply(x, p.L / p.C, out=A), np.multiply(step, p.U / p.C, out=step)
 
 
-def log_price_at(P0: float, shape):
-    """log P0 - A - B: the log price at spot P0 for the terms (A, B) of log_shape.
+def log_price_at(P0: float, shape, out=None):
+    """log P0 - A - B: the log price at spot P0 for the terms (A, B) of log_shape,
+    written into out if given.
 
     Every spot on one duration curve and rate sample shares those terms.
     """
     A, B = shape
-    return math.log(P0) - A - B
+    return np.subtract(np.subtract(math.log(P0), A, out=out), B, out=out)
 
 
-def log_price(spec: ModelSpec, r):
-    """log P(r), anchored at log P(r0) = log P0."""
-    return log_price_at(spec.market.P0, log_shape(spec, r))
+def log_price(spec: ModelSpec, r, out=None):
+    """log P(r), anchored at log P(r0) = log P0; out as for log_shape, and the
+    log price is written over out[0]."""
+    return log_price_at(spec.market.P0, log_shape(spec, r, out), None if out is None else out[0])
 
 
-def price(spec: ModelSpec, r):
-    """Model price P(r); strictly decreasing in r and anchored at P(r0) = P0."""
-    return np.exp(log_price(spec, r))
+def price(spec: ModelSpec, r, out=None):
+    """Model price P(r); strictly decreasing in r and anchored at P(r0) = P0.
+
+    out as for log_shape; the price is written over out[0].
+    """
+    return np.exp(log_price(spec, r, out), out=None if out is None else out[0])
 
 
 def terminal_rate_law(m: MarketState, dyn: RateDynamics, T: float) -> NormalLaw:

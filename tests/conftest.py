@@ -1,4 +1,18 @@
-"""Shared builders for the default parameter set used across test modules."""
+"""Shared builders for the default parameter set used across test modules, and
+closed forms that only the tests need."""
+import math
+
+import numpy as np
+from scipy.special import expit
+
+from mtgopt.distfit import (
+    LognormalParams,
+    SampleMoments,
+    ShiftedLognormalFit,
+    _solve_excess,
+    lognormal_mean,
+)
+from mtgopt.errors import ValidationError
 from mtgopt.model import (
     DurationParams,
     MarketState,
@@ -20,3 +34,28 @@ def default_duration(C: float) -> DurationParams:
 
 def default_spec(C: float) -> ModelSpec:
     return ModelSpec.calibrate(default_duration(C), DEFAULT_MARKET)
+
+
+def duration(p: DurationParams, r):
+    """Duration D(r) = L + U/(1+e^{-C(r-x0)}); strictly increasing, range (L, L+U)."""
+    return p.L + p.U * expit(p.C * (np.asarray(r, dtype=float) - p.x0))
+
+
+def solve_eta(b: float) -> float:
+    """Unique eta >= 1 with (eta+2) sqrt(eta-1) = b, for absolute skewness b >= 0."""
+    if not b >= 0.0:
+        raise ValidationError(f"absolute skewness must be >= 0, got {b}")
+    return 1.0 + _solve_excess(b)
+
+
+def lognormal_second_moment(p: LognormalParams) -> float:
+    """M2 = E[Z^2] = e^{2 mu_X + 2 sigma_X^2}."""
+    return math.exp(2.0 * p.mu_X + 2.0 * p.sigma_X**2)
+
+
+def implied_moments(fit: ShiftedLognormalFit, n: int = 3) -> SampleMoments:
+    """Analytic mean/m2/m3 of the fitted law (plug-back check)."""
+    ez = lognormal_mean(fit.log_params)
+    m2 = ez * ez * fit.eps
+    m3 = fit.orientation * ez**3 * fit.eps**2 * (3.0 + fit.eps)
+    return SampleMoments(fit.theta + fit.orientation * ez, m2, m3, n)

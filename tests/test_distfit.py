@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DEFAULT_DYNAMICS, default_spec, implied_moments, lognormal_second_moment, solve_eta
 from mtgopt.distfit import (
     LognormalParams,
     SampleMoments,
     central_moments,
     fit_shifted_lognormal,
     lognormal_mean,
-    lognormal_second_moment,
     skewness,
-    solve_eta,
 )
 from mtgopt.errors import DegenerateSampleError, ValidationError
+from mtgopt.mc_engine import McConfig, simulate_terminal_prices
 
 
 def sln_moments(theta, orientation, mu_X, sigma_X, n=1000):
@@ -24,6 +24,19 @@ def sln_moments(theta, orientation, mu_X, sigma_X, n=1000):
     m2 = ez * ez * (eta - 1.0)
     m3 = orientation * ez**3 * (eta - 1.0) ** 2 * (eta + 2.0)
     return SampleMoments(theta + orientation * ez, m2, m3, n)
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 40.0])
+def test_central_moments_in_buffers_equal_the_allocating_formula(C):
+    spec = default_spec(C)
+    sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=70000, seed=17))
+    sample.flags.writeable = False
+    mean = float(np.mean(sample))
+    d = sample - mean
+    want = (mean, float(np.mean(d * d)), float(np.mean(d * d * d)))
+    for out in (None, (np.empty(70000), np.empty(70000))):
+        m = central_moments(sample, out)
+        assert (m.mean.hex(), m.m2.hex(), m.m3.hex()) == tuple(v.hex() for v in want)
 
 
 def test_central_moments_constant_sample():
@@ -126,7 +139,7 @@ def test_fit_plug_back_randomized():
         mu_X = rng.uniform(-2.0, 6.0)
         sigma_X = rng.uniform(0.005, 1.0)
         m = sln_moments(theta, orientation, mu_X, sigma_X)
-        got = fit_shifted_lognormal(m).implied_moments()
+        got = implied_moments(fit_shifted_lognormal(m))
         assert got.mean == pytest.approx(m.mean, rel=1e-9, abs=1e-9)
         assert got.m2 == pytest.approx(m.m2, rel=1e-9)
         assert got.m3 == pytest.approx(m.m3, rel=1e-9)
@@ -161,7 +174,7 @@ def test_fit_near_zero_skew_fallback():
     assert fit.orientation == 1
     assert fit.theta == 0.0
     assert lognormal_mean(fit.log_params) == pytest.approx(100.0, rel=1e-12)
-    got = fit.implied_moments()
+    got = implied_moments(fit)
     assert got.m2 == pytest.approx(25.0, rel=1e-12)
 
 

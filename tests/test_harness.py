@@ -35,7 +35,7 @@ from mtgopt.harness import (
     sweep_csv_lines,
     write_csv,
 )
-from mtgopt.mc_engine import delta_mc, mix64, price_mc, simulate_terminal_prices
+from mtgopt.mc_engine import crn_delta, mix64, price_mc, simulate_terminal_prices
 
 PACKAGE_ROOT = str(Path(harness.__file__).resolve().parents[1])
 
@@ -187,7 +187,7 @@ def test_sweep_cells_equal_standalone_engine_calls(name):
         ref = replace(cfg, seed=reference_seed(spec, i, j))
         sample = simulate_terminal_prices(model, dyn, c.T, ref)
         if spec.greek == "delta":
-            want = (delta_mc(model, dyn, c, ref), None)
+            want = (crn_delta(model, dyn, c, ref)[0], None)
         else:
             res = price_mc(model, dyn, c, ref)
             want = (res.price, res.std_error)
@@ -233,6 +233,24 @@ def test_crn_sweep_memory_does_not_grow_with_the_group_count():
             tracemalloc.stop()
 
     assert peak((97.0, 98.0, 99.0, 100.0, 101.0, 102.0)) <= 1.2 * peak((99.0, 101.0))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
+def test_warm_sweep_reuses_its_buffers_instead_of_faulting_in_new_pages():
+    # every n-sized stage of a cell runs in the sweep's buffers; an array per
+    # stage would fault in about 1500 pages per cell at n = 70000
+    resource = pytest.importorskip("resource")
+    strikes = tuple(97.0 + 0.5 * i for i in range(13))
+    spec = small_spec(
+        base=BaseParams(seed=12345, n=70000), axis1=SweepAxis("K", strikes), axis2=SweepAxis("C", (30.0,))
+    )
+    run_sweep(spec)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sweep(spec)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) <= 150 * len(strikes), faults
 
 
 def test_sweep_row_major_order():

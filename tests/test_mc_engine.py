@@ -15,10 +15,10 @@ from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
     DEFAULT_SEED,
     SHARD_SIZE,
+    Buffers,
     Draws,
     McConfig,
     crn_delta,
-    delta_mc,
     mix64,
     price_mc,
     simulate_terminal_prices,
@@ -98,6 +98,53 @@ def test_price_mc_hands_back_its_price_sample():
     assert res.diagnostics.tobytes() == sample.tobytes()
 
 
+@pytest.mark.parametrize("C", [0.5, 3.0, 40.0])
+@pytest.mark.parametrize("K", [90.0, 100.0, 110.0, 1e6])
+def test_price_mc_equals_the_allocating_formula_bit_for_bit(C, K):
+    spec = default_spec(C)
+    c = OptionContract(K=K, T=0.25, r_f=0.0209)
+    cfg = McConfig(n=70000, seed=19)
+    prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
+    disc = c.df * np.maximum(prices - c.K, 0.0)
+    want = (float(np.mean(disc)), float(np.std(disc, ddof=1)) / math.sqrt(cfg.n))
+    for draws in (None, Draws(buffers=Buffers())):
+        res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws)
+        assert (res.price.hex(), res.std_error.hex()) == tuple(v.hex() for v in want)
+        assert res.diagnostics.tobytes() == prices.tobytes()
+
+
+def _providers(where: str):
+    """keep -> the provider of a call: none, or a keeping and a non-keeping
+    provider that each have their own buffers or, as in a sweep, share one set."""
+    if where == "none":
+        return lambda keep: None
+    buffers = Buffers() if where == "sweep" else None
+    return {keep: Draws(keep=keep, buffers=buffers) for keep in (False, True)}.__getitem__
+
+
+@pytest.mark.parametrize("where", ["none", "own buffers", "sweep"])
+def test_later_calls_never_overwrite_earlier_results(where):
+    provider = _providers(where)
+    c = DEFAULT_CONTRACT
+
+    def results(C: float, seed: int) -> list[np.ndarray]:
+        spec, cfg = default_spec(C), McConfig(n=5000, seed=seed)
+        return [
+            price_mc(spec, DEFAULT_DYNAMICS, c, cfg, provider(False)).diagnostics,
+            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, provider(False))[1],
+            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, provider(True))[1],
+            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, provider(False)),
+            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, provider(True)),
+        ]
+
+    first = results(3.0, 41)
+    kept = [a.tobytes() for a in first]
+    for C, seed in ((40.0, 42), (0.5, 43), (3.0, 41)):
+        later = results(C, seed)
+        assert not any(np.shares_memory(a, b) for a in first for b in later)
+    assert [a.tobytes() for a in first] == kept
+
+
 @pytest.mark.parametrize("C", [1e-6, 3.0, 40.0])
 def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
     # exp(log P0' - A - B) on the shared terms is the map's own evaluation order
@@ -110,7 +157,7 @@ def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
         prices = simulate_terminal_prices(bumped_spec(spec, P0 - 100.0), DEFAULT_DYNAMICS, 0.25, cfg)
         legs.append(DEFAULT_CONTRACT.df * float(np.mean(np.maximum(prices - DEFAULT_CONTRACT.K, 0.0))))
     assert delta == (legs[0] - legs[1]) / cfg.bump
-    assert delta == delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+    assert delta == crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0]
 
 
 def test_kept_log_shape_is_keyed_by_what_it_depends_on():
@@ -124,7 +171,7 @@ def test_kept_log_shape_is_keyed_by_what_it_depends_on():
         cases.append((spec, DEFAULT_DYNAMICS))
     for spec, dyn in cases:
         kept = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws)[0]
-        assert kept == delta_mc(spec, dyn, DEFAULT_CONTRACT, cfg)
+        assert kept == crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg)[0]
 
 
 def test_kept_arrays_are_read_only_and_drawn_once():
@@ -209,7 +256,7 @@ def test_delta_deterministic_payoff_limit():
     spec = default_spec(3.0)
     c = OptionContract(K=50.0, T=0.25, r_f=0.0209)
     want = math.exp(-0.0209 * 0.25) * float(price(spec, 0.01)) / 100.0
-    got = delta_mc(spec, dyn, c, McConfig(n=100, seed=3))
+    got = crn_delta(spec, dyn, c, McConfig(n=100, seed=3))[0]
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -231,7 +278,7 @@ def test_delta_crn_beats_independent_sampling():
     crn, indep = [], []
     for seed in range(50):
         cfg = McConfig(n=2000, seed=seed)
-        crn.append(delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg))
+        crn.append(crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0])
         up_cfg = McConfig(n=2000, seed=mix64(seed, 1))
         indep.append((mc_price(up, up_cfg) - mc_price(spec, cfg)) / h)
     assert np.var(crn) < np.var(indep)
@@ -241,7 +288,7 @@ def test_delta_central_close_to_forward():
     spec = default_spec(3.0)
     cfg = McConfig(n=20000, seed=8)
     h = cfg.bump
-    fwd = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+    fwd = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0]
     ctr = (mc_price(bumped_spec(spec, h), cfg) - mc_price(bumped_spec(spec, -h), cfg)) / (2.0 * h)
     assert ctr == pytest.approx(fwd, rel=1e-2)
 
@@ -252,17 +299,17 @@ def test_delta_smallest_accepted_bump_matches_default(C):
     # crosses the strike between the two bumps (at n = 70000 one does, which
     # moves the delta by about 1.1e-5)
     spec = default_spec(C)
-    small = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))
-    default = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
+    small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))[0]
+    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))[0]
     assert abs(small - default) < 1e-6
 
 
 def test_delta_at_small_curvature_is_not_quantized():
     # both legs share one curve shape, so a small bump still moves the price
     spec = default_spec(1e-6)
-    default = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
+    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))[0]
     for bump in (1e-6, 1e-7):
-        small = delta_mc(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=bump))
+        small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=bump))[0]
         assert abs(small - default) <= 1e-6
 
 

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_MARKET, default_duration, default_spec
+from conftest import DEFAULT_MARKET, default_duration, default_spec, duration
 from mtgopt.errors import ValidationError
 from mtgopt.mc_engine import McConfig, simulate_terminal_rates
 from mtgopt.model import (
@@ -15,8 +15,9 @@ from mtgopt.model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
-    duration,
+    _softplus,
     log_price,
+    log_shape,
     price,
     terminal_rate_law,
 )
@@ -213,3 +214,63 @@ def test_terminal_rate_law_rejects_nonpositive_expiry():
 def test_invariant_violations_rejected(bad):
     with pytest.raises(ValidationError):
         bad()
+
+
+def _reference_log_shape(spec, r):
+    # the allocating expression form of model.log_shape, one new array per step
+    p, m = spec.duration, spec.market
+    x = p.C * (np.asarray(r, dtype=float) - m.r0)
+    far = np.abs(x) > 1.0
+    step = np.log1p(spec.q * np.expm1(np.minimum(np.maximum(x, -1.0), 1.0)))
+    if np.count_nonzero(far):
+        b = p.C * (m.r0 - p.x0)
+        far_step = np.logaddexp(-_softplus(b), x - _softplus(-b), out=None, where=far)
+        step = np.where(far, far_step, step)
+    return (p.L / p.C) * x, (p.U / p.C) * step
+
+
+def _kernel_inputs():
+    law = terminal_rate_law(DEFAULT_MARKET, RateDynamics(0.0, 0.02), 0.25)
+    nodes = law.mean + math.sqrt(2.0) * law.std * np.polynomial.hermite.hermgauss(21)[0]
+    sample = simulate_terminal_rates(DEFAULT_MARKET, RateDynamics(0.0, 0.02), 0.25, McConfig(n=70000, seed=3))
+    return {
+        "n70000": sample,
+        "nodes21": nodes,
+        "wide": np.linspace(-4.0, 4.0, 2001),  # |x| > 1 at every curvature
+        "0-d": np.array(0.037),
+    }
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0, 40.0])
+@pytest.mark.parametrize("name", ["n70000", "nodes21", "wide", "0-d"])
+def test_in_place_kernels_equal_the_allocating_ones_bit_for_bit(C, name):
+    spec = default_spec(C)
+    r = _kernel_inputs()[name]
+    r.flags.writeable = False
+    before = r.tobytes()
+    want_A, want_B = _reference_log_shape(spec, r)
+    want_price = np.exp(math.log(spec.market.P0) - want_A - want_B)
+    for got_A, got_B in (log_shape(spec, r), log_shape(spec, r, (np.empty_like(r), np.empty_like(r)))):
+        assert (np.asarray(got_A).tobytes(), np.asarray(got_B).tobytes()) == (want_A.tobytes(), want_B.tobytes())
+    work = (np.empty_like(r), np.empty_like(r))
+    got = price(spec, r, work)
+    assert got is work[0]
+    assert got.tobytes() == np.asarray(price(spec, r)).tobytes() == want_price.tobytes()
+    # the rates themselves may serve as the first work array
+    own = r.copy()
+    assert price(spec, own, (own, np.empty_like(r))).tobytes() == want_price.tobytes()
+    assert r.tobytes() == before
+
+
+def test_price_works_in_double_precision_for_any_input_type():
+    spec = default_spec(3.0)
+    grid = np.linspace(-0.05, 0.15, 41).astype(np.float32)
+    want = price(spec, grid.astype(float))
+    assert price(spec, grid).tobytes() == price(spec, grid.tolist()).tobytes() == want.tobytes()
+
+
+def test_price_of_a_float_is_a_float():
+    A, B = _reference_log_shape(default_spec(40.0), 1.0)
+    got = price(default_spec(40.0), 1.0)
+    assert isinstance(got, np.float64)
+    assert got == np.exp(math.log(100.0) - A - B)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtgopt.distfit import central_moments
-from mtgopt.mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
+from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
 from mtgopt.model import DurationParams, ModelSpec, OptionContract, RateDynamics, log_price
 from mtgopt.pricer_closed import price_ln, price_sln
 
@@ -99,7 +99,7 @@ def test_mc_price_and_crn_delta_across_seeds(C, K):
         cfg = McConfig(n=N_DRAWS, seed=seed)
         res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg)
         z_price.append((res.price - exact_price) / res.std_error)
-        z_delta.append((delta_mc(spec, DEFAULT_DYNAMICS, c, cfg) - exact_delta) / delta_se)
+        z_delta.append((crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)[0] - exact_delta) / delta_se)
     assert_standard_normal(np.array(z_price))
     assert_standard_normal(np.array(z_delta))
 

@@ -15,10 +15,11 @@ from conftest import (
     DEFAULT_MARKET,
     default_duration,
     default_spec,
+    implied_moments,
 )
 import mtgopt
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
-from mtgopt.mc_engine import McConfig, delta_mc, price_mc, simulate_terminal_prices
+from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
 from mtgopt.model import (
     DurationParams,
     MarketState,
@@ -257,7 +258,7 @@ def test_price_sln_on_implied_moments_prices_the_fit(moments, orientation, fallb
     for K in (moments.mean - sd, moments.mean, moments.mean + sd):
         c = OptionContract(K, 0.25, 0.0209)
         want = price_from_fit(fit, c)
-        assert price_sln(fit.implied_moments(), c).price == pytest.approx(want, rel=1e-9)
+        assert price_sln(implied_moments(fit), c).price == pytest.approx(want, rel=1e-9)
 
 
 def test_pricer_closed_does_not_load_the_sampler():
@@ -343,7 +344,7 @@ def test_greek_bounds():
 
 
 def test_delta_ln_close_to_mc_delta():
-    mc = delta_mc(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=801))
+    mc = crn_delta(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=801))[0]
     ln = delta_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT)
     assert abs(ln - mc) / abs(mc) < 0.03
 
