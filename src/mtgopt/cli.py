@@ -11,7 +11,8 @@ default; no command ever falls back to wall-clock entropy.
 
 JSON results go to stdout as strict JSON with sorted keys and a
 schema_version field. Exit codes: 0 ok, 2 invalid input, 3 numerical
-degeneracy (degenerate sample, non-finite result or overflow), 4 I/O failure.
+degeneracy (degenerate sample, non-finite result or overflow) or an array too
+large to allocate, 4 I/O failure.
 """
 from __future__ import annotations
 
@@ -338,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (NonFiniteResultError, FloatingPointError, OverflowError) as exc:
         sys.stderr.write(f"error: non-finite result: {exc}\n")
+        return 3
+    except MemoryError as exc:
+        sys.stderr.write(f"error: cannot allocate: {exc}\n")
         return 3
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

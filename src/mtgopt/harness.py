@@ -12,14 +12,12 @@ the closed-form fit sample and the MC reference sample use separately derived
 seeds: accuracy comparisons never grade an engine against its own draw.
 
 A sweep validates every cell before it draws, then prices the cells one seed
-group at a time: the cells that share a cell seed share one sample provider
-(mc_engine.Draws), which every engine reads and which is dropped before the
-next group draws. A group of several cells (along a CRN axis) draws each
-(seed, n) once, and the MC delta legs of its cells on one rate law and
-duration curve share their P0-free log shape; a single-cell group keeps
-nothing. A skew table is one group: every row reads one kept sample. The
-providers of a sweep share one set of work buffers (mc_engine.Buffers), in
-which every n-sized stage of a cell runs; it dies with the sweep.
+group at a time (the cells that share a cell seed) on one sample provider,
+mc_engine.Draws, which every engine reads and in whose slots every n-sized
+stage of a cell runs. Within a group each (seed, n) is drawn once, and the MC
+delta legs of its cells on one rate law and duration curve share their
+P0-free log shape; the provider releases them before the next group draws.
+A skew table is one group: every row reads one kept sample.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -38,7 +36,7 @@ from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
     DEFAULT_SEED,  # noqa: F401  re-exported: the seed of every default bundle
-    Buffers,
+    MAX_FLOATS,
     Draws,
     McConfig,
     crn_delta,
@@ -115,8 +113,8 @@ class SweepAxis:
 
     @classmethod
     def linear(cls, name: str, start: float, stop: float, count: int) -> "SweepAxis":
-        if count < 1:
-            raise ValidationError(f"axis needs at least one point, got count={count}")
+        if not 1 <= count <= MAX_FLOATS:
+            raise ValidationError(f"axis needs 1 to {MAX_FLOATS} points, got count={count}")
         # NaN bounds pass through to the per-value finiteness check
         if any(math.isinf(x) for x in (start, stop, stop - start)):
             raise ValidationError(
@@ -209,7 +207,7 @@ def _mc_fields(
         out = {"price_mc": res.price, "se_mc": res.std_error}
         sample = res.diagnostics
     # skew describes the sample MC priced (the base leg, for delta sweeps)
-    out["skew"] = skewness(central_moments(sample, draws.buffers.take(2, cfg.n)))
+    out["skew"] = skewness(central_moments(sample, draws.work(2, cfg.n)))
     return out
 
 
@@ -222,7 +220,7 @@ def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[
     if ENGINE_SLN in spec.engines and spec.greek is None:
         fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
         fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, draws)
-        moments = central_moments(fit_sample, draws.buffers.take(2, cfg.n))
+        moments = central_moments(fit_sample, draws.work(2, cfg.n))
         out["price_sln"] = price_sln(moments, c).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
@@ -241,8 +239,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     """Evaluate the grid over axis1 x axis2, returned row-major; deterministic in seeds.
 
     Every cell is validated before anything is drawn. The cells that share a
-    cell seed are priced together on one provider, which keeps its draws only
-    for a group of several cells and is dropped before the next group draws.
+    cell seed are priced together, and the sweep's one provider releases what
+    they kept before the next group draws.
     """
     a1, a2 = spec.axis1, spec.axis2
     points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
@@ -251,11 +249,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     for k, (i, j, _, _) in enumerate(points):
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
     vals: dict[int, dict[str, float | None]] = {}
-    buffers = Buffers()
+    draws = Draws(workers)
     for seed, group in groups.items():
-        draws = Draws(workers, keep=len(group) > 1, buffers=buffers)
         for k in group:
             vals[k] = _price_cell(spec, built[k], seed, draws)
+        draws.release()
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]
 
 
@@ -268,7 +266,7 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
     built = [materialize(replace(base, C=c_val)) for c_val in curvatures]
-    draws = Draws(workers, keep=True)
+    draws = Draws(workers)
     rows = []
     for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
         fit_input = central_moments(simulate_terminal_prices(model, dyn, contract.T, cfg, draws))
@@ -286,8 +284,8 @@ def qq_export(
     (i-0.5)/n; fitted quantiles are analytic: theta + o exp(mu_X + sigma_X
     ndtri(q)) with q = p for orientation o = +1 and q = 1-p for o = -1.
     """
-    if quantile_count < 2:
-        raise ValidationError(f"need at least 2 quantiles, got {quantile_count}")
+    if not 2 <= quantile_count <= MAX_FLOATS:
+        raise ValidationError(f"quantile count must be 2 to {MAX_FLOATS}, got {quantile_count}")
     a = np.asarray(sample, dtype=float)
     ps = (np.arange(1, quantile_count + 1) - 0.5) / quantile_count
     emp = np.quantile(a, ps, method="hazen")

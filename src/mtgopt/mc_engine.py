@@ -10,22 +10,22 @@ on the assembled array afterwards. Inverse-CDF sampling also preserves the
 monotone rate/price coupling that common-random-number finite differences
 rely on.
 
-Draws is the one sample provider: it maps (seed, n) to z, and every engine
-reads its rates as z * law.std + law.mean. One provider serves one CLI
-command, one skew table or one seed group of a sweep (the cells that share a
-cell seed); a keeping provider draws each (seed, n) once for every cell and
-engine that reads it, and lives only as long as that group.
+Draws is the one sample provider and the one owner of n-sized arrays: it
+maps (seed, n) to z, and every engine reads its rates as z * law.std +
+law.mean. One provider serves one CLI command, one skew table or one sweep;
+it draws each (seed, n) once and keeps it, with the delta legs' log shape,
+in slots of its own until release(), which a sweep calls after each seed
+group (the cells that share a cell seed).
 
-Buffer lifetime: every n-sized stage (draw, rates, price map, payoff,
-standard error, delta legs) runs in place on the provider's work Buffers.
-The providers of one sweep share one set, which lives exactly as long as the
-sweep; outside a sweep a provider has its own. No array a call hands back
-lives in them: callers own what they get, and a later call never overwrites
-it. A provider and its buffers serve one thread.
+Array lifetime: every n-sized stage (draw, rates, price map, payoff,
+standard error, delta legs, moments) runs in place on the provider's slots.
+No array a call hands back lives in them: callers own what they get, and a
+later call never overwrites it. A provider serves one thread.
 """
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -53,6 +53,9 @@ DEFAULT_SEED = 38590
 MIN_RELATIVE_BUMP = 2.0**22 * np.finfo(float).eps
 
 _MASK64 = (1 << 64) - 1
+
+# the most floats one array can hold: its size in bytes must fit a signed size
+MAX_FLOATS = sys.maxsize // 8
 
 
 def mix64(*parts: int) -> int:
@@ -83,14 +86,15 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"sample count n must be >= 1, got {self.n}")
+        if self.n > MAX_FLOATS:
+            raise ValidationError(f"sample count n must be <= {MAX_FLOATS}, got {self.n}")
         if not math.isfinite(self.bump):
             raise ValidationError(f"bump must be finite, got {self.bump}")
         if not self.bump > 0.0:
             raise ValidationError(f"bump must be > 0, got {self.bump}")
 
 
-def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty(n, dtype=float) if out is None else out
+def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray) -> None:
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
 
     def fill(j: int) -> None:
@@ -109,67 +113,61 @@ def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray | None = 
     else:
         for j in range(n_shards):
             fill(j)
-    return out
-
-
-class Buffers:
-    """Work arrays of n floats that the engines overwrite from call to call.
-
-    One set serves a whole sweep (or one provider outside a sweep) and dies
-    with it. No array a call hands back lives in them, so nothing a caller
-    holds is overwritten by a later call.
-    """
-
-    def __init__(self):
-        self._arrays: list[np.ndarray] = []
-
-    def take(self, k: int, n: int) -> list[np.ndarray]:
-        """The first k work arrays, each of n floats."""
-        if self._arrays and self._arrays[0].size != n:
-            self._arrays = []
-        while len(self._arrays) < k:
-            self._arrays.append(np.empty(n, dtype=float))
-        return self._arrays[:k]
 
 
 class Draws:
-    """Standard normals z by (seed, n), drawn by `workers` threads, and the
-    work buffers of the calls that read them.
+    """The one owner of n-sized float arrays: standard normals z by (seed, n),
+    drawn by `workers` threads, and the work arrays of the calls that read them.
 
-    With keep=True each z, and each array made from it that a later call asks
-    for again (the delta legs' log shape), is kept for the provider's life,
-    which a sweep bounds to one seed group; with keep=False nothing outlives
-    the call. Arrays handed out are read-only. `buffers` is shared by the
-    providers of one sweep; by default a provider has its own.
+    Its arrays are slots of n floats. Each z, and each array made from it that
+    a later call asks for again (the delta legs' log shape), is kept in slots
+    of its own until release(), and handed out as a read-only view; work
+    arrays come from the slots after those. A change of n drops every slot.
     """
 
-    def __init__(self, workers: int = 1, keep: bool = False, buffers: Buffers | None = None):
+    def __init__(self, workers: int = 1):
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.buffers = Buffers() if buffers is None else buffers
-        self._kept: dict[tuple, tuple[np.ndarray, ...]] | None = {} if keep else None
+        self._slots: list[np.ndarray] = []
+        self._kept: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._held = 0
 
-    @property
-    def keep(self) -> bool:
-        return self._kept is not None
+    def release(self) -> None:
+        """Forget every kept array; its slots become work arrays again."""
+        self._kept.clear()
+        self._held = 0
 
-    def reuse(self, key: tuple, make) -> tuple[np.ndarray, ...]:
-        """The arrays make() returns, read-only, and kept under key if keep=True."""
-        arrays = None if self._kept is None else self._kept.get(key)
+    def work(self, k: int, n: int) -> list[np.ndarray]:
+        """k work arrays of n floats, overwritten by the next call that asks."""
+        if self._slots and self._slots[0].size != n:
+            self._slots = []
+            self.release()
+        while len(self._slots) < self._held + k:
+            self._slots.append(np.empty(n, dtype=float))
+        return self._slots[self._held : self._held + k]
+
+    def reuse(self, key: tuple, k: int, n: int, fill) -> tuple[np.ndarray, ...]:
+        """k arrays of n floats that fill(*slots) writes, kept under key until
+        release() and handed out read-only.
+
+        The slots are reserved before fill runs, so what fill keeps in turn
+        goes into the slots after them.
+        """
+        arrays = self._kept.get(key)
         if arrays is None:
-            arrays = make()
+            slots = self.work(k, n)
+            self._held += k
+            fill(*slots)
+            arrays = tuple(a.view() for a in slots)
             for a in arrays:
                 a.flags.writeable = False
-            if self._kept is not None:
-                self._kept[key] = arrays
+            self._kept[key] = arrays
         return arrays
 
-    def normals(self, seed: int, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """z for (seed, n): read-only, or drawn into out by a provider that keeps nothing."""
-        if out is not None and not self.keep:
-            return _standard_normals(seed, n, self.workers, out)
-        return self.reuse(("z", seed, n), lambda: (_standard_normals(seed, n, self.workers),))[0]
+    def normals(self, seed: int, n: int) -> np.ndarray:
+        """z for (seed, n), drawn once until release(); read-only."""
+        return self.reuse(("z", seed, n), 1, n, lambda out: _standard_normals(seed, n, self.workers, out))[0]
 
 
 def simulate_terminal_rates(
@@ -183,8 +181,10 @@ def simulate_terminal_rates(
     """n draws of r_T ~ N(r0 + mu T, sigma^2 T), fully determined by cfg.seed,
     written into out (a new array by default)."""
     law = terminal_rate_law(m, dyn, T)
+    # allocated before z: allocated after it, glibc trims and refaults the
+    # heap at every cell of a sweep
     out = np.empty(cfg.n, dtype=float) if out is None else out
-    z = (draws or Draws()).normals(cfg.seed, cfg.n, out)
+    z = (draws or Draws()).normals(cfg.seed, cfg.n)
     return np.add(np.multiply(z, law.std, out=out), law.mean, out=out)
 
 
@@ -194,7 +194,7 @@ def simulate_terminal_prices(
     """Terminal prices P(r_T) for the simulated rates, in a new array."""
     draws = draws or Draws()
     rates = simulate_terminal_rates(spec.market, dyn, T, cfg, draws)
-    return model_price(spec, rates, (rates, draws.buffers.take(1, cfg.n)[0]))
+    return model_price(spec, rates, (rates, draws.work(1, cfg.n)[0]))
 
 
 def price_mc(
@@ -214,7 +214,7 @@ def price_mc(
         raise ValidationError(f"an MC price needs n >= 2 for its standard error, got n={cfg.n}")
     draws = draws or Draws()
     prices = simulate_terminal_prices(spec, dyn, c.T, cfg, draws)
-    (disc,) = draws.buffers.take(1, cfg.n)
+    (disc,) = draws.work(1, cfg.n)
     np.multiply(np.maximum(np.subtract(prices, c.K, out=disc), 0.0, out=disc), c.df, out=disc)
     mean = np.mean(disc)
     np.subtract(disc, mean, out=disc)
@@ -235,8 +235,8 @@ def crn_delta(
     base leg's price sample.
 
     Both legs price one rate sample (CRN) as exp(log P0' - A - B) for the
-    P0-free terms (A, B) of model.log_shape; a keeping provider shares those
-    terms with every call on the same sample, rate law and duration curve. A
+    P0-free terms (A, B) of model.log_shape, which the provider keeps for every
+    call on the same sample, rate law and duration curve until release(). A
     bump below MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, so
     it is rejected.
     """
@@ -248,18 +248,13 @@ def crn_delta(
         )
     bumped = MarketState(m.P0 + h, m.r0)
     draws = draws or Draws()
-    if draws.keep:
-        key = (cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
+    key = ("shape", cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
 
-        def make() -> tuple[np.ndarray, np.ndarray]:
-            rates = simulate_terminal_rates(m, dyn, c.T, cfg, draws)
-            return log_shape(spec, rates, (rates, np.empty(cfg.n, dtype=float)))
+    def fill(A: np.ndarray, B: np.ndarray) -> None:
+        log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws, A), (A, B))
 
-        shape = draws.reuse(key, make)
-        (work,) = draws.buffers.take(1, cfg.n)
-    else:
-        work, rates, step = draws.buffers.take(3, cfg.n)
-        shape = log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws, rates), (rates, step))
+    shape = draws.reuse(key, 2, cfg.n, fill)
+    (work,) = draws.work(1, cfg.n)
 
     def leg(P0: float, out: np.ndarray) -> tuple[float, np.ndarray]:
         prices = np.exp(log_price_at(P0, shape, out), out=out)

@@ -271,6 +271,42 @@ def test_workers_below_one_exit_2_before_drawing(capsys, tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+# 10**17 floats take 800 PB, past any 57-bit address space, so allocating
+# them fails whatever the overcommit setting; 10**20 is past any array numpy
+# can describe
+HUGE, PAST_ANY_ARRAY = 10**17, 10**20
+N_PAST = "sample count n must be <= {}, got {}"
+QUANTILES_PAST = "quantile count must be 2 to {}, got {}"
+AXIS_PAST = "axis needs 1 to {} points, got count={}"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("price", "--method", "mc", "--set", "n={}"), N_PAST),
+        (("price", "--method", "sln", "--set", "n={}"), N_PAST),
+        (("greeks", "--method", "mc", "--set", "n={}"), N_PAST),
+        (("fit", "--set", "n={}"), N_PAST),
+        (("qq", "--set", "n={}", "--out", "qq.csv"), N_PAST),
+        (("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--set", "n={}", "--out", "s.csv"), N_PAST),
+        (("qq", "--set", "n=100", "--quantiles", "{}", "--out", "qq.csv"), QUANTILES_PAST),
+        (("sweep", "--axis1", "K=99:101:{}", "--axis2", "C=3", "--out", "s.csv"), AXIS_PAST),
+    ],
+    ids=["price-mc", "price-sln", "greeks-mc", "fit", "qq", "sweep", "qq-quantiles", "sweep-axis-count"],
+)
+def test_a_count_too_large_to_allocate_exits_3_and_past_any_array_exits_2(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *(a.format(HUGE) for a in argv), "--set", "C=3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot allocate: ") and err.count("\n") == 1, err
+    code, out, err = run_cli(capsys, *(a.format(PAST_ANY_ARRAY) for a in argv), "--set", "C=3")
+    want = "error: " + message.format(mc_engine.MAX_FLOATS, PAST_ANY_ARRAY) + "\n"
+    assert (code, out, err) == (2, "", want)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "config,argv,env,needle",
     [

@@ -235,10 +235,29 @@ def test_crn_sweep_memory_does_not_grow_with_the_group_count():
     assert peak((97.0, 98.0, 99.0, 100.0, 101.0, 102.0)) <= 1.2 * peak((99.0, 101.0))
 
 
+def test_sweep_without_a_crn_axis_holds_a_few_arrays_of_n():
+    # the provider keeps a cell's two samples in slots of its own and works in
+    # a few more; every slot is reused by the next cell, so the peak does not
+    # grow with the strike count
+    n = 20000
+    spec = small_spec(
+        base=BaseParams(seed=12345, n=n),
+        axis1=SweepAxis("K", tuple(97.0 + 0.5 * i for i in range(13))),
+        axis2=SweepAxis("C", (3.0,)),
+    )
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * 8, peak / (n * 8)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
-def test_warm_sweep_reuses_its_buffers_instead_of_faulting_in_new_pages():
-    # every n-sized stage of a cell runs in the sweep's buffers; an array per
-    # stage would fault in about 1500 pages per cell at n = 70000
+def test_warm_sweep_reuses_its_provider_slots_instead_of_faulting_in_new_pages():
+    # every n-sized stage of a cell runs in the sweep provider's slots; an
+    # array per stage would fault in about 1500 pages per cell at n = 70000
     resource = pytest.importorskip("resource")
     strikes = tuple(97.0 + 0.5 * i for i in range(13))
     spec = small_spec(

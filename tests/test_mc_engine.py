@@ -1,4 +1,5 @@
 """Monte Carlo engine: determinism, golden streams, estimator contracts."""
+import itertools
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from mtgopt.errors import ValidationError
 from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
     DEFAULT_SEED,
+    MAX_FLOATS,
     SHARD_SIZE,
-    Buffers,
     Draws,
     McConfig,
     crn_delta,
@@ -107,38 +108,36 @@ def test_price_mc_equals_the_allocating_formula_bit_for_bit(C, K):
     prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
     disc = c.df * np.maximum(prices - c.K, 0.0)
     want = (float(np.mean(disc)), float(np.std(disc, ddof=1)) / math.sqrt(cfg.n))
-    for draws in (None, Draws(buffers=Buffers())):
+    for draws in (None, Draws()):
         res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws)
         assert (res.price.hex(), res.std_error.hex()) == tuple(v.hex() for v in want)
         assert res.diagnostics.tobytes() == prices.tobytes()
 
 
-def _providers(where: str):
-    """keep -> the provider of a call: none, or a keeping and a non-keeping
-    provider that each have their own buffers or, as in a sweep, share one set."""
-    if where == "none":
-        return lambda keep: None
-    buffers = Buffers() if where == "sweep" else None
-    return {keep: Draws(keep=keep, buffers=buffers) for keep in (False, True)}.__getitem__
-
-
-@pytest.mark.parametrize("where", ["none", "own buffers", "sweep"])
+@pytest.mark.parametrize("where", ["none", "one provider", "sweep"])
 def test_later_calls_never_overwrite_earlier_results(where):
-    provider = _providers(where)
+    # no provider, one provider that every call shares, or one that a sweep
+    # releases after each group: the second crn_delta and price sample of a
+    # group read what the first kept
+    draws = None if where == "none" else Draws()
     c = DEFAULT_CONTRACT
 
     def results(C: float, seed: int) -> list[np.ndarray]:
         spec, cfg = default_spec(C), McConfig(n=5000, seed=seed)
-        return [
-            price_mc(spec, DEFAULT_DYNAMICS, c, cfg, provider(False)).diagnostics,
-            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, provider(False))[1],
-            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, provider(True))[1],
-            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, provider(False)),
-            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, provider(True)),
+        out = [
+            price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics,
+            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1],
+            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1],
+            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
+            simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
         ]
+        if where == "sweep":
+            draws.release()
+        return out
 
     first = results(3.0, 41)
     kept = [a.tobytes() for a in first]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(first, 2))
     for C, seed in ((40.0, 42), (0.5, 43), (3.0, 41)):
         later = results(C, seed)
         assert not any(np.shares_memory(a, b) for a in first for b in later)
@@ -161,9 +160,9 @@ def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
 
 
 def test_kept_log_shape_is_keyed_by_what_it_depends_on():
-    # one keeping provider across specs that differ only in L, U or sigma:
-    # each delta must still equal a fresh one
-    draws = Draws(keep=True)
+    # one provider across specs that differ only in L, U or sigma: each delta
+    # must still equal a fresh one
+    draws = Draws()
     cfg = McConfig(n=2000, seed=5)
     cases = [(default_spec(3.0), DEFAULT_DYNAMICS), (default_spec(3.0), RateDynamics(0.0, 0.03))]
     for L, U in ((2.0, 9.0), (1.0, 8.0)):
@@ -175,21 +174,50 @@ def test_kept_log_shape_is_keyed_by_what_it_depends_on():
 
 
 def test_kept_arrays_are_read_only_and_drawn_once():
-    draws = Draws(keep=True)
+    draws = Draws()
     z = draws.normals(5, 100)
     assert draws.normals(5, 100) is z
     with pytest.raises(ValueError, match="read-only"):
         z[0] = 0.0
-    shape = draws.reuse(("terms",), lambda: (np.zeros(3), np.ones(3)))
-    assert draws.reuse(("terms",), lambda: pytest.fail("made twice")) is shape
+    shape = draws.reuse(("terms",), 2, 100, lambda A, B: (A.fill(0.0), B.fill(1.0)))
+    assert draws.reuse(("terms",), 2, 100, lambda *slots: pytest.fail("made twice")) is shape
     for a in shape:
         with pytest.raises(ValueError, match="read-only"):
             a += 1.0
-    # a provider that keeps nothing draws again, still read-only
-    fresh = Draws()
-    first = fresh.normals(5, 100)
-    assert fresh.normals(5, 100) is not first and not first.flags.writeable
-    assert first.tobytes() == z.tobytes()
+    # work arrays come from the slots after the kept ones
+    for w in draws.work(3, 100):
+        assert not any(np.shares_memory(w, a) for a in (z, *shape))
+        w.fill(np.nan)
+    assert shape[0].tolist() == [0.0] * 100 and shape[1].tolist() == [1.0] * 100
+    # after release() the provider draws again, still read-only, into slots
+    # that are work arrays again
+    first = z.tobytes()
+    draws.release()
+    assert draws.normals(6, 100) is not z
+    again = draws.normals(5, 100)
+    assert again is not z and not again.flags.writeable
+    assert again.tobytes() == first == Draws().normals(5, 100).tobytes()
+
+
+def test_a_fill_that_keeps_gets_the_slots_after_its_own():
+    # reuse reserves its slots before fill runs, as crn_delta's log shape,
+    # which keeps z inside its fill, needs
+    draws = Draws()
+    (twice,) = draws.reuse(("twice",), 1, 50, lambda A: np.multiply(draws.normals(7, 50), 2.0, out=A))
+    z = draws.normals(7, 50)
+    assert not np.shares_memory(twice, z)
+    assert twice.tobytes() == (2.0 * Draws().normals(7, 50)).tobytes()
+
+
+def test_a_change_of_n_drops_the_slots():
+    draws = Draws()
+    small = draws.normals(5, 100)
+    before = small.tobytes()
+    big = draws.normals(5, 200)
+    for w in draws.work(4, 200):
+        w.fill(np.nan)
+    assert small.tobytes() == before and big[:100].tobytes() == before
+    assert not np.shares_memory(small, big)
 
 
 def test_sample_prefix_stable_in_n():
@@ -323,6 +351,11 @@ def test_mc_config_validation():
         McConfig(n=0, seed=1)
     with pytest.raises(ValidationError):
         McConfig(n=100, seed=1, bump=0.0)
+    # n floats must fit one array; the next n past that is rejected by name
+    McConfig(n=MAX_FLOATS)
+    past = f"sample count n must be <= {MAX_FLOATS}, got {MAX_FLOATS + 1}"
+    with pytest.raises(ValidationError, match=past):
+        McConfig(n=MAX_FLOATS + 1)
 
 
 def test_mix64_is_deterministic_and_spread():
