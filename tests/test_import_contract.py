@@ -1,0 +1,74 @@
+"""Import contract: only a draw loads scipy.
+
+scipy.special takes about a quarter second to import, so the package, the
+LN closed form, `defaults` and config errors must run without it; each case
+runs in a fresh interpreter.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mtgopt
+from mtgopt.cli import main
+
+SRC = str(Path(mtgopt.__file__).resolve().parents[1])
+
+# runs the CLI on argv in this interpreter, then reports on stderr whether
+# scipy was loaded
+RUN_CLI = """
+import sys
+from mtgopt.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"scipy={'scipy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+def fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "MTGOPT_SEED"}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+
+
+def test_importing_the_package_does_not_load_scipy():
+    r = fresh(
+        "import sys, mtgopt.model, mtgopt.pricer_closed, mtgopt.distfit, mtgopt.cli; "
+        "print('scipy' in sys.modules)"
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("defaults",), 0),
+        (("price", "--method", "ln", "--set", "C=3"), 0),
+        (("greeks", "--method", "ln", "--set", "C=30"), 0),
+        (("price", "--set", "C=-1"), 2),
+    ],
+    ids=["defaults", "price-ln", "greeks-ln", "config-error"],
+)
+def test_commands_that_do_not_draw_do_not_load_scipy(argv, code):
+    r = fresh(RUN_CLI, *argv)
+    assert r.returncode == code, r.stderr
+    assert r.stderr.endswith("scipy=False\n"), r.stderr
+
+
+def test_a_draw_in_a_fresh_interpreter_prints_the_in_process_bytes(capsys, monkeypatch):
+    # the fresh interpreter first imports scipy inside main's np.errstate
+    monkeypatch.delenv("MTGOPT_SEED", raising=False)
+    argv = ("price", "--method", "mc", "--set", "C=3", "--set", "n=2000")
+    r = fresh(RUN_CLI, *argv)
+    assert (r.returncode, r.stderr) == (0, "scipy=True\n")
+    assert main(list(argv)) == 0
+    assert r.stdout == capsys.readouterr().out
+    assert json.loads(r.stdout)["n"] == 2000

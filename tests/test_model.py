@@ -15,6 +15,7 @@ from mtgopt.model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
+    _expit,
     _softplus,
     log_price,
     log_shape,
@@ -65,6 +66,17 @@ def test_calibrate_level_pinned_c_half():
     k = 21648754.340908803
     want = k * (1.0 + math.exp(-0.5 * 0.055)) ** (-9.0 / 0.5)
     assert price(default_spec(0.5), 0.0) == pytest.approx(want, rel=1e-9)
+
+
+def test_expit_is_scipy_expit_bit_for_bit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(0)
+    mag = 10.0 ** rng.uniform(-320.0, 2.85, 100000)
+    edges = [708.0, -708.0, 709.7, -709.7, -710.0, 800.0, -800.0, 5e-324, -5e-324, 0.0, -0.0]
+    b = np.concatenate([rng.normal(0.0, 1e-3, 100000), mag, -mag, rng.uniform(-745.0, 745.0, 100000), edges])
+    got = np.array([_expit(v) for v in b.tolist()])
+    assert np.array_equal(got.view(np.int64), expit(b).view(np.int64))
 
 
 def test_calibrate_level_degenerate_duration():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -32,6 +33,7 @@ from mtgopt.model import (
 from mtgopt.pricer_closed import (
     BsKernelInputs,
     _log_bracket,
+    _ndtr,
     bs_call,
     delta_ln,
     gamma_ln,
@@ -40,6 +42,21 @@ from mtgopt.pricer_closed import (
     price_ln,
     price_sln,
 )
+
+
+def test_ndtr_is_within_45_eps_of_the_exact_normal_cdf():
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x in np.linspace(-8.0, 8.0, 4001).tolist():
+            exact = mpmath.ncdf(x)
+            worst = max(worst, float(abs(_ndtr(x) - exact) / exact))
+    assert worst <= 45.0 * np.finfo(float).eps
+
+
+def test_ndtr_limits():
+    assert _ndtr(-math.inf) == 0.0
+    assert _ndtr(math.inf) == 1.0
+    assert math.isnan(_ndtr(math.nan))
 
 
 def test_kernel_degenerate_at_the_money():
