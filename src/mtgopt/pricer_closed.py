@@ -224,9 +224,12 @@ def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     p0_sq = P0**2
     if p0_sq >= sys.float_info.min:
         gamma = inp.df * inp.M1 * phi / (p0_sq * inp.W)
-    else:
+    elif P0 >= sys.float_info.min and not 0.0 < inp.M1 < sys.float_info.min:
         # P0^2 is subnormal or 0 here; dividing by P0 twice keeps every digit
         gamma = inp.df * inp.M1 * phi / inp.W / P0 / P0
+    else:
+        # a subnormal P0 or M1 holds a few digits at most, so gamma holds none
+        raise NonFiniteResultError(f"gamma is unresolved at P0={P0}: P0 or M1 is subnormal")
     if not math.isfinite(gamma):
         raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
     return gamma

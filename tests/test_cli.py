@@ -680,9 +680,22 @@ def test_ln_gamma_at_a_spot_whose_square_underflows_scales_as_one_over_p0(capsys
 
 def test_ln_gamma_past_double_range_exits_3_naming_p0(capsys):
     code, out, err = run_cli(
-        capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", "P0=1e-320", "--set", "K=1e-320"
+        capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", "P0=3e-308", "--set", "K=3e-308"
     )
-    assert (code, out, err) == (3, "", "error: non-finite result: gamma is inf at P0=1e-320\n")
+    assert (code, out, err) == (3, "", "error: non-finite result: gamma is inf at P0=3e-308\n")
+
+
+@pytest.mark.parametrize(
+    "P0, extra",
+    [("5e-324", ()), ("1e-310", ()), ("1e-320", ()), ("1e-300", ("--set", "mu=10"))],
+    ids=["P0=5e-324", "P0=1e-310", "P0=1e-320", "M1 subnormal at P0=1e-300"],
+)
+def test_ln_gamma_at_a_subnormal_spot_or_mean_exits_3_naming_p0(capsys, P0, extra):
+    # a subnormal P0 or M1 keeps a few digits at most; 5e-324 gave delta 1.0, gamma 0.0
+    argv = ("greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={P0}", "--set", f"K={P0}", *extra)
+    code, out, err = run_cli(capsys, *argv)
+    want = f"error: non-finite result: gamma is unresolved at P0={P0}: P0 or M1 is subnormal\n"
+    assert (code, out, err) == (3, "", want)
 
 
 def test_readme_price_example_is_current(capsys):
