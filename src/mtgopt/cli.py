@@ -41,7 +41,14 @@ from .harness import (
     write_csv,
 )
 from .mc_engine import Draws, crn_delta, price_mc, simulate_terminal_prices
-from .pricer_closed import delta_ln, gamma_ln, ln_kernel, price_ln, price_sln, regime_warning
+from .pricer_closed import (
+    delta_from_kernel,
+    gamma_from_kernel,
+    ln_kernel,
+    price_ln,
+    price_sln,
+    regime_warning,
+)
 
 SCHEMA_VERSION = 1
 
@@ -179,12 +186,15 @@ def cmd_greeks(args: argparse.Namespace) -> int:
         return 0
     _, inp = ln_kernel(model, dyn, contract)
     _warn(regime_warning(model, dyn, contract.T))
+    P0 = model.market.P0
+    # gamma first: where both greeks are unresolved, its message is the one shown
+    gamma = gamma_from_kernel(inp, P0)
     _emit(
         {
             "method": "ln",
-            "delta": delta_ln(model, dyn, contract),
-            "gamma": gamma_ln(model, dyn, contract),
-            "sanity": {"delta_upper_bound": inp.df * inp.M1 / model.market.P0},
+            "delta": delta_from_kernel(inp, P0),
+            "gamma": gamma,
+            "sanity": {"delta_upper_bound": inp.df * inp.M1 / P0},
         }
     )
     return 0

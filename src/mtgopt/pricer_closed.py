@@ -17,8 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
 from .errors import NonFiniteResultError
 from .model import (
@@ -26,7 +24,6 @@ from .model import (
     OptionContract,
     RateDynamics,
     _softplus,
-    price as model_price,
     terminal_rate_law,
 )
 
@@ -34,13 +31,29 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 # fixed quadrature for the regime proxy: enough nodes to sign the third
-# central moment of the smooth terminal-price curve
-_PROXY_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite.hermgauss(21)
-_PROXY_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(math.pi)
+# central moment of the smooth terminal-price curve. The nodes z and the
+# weights w / sqrt(pi) of numpy.polynomial.hermite.hermgauss(21), bit for bit
+_PROXY_NODES = (
+    -5.550351873264678, -4.773992343411219, -4.12199554749184, -3.5319728771376777,
+    -2.979991207704598, -2.453552124512838, -1.9449629491862537, -1.448934250650732,
+    -0.961499634418369, -0.47945070707910753, 0.0, 0.47945070707910753,
+    0.961499634418369, 1.448934250650732, 1.9449629491862537, 2.453552124512838,
+    2.979991207704598, 3.5319728771376777, 4.12199554749184, 4.773992343411219,
+    5.550351873264678,
+)
+_PROXY_WEIGHTS = (
+    2.098991219565662e-14, 4.975368604121714e-11, 1.4506612844930877e-08,
+    1.2253548361482539e-06, 4.2192347425516774e-05, 0.0007080477954815355,
+    0.0064396970514087855, 0.03395272978654286, 0.10839228562641945,
+    0.21533371569505977, 0.27026018357287707, 0.21533371569505977,
+    0.10839228562641945, 0.03395272978654286, 0.0064396970514087855,
+    0.0007080477954815355, 4.2192347425516774e-05, 1.2253548361482539e-06,
+    1.4506612844930877e-08, 4.975368604121714e-11, 2.098991219565662e-14,
+)
 # roundoff of a few ulps in each quadrature price moves the third moment by
 # about 3 m2 times that, so a third moment smaller than 100 eps * mean * m2 is
 # not resolved
-_UNRESOLVED_M3 = 100.0 * np.finfo(float).eps
+_UNRESOLVED_M3 = 100.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -117,11 +130,12 @@ def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
     return PriceResult(price=price_from_fit(fit, c), method="SLN", diagnostics=fit)
 
 
-def _log_bracket(q: float, b: float, x: float) -> float:
-    """The bracket of model.log_shape for one float: log(1 - q + q e^x), q = expit(b)."""
+def _log_bracket(q: float, sp_b: float, sp_nb: float, x: float) -> float:
+    """The bracket of model.log_shape for one float: log(1 - q + q e^x), q = expit(b),
+    with sp_b = softplus(b) and sp_nb = softplus(-b)."""
     if abs(x) <= 1.0:
         return math.log1p(q * math.expm1(x))
-    u, v = -_softplus(b), x - _softplus(-b)
+    u, v = -sp_b, x - sp_nb
     return max(u, v) + math.log1p(math.exp(-abs(u - v)))
 
 
@@ -139,9 +153,10 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
     a1 = p.L * p.C / p.U
     a1s, a2s = a1 * s, (a1 + p.C) * s  # formed first, so inf * 0 cannot arise
     g = p.C * d + 0.5 * (p.C * s) * (a1s + a2s)
+    sp_b, sp_nb = _softplus(b), _softplus(-b)
     try:
-        step = _log_bracket(spec.q, b, g)
-        w1, w2 = math.exp(-_softplus(b) - step), math.exp(g - _softplus(-b) - step)
+        step = _log_bracket(spec.q, sp_b, sp_nb, g)
+        w1, w2 = math.exp(-sp_b - step), math.exp(g - sp_nb - step)
         e11, e12, e22 = math.expm1(a1s * a1s), math.expm1(a1s * a2s), math.expm1(a2s * a2s)
         var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
     except OverflowError:
@@ -163,15 +178,35 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
 
     The third central moment comes from fixed quadrature over the rate law and
     warns only when it is negative beyond roundoff. The parametric lognormal
-    assumes positive skew. The check costs more than the closed form itself,
-    so delta_ln and gamma_ln leave it to their callers.
+    assumes positive skew. The moments are those of P/P0 = e^{-A - B} (the
+    terms of model.log_shape): the test is homogeneous of degree 3 in the
+    price, so the spot changes no decision and cannot overflow it. The check
+    costs more than the closed form itself, so delta_ln and gamma_ln leave it
+    to their callers.
     """
-    law = terminal_rate_law(spec.market, dyn, T)
-    p = model_price(spec, law.mean + math.sqrt(2.0) * law.std * _PROXY_NODES)
-    mean = float(_PROXY_WEIGHTS @ p)
-    centered = p - mean
-    weighted = _PROXY_WEIGHTS * centered
-    m2, m3 = float(weighted @ centered), float(weighted @ centered**2)
+    p, m, q = spec.duration, spec.market, spec.q
+    law = terminal_rate_law(m, dyn, T)
+    C, r0, centre, spread = p.C, m.r0, law.mean, math.sqrt(2.0) * law.std
+    b = C * (r0 - p.x0)
+    sp_b, sp_nb, low, high = _softplus(b), _softplus(-b), p.L / C, p.U / C
+    y, mean, m2, m3 = [], 0.0, 0.0, 0.0
+    try:
+        for w, z in zip(_PROXY_WEIGHTS, _PROXY_NODES):
+            x = (centre + spread * z - r0) * C
+            yi = math.exp(-x * low - _log_bracket(q, sp_b, sp_nb, x) * high)
+            y.append(yi)
+            mean += w * yi
+    except OverflowError:
+        mean = math.nan  # so the check below names the parameters
+    for w, yi in zip(_PROXY_WEIGHTS, y):
+        c = yi - mean
+        wc2 = w * c * c
+        m2 += wc2
+        m3 += wc2 * c
+    if not (math.isfinite(mean) and math.isfinite(m2) and math.isfinite(m3)):
+        raise NonFiniteResultError(
+            f"regime proxy is not finite at C={p.C}, sigma={dyn.sigma}, T={T}"
+        )
     if m3 < -_UNRESOLVED_M3 * mean * m2:
         return (
             "parametric lognormal assumes positively skewed terminal prices; "
@@ -201,35 +236,52 @@ def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResu
     )
 
 
+def _require_resolved(inp: BsKernelInputs, P0: float, greek: str) -> None:
+    """Raise where P0 or M1 is subnormal: either holds a few digits at most, so
+    a greek that divides M1 by P0 holds none."""
+    if P0 < sys.float_info.min or 0.0 < inp.M1 < sys.float_info.min:
+        raise NonFiniteResultError(f"{greek} is unresolved at P0={P0}: P0 or M1 is subnormal")
+
+
+def delta_from_kernel(inp: BsKernelInputs, P0: float) -> float:
+    """df M1 N(d1) / P0 on the kernel inputs of ln_kernel at spot P0."""
+    _require_resolved(inp, P0, "delta")
+    if inp.W == 0.0:
+        return inp.df * inp.M1 / P0 if inp.M1 > inp.K_eff else 0.0
+    return inp.df * inp.M1 * _ndtr(_d1(inp)) / P0
+
+
+def gamma_from_kernel(inp: BsKernelInputs, P0: float) -> float:
+    """df M1 phi(d1) / (P0^2 W) on the kernel inputs of ln_kernel at spot P0."""
+    if inp.W == 0.0:
+        return 0.0
+    _require_resolved(inp, P0, "gamma")
+    d1 = _d1(inp)
+    phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
+    try:
+        p0_sq = P0**2
+    except OverflowError:
+        p0_sq = math.inf
+    if sys.float_info.min <= p0_sq < math.inf:
+        gamma = inp.df * inp.M1 * phi / (p0_sq * inp.W)
+    else:
+        # P0^2 is not a normal double; M1 / P0 does not scale with P0, so
+        # dividing by P0 twice keeps every digit at a tiny or a huge spot
+        gamma = inp.df * (inp.M1 / P0) * phi / inp.W / P0
+    if not math.isfinite(gamma):
+        raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
+    return gamma
+
+
 def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact dC_LN/dP0 = df e^{mu_P + sigma_P^2/2} N(d1) / P0.
 
     Exact because mu_P depends on P0 only through its log P0 term, while
     mu_X and sigma_X do not depend on P0 at all.
     """
-    _, inp = ln_kernel(spec, dyn, c)
-    if inp.W == 0.0:
-        return inp.df * inp.M1 / spec.market.P0 if inp.M1 > c.K else 0.0
-    return inp.df * inp.M1 * _ndtr(_d1(inp)) / spec.market.P0
+    return delta_from_kernel(ln_kernel(spec, dyn, c)[1], spec.market.P0)
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu_P + sigma_P^2/2} phi(d1) / (P0^2 sigma_P)."""
-    _, inp = ln_kernel(spec, dyn, c)
-    if inp.W == 0.0:
-        return 0.0
-    d1 = _d1(inp)
-    phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    P0 = spec.market.P0
-    p0_sq = P0**2
-    if p0_sq >= sys.float_info.min:
-        gamma = inp.df * inp.M1 * phi / (p0_sq * inp.W)
-    elif P0 >= sys.float_info.min and not 0.0 < inp.M1 < sys.float_info.min:
-        # P0^2 is subnormal or 0 here; dividing by P0 twice keeps every digit
-        gamma = inp.df * inp.M1 * phi / inp.W / P0 / P0
-    else:
-        # a subnormal P0 or M1 holds a few digits at most, so gamma holds none
-        raise NonFiniteResultError(f"gamma is unresolved at P0={P0}: P0 or M1 is subnormal")
-    if not math.isfinite(gamma):
-        raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
-    return gamma
+    return gamma_from_kernel(ln_kernel(spec, dyn, c)[1], spec.market.P0)

@@ -19,7 +19,10 @@ from mtgopt.model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
+    price,
+    terminal_rate_law,
 )
+from mtgopt.pricer_closed import regime_warning
 
 # default bundle: T=90/360, r_f=0.0209, K=100, P0=100, r0=0.01, mu=0,
 # L=1, U=9, sigma=0.02, x0=0.055; curvature C is the sweep variable
@@ -59,3 +62,28 @@ def implied_moments(fit: ShiftedLognormalFit, n: int = 3) -> SampleMoments:
     m2 = ez * ez * fit.eps
     m3 = fit.orientation * ez**3 * fit.eps**2 * (3.0 + fit.eps)
     return SampleMoments(fit.theta + fit.orientation * ez, m2, m3, n)
+
+
+def numpy_regime_moments(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[float, float, float]:
+    """Mean, m2 and m3 of the terminal price on hermgauss(21), through the numpy
+    price map: the reference for pricer_closed.regime_warning, which warns where
+    m3 < -100 eps mean m2."""
+    nodes, weights = np.polynomial.hermite.hermgauss(21)
+    weights = weights / math.sqrt(math.pi)
+    law = terminal_rate_law(spec.market, dyn, T)
+    p = price(spec, law.mean + math.sqrt(2.0) * law.std * nodes)
+    mean = float(weights @ p)
+    centered = p - mean
+    weighted = weights * centered
+    return mean, float(weighted @ centered), float(weighted @ centered**2)
+
+
+def regime_verdicts(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[bool, bool, bool]:
+    """(regime_warning warns, the numpy reference warns, the reference's m3 lies
+    within 10 eps mean m2 of its threshold), the last marking a set where the
+    two may round to different sides."""
+    eps = np.finfo(float).eps
+    mean, m2, m3 = numpy_regime_moments(spec, dyn, T)
+    threshold = -100.0 * eps * mean * m2
+    in_band = abs(m3 - threshold) <= 10.0 * eps * mean * m2
+    return regime_warning(spec, dyn, T) is not None, bool(m3 < threshold), bool(in_band)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mtgopt import mc_engine
+from mtgopt import mc_engine, pricer_closed
 from mtgopt.cli import _SCHEMA, main
 from mtgopt.harness import BaseParams
 
@@ -696,6 +696,51 @@ def test_ln_gamma_at_a_subnormal_spot_or_mean_exits_3_naming_p0(capsys, P0, extr
     code, out, err = run_cli(capsys, *argv)
     want = f"error: non-finite result: gamma is unresolved at P0={P0}: P0 or M1 is subnormal\n"
     assert (code, out, err) == (3, "", want)
+
+
+@pytest.mark.parametrize("P0", [1e155, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("C", ["3", "40"])
+def test_ln_at_a_spot_whose_square_overflows_scales_with_p0(capsys, P0, C):
+    # at P0 = K the price and gamma scale as P0 and 1/P0 and delta is scale-free,
+    # so each matches P0 = K = 100; the regime check is scale-free too
+    def run(command, p):
+        argv = (command, "--method", "ln", "--set", f"C={C}", "--set", f"P0={p!r}", "--set", f"K={p!r}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return _strict_json(out), err
+
+    (greeks, err), (ref, ref_err) = run("greeks", P0), run("greeks", 100.0)
+    assert err == ref_err and ("warning" in err) == (C == "40")
+    assert greeks["delta"] == pytest.approx(ref["delta"], rel=1e-12)
+    assert greeks["gamma"] * P0 == pytest.approx(100.0 * ref["gamma"], rel=1e-12)
+    (price, err), (ref, ref_err) = run("price", P0), run("price", 100.0)
+    assert err == ref_err
+    assert price["price"] / P0 == pytest.approx(ref["price"] / 100.0, rel=1e-11)
+
+
+def test_ln_delta_at_a_subnormal_spot_exits_3_naming_p0(capsys, tmp_path):
+    # the sweep gave deltas 1 and 0 here, where the P0 = K scaling gives 0.516
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis1", "K=5e-324,1e-323", "--axis2", "C=3,4", "--engines", "ln",
+        "--greek", "delta", "--set", "P0=5e-324", "--out", str(tmp_path / "s.csv"),
+    )
+    want = "error: non-finite result: delta is unresolved at P0=5e-324: P0 or M1 is subnormal\n"
+    assert (code, out, err) == (3, "", want)
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_greeks_ln_evaluates_the_matched_law_once(capsys, monkeypatch):
+    laws = []
+
+    def counting(*args):
+        laws.append(args)
+        return law(*args)
+
+    law = pricer_closed.ln_terminal_params
+    monkeypatch.setattr(pricer_closed, "ln_terminal_params", counting)
+    doc = run_json(capsys, "greeks", "--method", "ln", "--set", "C=3")
+    assert len(laws) == 1
+    assert doc["delta"] == pytest.approx(0.5159808504727675, rel=1e-12)
 
 
 def test_readme_price_example_is_current(capsys):

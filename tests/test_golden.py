@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import regime_verdicts
+from mtgopt import cli, pricer_closed
 from mtgopt.cli import main
 from mtgopt.harness import DEFAULT_SEED, BaseParams, skew_csv_lines, skew_table, write_csv
 
@@ -94,6 +96,27 @@ def test_cli_bytes_match_golden(name, capsys, tmp_path):
 
 def test_skew_csv_matches_golden(tmp_path):
     assert _skew_csv_bytes(tmp_path) == (GOLDEN / "skew_table.csv").read_bytes()
+
+
+def test_every_golden_regime_verdict_matches_the_numpy_proxy(capsys, tmp_path, monkeypatch):
+    # every rate law a golden case runs the LN regime check on, against the
+    # numpy proxy that the scalar quadrature replaced
+    asked, check = [], pricer_closed.regime_warning
+
+    def recording(spec, dyn, T):
+        asked.append((spec, dyn, T))
+        return check(spec, dyn, T)
+
+    for module in (cli, pricer_closed):
+        monkeypatch.setattr(module, "regime_warning", recording)
+    for argv in CASES.values():
+        _run(argv, tmp_path, capsys.readouterr)
+    # price and greeks at three curvatures, and 7 strikes x 3 curvatures of the LN sweep
+    assert len(asked) == 3 + 3 + 21
+    for spec, dyn, T in asked:
+        new, ref, in_band = regime_verdicts(spec, dyn, T)
+        assert new == ref or in_band, (spec, dyn, T)
+    assert {spec.duration.C for spec, dyn, T in asked if regime_verdicts(spec, dyn, T)[1]} == {30.0}
 
 
 def _record_all() -> None:

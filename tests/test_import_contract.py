@@ -2,7 +2,8 @@
 
 scipy.special takes about a quarter second to import, so the package, the
 LN closed form, `defaults` and config errors must run without it; each case
-runs in a fresh interpreter.
+runs in a fresh interpreter. The LN regime check uses constant quadrature
+nodes, so the closed form does not load numpy.polynomial either.
 """
 import json
 import os
@@ -39,6 +40,11 @@ def fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_importing_the_closed_form_does_not_load_numpy_polynomial():
+    r = fresh("import sys, mtgopt.pricer_closed; print('numpy.polynomial' in sys.modules)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
 def test_importing_the_package_does_not_load_scipy():
     r = fresh(
         "import sys, mtgopt.model, mtgopt.pricer_closed, mtgopt.distfit, mtgopt.cli; "
@@ -53,9 +59,11 @@ def test_importing_the_package_does_not_load_scipy():
         (("defaults",), 0),
         (("price", "--method", "ln", "--set", "C=3"), 0),
         (("greeks", "--method", "ln", "--set", "C=30"), 0),
+        (("price", "--method", "ln", "--set", "C=3", "--set", "P0=1e155", "--set", "K=1e155"), 0),
+        (("greeks", "--method", "ln", "--set", "C=3", "--set", "P0=1e155", "--set", "K=1e155"), 0),
         (("price", "--set", "C=-1"), 2),
     ],
-    ids=["defaults", "price-ln", "greeks-ln", "config-error"],
+    ids=["defaults", "price-ln", "greeks-ln", "price-ln-P0=1e155", "greeks-ln-P0=1e155", "config-error"],
 )
 def test_commands_that_do_not_draw_do_not_load_scipy(argv, code):
     r = fresh(RUN_CLI, *argv)

@@ -17,9 +17,11 @@ from conftest import (
     default_duration,
     default_spec,
     implied_moments,
+    regime_verdicts,
 )
 import mtgopt
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
+from mtgopt.errors import NonFiniteResultError
 from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
 from mtgopt.model import (
     DurationParams,
@@ -27,11 +29,14 @@ from mtgopt.model import (
     ModelSpec,
     OptionContract,
     RateDynamics,
+    _softplus,
     log_price,
     price,
 )
 from mtgopt.pricer_closed import (
     BsKernelInputs,
+    _PROXY_NODES,
+    _PROXY_WEIGHTS,
     _log_bracket,
     _ndtr,
     bs_call,
@@ -41,7 +46,11 @@ from mtgopt.pricer_closed import (
     price_from_fit,
     price_ln,
     price_sln,
+    regime_warning,
 )
+
+REFERENCE_CURVATURES = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 15.0, 20.0, 30.0, 40.0)
+REFERENCE_STRIKES = tuple(np.linspace(97.0, 103.0, 13).tolist())
 
 
 def test_ndtr_is_within_45_eps_of_the_exact_normal_cdf():
@@ -160,7 +169,8 @@ def test_scalar_bracket_matches_the_price_map():
         spec = ModelSpec.calibrate(DurationParams(0.0, 1.0, 1.0, -b), MarketState(1.0, 0.0))
         for x in (-100.0, -3.0, -1.0, -0.999, -0.5, -1e-6, 0.0, 1e-12, 0.3, 1.0, 1.0001, 7.0, 100.0):
             want = -float(log_price(spec, x))
-            assert abs(_log_bracket(spec.q, b, x) - want) <= 1e-15 * abs(want), (b, x)
+            bracket = _log_bracket(spec.q, _softplus(b), _softplus(-b), x)
+            assert abs(bracket - want) <= 1e-15 * abs(want), (b, x)
 
 
 def _lognormal_call(w: float) -> float:
@@ -376,3 +386,59 @@ def test_gamma_ln_pinned():
     assert gamma_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT) == pytest.approx(
         0.07633673398238376, rel=1e-12
     )
+
+
+def test_regime_proxy_nodes_are_hermgauss_21_bit_for_bit():
+    nodes, weights = np.polynomial.hermite.hermgauss(21)
+    assert _PROXY_NODES == tuple(nodes.tolist())
+    assert _PROXY_WEIGHTS == tuple((weights / math.sqrt(math.pi)).tolist())
+
+
+def test_regime_warning_matches_the_numpy_proxy_on_the_reference_grid():
+    warned = set()
+    for C in REFERENCE_CURVATURES:
+        spec = default_spec(C)
+        for K in REFERENCE_STRIKES:
+            c = OptionContract(K, DEFAULT_CONTRACT.T, DEFAULT_CONTRACT.r_f)
+            new, ref, _ = regime_verdicts(spec, DEFAULT_DYNAMICS, c.T)
+            assert (price_ln(spec, DEFAULT_DYNAMICS, c).warning is not None) == new
+            assert new == ref, (C, K)
+            if new:
+                warned.add(C)
+    assert warned == {10.0, 15.0, 20.0, 30.0, 40.0}
+
+
+def test_regime_warning_matches_the_numpy_proxy_on_random_sets(record_property):
+    # tiny sigma puts some sets within roundoff of the threshold, where the two
+    # sums may round to different sides; everywhere else the verdicts agree
+    rng = np.random.default_rng(20240)
+    sets = band = warns = differ = 0
+    for _ in range(5000):
+        L, U, C = rng.uniform(0.0, 5.0), rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-3.0, 1.7)
+        x0, r0, mu = rng.uniform(-0.05, 0.15), rng.uniform(0.0, 0.1), rng.uniform(-0.05, 0.05)
+        sigma, T = 10.0 ** rng.uniform(-9.0, -1.0), rng.uniform(0.01, 2.0)
+        P0 = 10.0 ** rng.uniform(-3.0, 4.0)
+        spec = ModelSpec.calibrate(DurationParams(L, U, C, x0), MarketState(P0, r0))
+        new, ref, in_band = regime_verdicts(spec, RateDynamics(mu, sigma), T)
+        assert new == ref or in_band, (L, U, C, x0, r0, mu, sigma, T, P0)
+        sets, band, warns, differ = sets + 1, band + in_band, warns + ref, differ + (new != ref)
+    record_property("sets_in_roundoff_band", band)
+    print(f"{band} of {sets} sets within 10 eps mean m2 of the threshold ({differ} differ); {warns} warn")
+    assert 100 <= warns <= sets - 100
+
+
+@pytest.mark.parametrize("P0, mu", [(5e-324, 0.0), (1e-310, 0.0), (1e-300, 10.0)],
+                         ids=["P0=5e-324", "P0=1e-310", "M1 subnormal at P0=1e-300"])
+def test_ln_greeks_at_a_subnormal_spot_or_mean_raise(P0, mu):
+    spec = ModelSpec.calibrate(default_duration(3.0), MarketState(P0, 0.01))
+    c = OptionContract(P0, 0.25, 0.0209)
+    for greek, fn in (("delta", delta_ln), ("gamma", gamma_ln)):
+        with pytest.raises(NonFiniteResultError, match=f"^{greek} is unresolved at P0="):
+            fn(spec, RateDynamics(mu, 0.02), c)
+
+
+@pytest.mark.parametrize("sigma", [80.0, 1000.0], ids=["moments overflow", "price overflows"])
+def test_regime_warning_that_overflows_names_its_parameters(sigma):
+    with pytest.raises(NonFiniteResultError) as exc:
+        regime_warning(default_spec(3.0), RateDynamics(0.0, sigma), 0.25)
+    assert str(exc.value) == f"regime proxy is not finite at C=3.0, sigma={sigma}, T=0.25"
