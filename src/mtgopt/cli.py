@@ -28,7 +28,7 @@ import numpy as np
 from .distfit import central_moments, fit_shifted_lognormal, skewness
 from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .harness import (
-    BLOCKS,
+    BLOCK_LEAVES,
     BaseParams,
     SweepAxis,
     SweepSpec,
@@ -52,9 +52,7 @@ from .pricer_closed import (
 
 SCHEMA_VERSION = 1
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    block: tuple(f.name for f in fields(cls)) for block, cls in BLOCKS.items()
-}
+_SCHEMA = BLOCK_LEAVES
 _LEAF_BLOCK = {leaf: block for block, leaves in _SCHEMA.items() for leaf in leaves}
 _INT_LEAVES = frozenset(leaf for leaf, hint in typing.get_type_hints(BaseParams).items() if hint is int)
 # leaves a config may leave unset (null): those whose bundle default is None

@@ -34,8 +34,7 @@ class SampleMoments:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValidationError(f"need n >= 3 for a third moment, got n={self.n}")
+        check_moment_count(self.n)
         if not self.m2 >= 0.0:
             raise ValidationError(f"second central moment must be >= 0, got {self.m2}")
 
@@ -72,28 +71,36 @@ class ShiftedLognormalFit:
         return self.orientation * self.theta
 
 
+def check_moment_count(n: int) -> None:
+    """A third moment needs n >= 3."""
+    if n < 3:
+        raise ValidationError(f"need n >= 3 for a third moment, got n={n}")
+
+
 def central_moments(sample, out=None) -> SampleMoments:
     """Mean and 1/n central moments m2, m3 of a sample (n >= 3).
 
     out, a pair of float arrays shaped like the sample, holds the deviations
-    and their powers; without it they are new arrays. The sample is not written.
+    and their powers; without it they are new arrays. The sample may be one of
+    them, the powers' array included: it is written only after its mean is taken.
     """
     a = np.asarray(sample, dtype=float)
     if a.ndim != 1:
         raise ValidationError(f"sample must be one-dimensional, got shape {a.shape}")
     n = a.size
-    if n < 3:
-        raise ValidationError(f"need n >= 3 for a third moment, got n={n}")
+    check_moment_count(n)
     d_out, p_out = (None, None) if out is None else out
     # constant samples short-circuit to exact zeros: mean roundoff would
-    # otherwise manufacture m2 ~ (ulp*mean)^2 and a spurious |skew| of 1
-    if np.all(a == a[0]):
+    # otherwise manufacture m2 ~ (ulp*mean)^2 and a spurious |skew| of 1; the
+    # full pass runs only where its answer can be yes
+    if a[0] == a[-1] and np.all(a == a[0]):
         return SampleMoments(float(a[0]), 0.0, 0.0, n)
-    mean = float(np.mean(a))
+    # np.add.reduce(a) / n is np.mean's own sum and division, bit for bit
+    mean = float(np.add.reduce(a) / n)
     d = np.subtract(a, mean, out=d_out)
     power = np.multiply(d, d, out=p_out)
-    m2 = float(np.mean(power))
-    m3 = float(np.mean(np.multiply(power, d, out=power)))
+    m2 = float(np.add.reduce(power) / n)
+    m3 = float(np.add.reduce(np.multiply(power, d, out=power)) / n)
     return SampleMoments(mean, m2, m3, n)
 
 

@@ -31,7 +31,8 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .distfit import ShiftedLognormalFit, central_moments, fit_shifted_lognormal, skewness
+from .distfit import ShiftedLognormalFit, central_moments, check_moment_count
+from .distfit import fit_shifted_lognormal, skewness
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
     DEFAULT_SEED,  # noqa: F401  re-exported: the seed of every default bundle
@@ -92,6 +93,11 @@ BLOCKS: dict[str, type] = {
     "dynamics": RateDynamics,
     "contract": OptionContract,
     "mc": McConfig,
+}
+
+# config block name -> its leaf names, in declaration order
+BLOCK_LEAVES: dict[str, tuple[str, ...]] = {
+    block: tuple(f.name for f in fields(cls)) for block, cls in BLOCKS.items()
 }
 
 
@@ -181,7 +187,8 @@ def materialize(bundle: BaseParams) -> tuple[ModelSpec, RateDynamics, OptionCont
     if bundle.C is None:
         raise ValidationError("curvature C must be set (by config or sweep axis)")
     dur, market, dyn, contract, cfg = (
-        cls(**{f.name: getattr(bundle, f.name) for f in fields(cls)}) for cls in BLOCKS.values()
+        BLOCKS[block](**{leaf: getattr(bundle, leaf) for leaf in leaves})
+        for block, leaves in BLOCK_LEAVES.items()
     )
     return ModelSpec.calibrate(dur, market), dyn, contract, cfg
 
@@ -197,16 +204,20 @@ def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
 def _mc_fields(
     spec: SweepSpec, model: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig, draws: Draws
 ) -> dict[str, float | None]:
-    """The MC engine's fields; its price sample dies on return, before SLN draws."""
+    """The MC engine's fields; skew describes the sample MC priced.
+
+    For a delta that is the base leg, whose moments crn_delta reduces in its
+    own slots and hands back; a price sample dies on return, before SLN draws.
+    """
     if spec.greek == "delta":
-        delta, sample = crn_delta(model, dyn, c, cfg, draws)
+        check_moment_count(cfg.n)
+        delta, moments = crn_delta(model, dyn, c, cfg, draws)
         out = {"price_mc": delta}
     else:
         res = price_mc(model, dyn, c, cfg, draws)
         out = {"price_mc": res.price, "se_mc": res.std_error}
-        sample = res.diagnostics
-    # skew describes the sample MC priced (the base leg, for delta sweeps)
-    out["skew"] = skewness(central_moments(sample, draws.work(2, cfg.n)))
+        moments = central_moments(res.diagnostics, draws.work(2, cfg.n))
+    out["skew"] = skewness(moments)
     return out
 
 

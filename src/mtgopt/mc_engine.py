@@ -18,9 +18,11 @@ in slots of its own until release(), which a sweep calls after each seed
 group (the cells that share a cell seed).
 
 Array lifetime: every n-sized stage (draw, rates, price map, payoff,
-standard error, delta legs, moments) runs in place on the provider's slots.
-No array a call hands back lives in them: callers own what they get, and a
-later call never overwrites it. A provider serves one thread.
+standard error, delta legs and their base leg's moments) runs in place on the
+provider's slots, so a warm delta touches four arrays (the kept A and B, two
+work slots) and allocates none. No array a call hands back lives in them:
+callers own what they get, and a later call never overwrites it. A delta hands
+back no array, only its base leg's moments. A provider serves one thread.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distfit import SampleMoments, central_moments
 from .errors import ValidationError
 from .model import MarketState, ModelSpec, OptionContract, RateDynamics
 from .model import log_price_at, log_shape, terminal_rate_law
@@ -235,15 +238,18 @@ def crn_delta(
     c: OptionContract,
     cfg: McConfig,
     draws: Draws | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, SampleMoments | None]:
     """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump, and the
-    base leg's price sample.
+    moments of the base leg's price sample (None below the n = 3 that a third
+    moment needs).
 
     Both legs price one rate sample (CRN) as exp(log P0' - A - B) for the
     P0-free terms (A, B) of model.log_shape, which the provider keeps for every
-    call on the same sample, rate law and duration curve until release(). A
-    bump below MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, so
-    it is rejected.
+    call on the same sample, rate law and duration curve until release(). The
+    legs and the moments run in two work slots: the base leg's sample is the
+    second, and its moments write their powers over it. A bump below
+    MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, so it is
+    rejected.
     """
     h = cfg.bump
     m = spec.market
@@ -259,13 +265,14 @@ def crn_delta(
         log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws, A), (A, B))
 
     shape = draws.reuse(key, 2, cfg.n, fill)
-    (work,) = draws.work(1, cfg.n)
+    work, sample = draws.work(2, cfg.n)
 
-    def leg(P0: float, out: np.ndarray) -> tuple[float, np.ndarray]:
-        prices = np.exp(log_price_at(P0, shape, out), out=out)
+    def leg(P0: float, prices: np.ndarray) -> float:
+        np.exp(log_price_at(P0, shape, prices), out=prices)
         payoff = np.maximum(np.subtract(prices, c.K, out=work), 0.0, out=work)
-        return c.df * float(np.mean(payoff)), prices
+        return c.df * float(np.mean(payoff))
 
-    up, _ = leg(bumped.P0, work)
-    base, sample = leg(m.P0, np.empty(cfg.n, dtype=float))
-    return (up - base) / h, sample
+    up = leg(bumped.P0, work)
+    base = leg(m.P0, sample)
+    moments = central_moments(sample, (work, sample)) if cfg.n >= 3 else None
+    return (up - base) / h, moments

@@ -87,3 +87,29 @@ def regime_verdicts(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[bool,
     threshold = -100.0 * eps * mean * m2
     in_band = abs(m3 - threshold) <= 10.0 * eps * mean * m2
     return regime_warning(spec, dyn, T) is not None, bool(m3 < threshold), bool(in_band)
+
+
+def reference_central_moments(sample, out=None) -> SampleMoments:
+    """The reduction distfit.central_moments must reproduce bit for bit: a full
+    constancy pass, then np.mean of the sample, its deviations' squares and
+    cubes."""
+    a = np.asarray(sample, dtype=float)
+    if a.ndim != 1:
+        raise ValidationError(f"sample must be one-dimensional, got shape {a.shape}")
+    n = a.size
+    if n < 3:
+        raise ValidationError(f"need n >= 3 for a third moment, got n={n}")
+    d_out, p_out = (None, None) if out is None else out
+    if np.all(a == a[0]):
+        return SampleMoments(float(a[0]), 0.0, 0.0, n)
+    mean = float(np.mean(a))
+    d = np.subtract(a, mean, out=d_out)
+    power = np.multiply(d, d, out=p_out)
+    m2 = float(np.mean(power))
+    m3 = float(np.mean(np.multiply(power, d, out=power)))
+    return SampleMoments(mean, m2, m3, n)
+
+
+def moment_bits(m: SampleMoments) -> tuple:
+    """(mean, m2, m3) as hex strings, and n: equal only if every bit is."""
+    return m.mean.hex(), m.m2.hex(), m.m3.hex(), m.n

@@ -130,6 +130,24 @@ def test_greeks_ln_vs_mc(capsys):
     assert abs(mc["delta"] - ln["delta"]) / ln["delta"] < 0.03
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_greeks_mc_below_three_draws_needs_no_third_moment(capsys, n):
+    # below three draws crn_delta takes no moments; only a sweep's skew column needs them
+    got = run_json(capsys, "greeks", "--method", "mc", "--set", "C=3", "--set", f"n={n}")
+    assert got == {"bump": 0.0001, "delta": 0.0, "method": "mc", "schema_version": 1}
+
+
+def test_sweep_delta_below_three_draws_exit_2(capsys, tmp_path):
+    out = tmp_path / "a.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--set", "n=2", "--axis1", "P0=99,100", "--axis2", "C=3", "--engines", "mc",
+        "--greek", "delta", "--crn-axis", "1", "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: need n >= 3 for a third moment, got n=2\n"
+    assert not out.exists()
+
+
 def test_fit_output_shape(capsys):
     doc = run_json(capsys, "fit", "--set", "C=0.5", "--seed", "12345")
     assert set(doc["moments"]) == {"mean", "m2", "m3", "n"}

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_DYNAMICS, default_spec, implied_moments, lognormal_second_moment, solve_eta
+from conftest import (
+    DEFAULT_DYNAMICS,
+    default_spec,
+    implied_moments,
+    lognormal_second_moment,
+    moment_bits,
+    reference_central_moments,
+    solve_eta,
+)
 from mtgopt.distfit import (
     LognormalParams,
     SampleMoments,
@@ -37,6 +45,39 @@ def test_central_moments_in_buffers_equal_the_allocating_formula(C):
     for out in (None, (np.empty(70000), np.empty(70000))):
         m = central_moments(sample, out)
         assert (m.mean.hex(), m.m2.hex(), m.m3.hex()) == tuple(v.hex() for v in want)
+
+
+def _bit_samples() -> list[list[float]]:
+    nan, inf = math.nan, math.inf
+    rng = np.random.default_rng(20240601)
+    samples = [[v] * 5 for v in (0.0, 1e308, 5e-324, inf, -inf)]
+    samples += [[nan, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, nan], [1.0, nan, 3.0, 4.0], [1.0, nan, 1.0]]
+    samples += [[1.0, 2.0, 1.0], [1e308, -1e308, 1e308], [5e-324, 0.0, 5e-324], [inf, 0.0, inf]]
+    samples.append([2.0] * 9 + [3.0, 2.0])
+    for n in (3, 4, 17, 1000, 70001):
+        samples.append(rng.standard_normal(n).tolist())
+        samples.append((100.0 + rng.lognormal(0.0, 0.5, n)).tolist())
+    return samples
+
+
+def _moments_or_error(fn, a, out=None):
+    with np.errstate(all="ignore"):
+        try:
+            return moment_bits(fn(a, out))
+        except ValidationError as exc:
+            return str(exc)
+
+
+@pytest.mark.parametrize("sample", _bit_samples(), ids=lambda s: f"n{len(s)}:{s[0]!r}:{s[-1]!r}")
+def test_central_moments_equal_the_reference_bit_for_bit(sample):
+    # np.add.reduce / n for np.mean, and the constancy pass only where the ends
+    # agree, change no bit and no verdict; the powers may overwrite the sample
+    a = np.array(sample)
+    want = _moments_or_error(reference_central_moments, a.copy())
+    assert _moments_or_error(central_moments, a.copy()) == want
+    assert _moments_or_error(central_moments, a.copy(), (np.empty(a.size), np.empty(a.size))) == want
+    own = a.copy()
+    assert _moments_or_error(central_moments, own, (np.empty(a.size), own)) == want
 
 
 def test_central_moments_constant_sample():

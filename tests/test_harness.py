@@ -254,6 +254,30 @@ def test_sweep_without_a_crn_axis_holds_a_few_arrays_of_n():
     assert peak <= 7 * n * 8, peak / (n * 8)
 
 
+def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
+    # a delta cell works in the kept log shape (A, B), the kept z and two work
+    # slots, the second of which holds the base leg's sample while crn_delta
+    # reduces its moments; a sample of its own would make six arrays of n
+    n = 70000
+    spec = small_spec(
+        base=BaseParams(seed=12345, n=n),
+        axis1=SweepAxis("P0", tuple(95.0 + i for i in range(12))),
+        axis2=SweepAxis("C", (3.0,)),
+        engines=("LN", "MC"),
+        greek="delta",
+        crn_axis=1,
+    )
+    # the first sweep loads the draw's imports, which would dwarf the arrays
+    run_sweep(spec)
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * n * 8, peak / (n * 8)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
 def test_warm_sweep_reuses_its_provider_slots_instead_of_faulting_in_new_pages():
     # every n-sized stage of a cell runs in the sweep provider's slots; an

@@ -10,7 +10,9 @@ from conftest import (
     DEFAULT_DYNAMICS,
     DEFAULT_MARKET,
     default_spec,
+    moment_bits,
 )
+from mtgopt.distfit import central_moments
 from mtgopt.errors import ValidationError
 from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
@@ -118,16 +120,18 @@ def test_price_mc_equals_the_allocating_formula_bit_for_bit(C, K):
 def test_later_calls_never_overwrite_earlier_results(where):
     # no provider, one provider that every call shares, or one that a sweep
     # releases after each group: the second crn_delta and price sample of a
-    # group read what the first kept
+    # group read what the first kept, and each delta's moments are those of
+    # a fresh price sample
     draws = None if where == "none" else Draws()
     c = DEFAULT_CONTRACT
 
     def results(C: float, seed: int) -> list[np.ndarray]:
         spec, cfg = default_spec(C), McConfig(n=5000, seed=seed)
-        out = [
-            price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics,
-            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1],
-            crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1],
+        fresh = moment_bits(central_moments(simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg)))
+        out = [price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics]
+        for _ in range(2):
+            assert moment_bits(crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1]) == fresh
+        out += [
             simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
             simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
         ]
@@ -149,8 +153,9 @@ def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
     # exp(log P0' - A - B) on the shared terms is the map's own evaluation order
     spec = default_spec(C)
     cfg = McConfig(n=3000, seed=22)
-    delta, sample = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
-    assert sample.tobytes() == simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg).tobytes()
+    delta, moments = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
+    sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
+    assert moment_bits(moments) == moment_bits(central_moments(sample))
     legs = []
     for P0 in (100.0 + cfg.bump, 100.0):
         prices = simulate_terminal_prices(bumped_spec(spec, P0 - 100.0), DEFAULT_DYNAMICS, 0.25, cfg)
