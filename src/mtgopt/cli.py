@@ -184,15 +184,12 @@ def cmd_greeks(args: argparse.Namespace) -> int:
         return 0
     _, inp = ln_kernel(model, dyn, contract)
     _warn(regime_warning(model, dyn, contract.T))
-    P0 = model.market.P0
-    # gamma first: where both greeks are unresolved, its message is the one shown
-    gamma = gamma_from_kernel(inp, P0)
     _emit(
         {
             "method": "ln",
-            "delta": delta_from_kernel(inp, P0),
-            "gamma": gamma,
-            "sanity": {"delta_upper_bound": inp.df * inp.M1 / P0},
+            "delta": delta_from_kernel(inp),
+            "gamma": gamma_from_kernel(inp, model.market.P0),
+            "sanity": {"delta_upper_bound": inp.df * inp.M1},
         }
     )
     return 0

@@ -11,13 +11,13 @@ monotone rate/price coupling that common-random-number finite differences
 rely on.
 
 Draws is the one sample provider and the one owner of n-sized arrays: it
-maps (seed, n) to z, and every engine reads its rates as z * law.std +
-law.mean. One provider serves one CLI command, one skew table or one sweep;
-it draws each (seed, n) once and keeps it, with the delta legs' log shape,
-in slots of its own until release(), which a sweep calls after each seed
-group (the cells that share a cell seed).
+maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
+z * law.std + law.mean. One provider serves one CLI command, one skew table
+or one sweep; it draws each (seed, n) once and keeps it, with the delta legs'
+log shape, in slots of its own until release(), which a sweep calls after
+each seed group (the cells that share a cell seed).
 
-Array lifetime: every n-sized stage (draw, rates, price map, payoff,
+Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
 standard error, delta legs and their base leg's moments) runs in place on the
 provider's slots, so a warm delta touches four arrays (the kept A and B, two
 work slots) and allocates none. No array a call hands back lives in them:
@@ -179,16 +179,15 @@ class Draws:
 
 
 def simulate_terminal_rates(
-    m: MarketState,
     dyn: RateDynamics,
     T: float,
     cfg: McConfig,
     draws: Draws | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """n draws of r_T ~ N(r0 + mu T, sigma^2 T), fully determined by cfg.seed,
-    written into out (a new array by default)."""
-    law = terminal_rate_law(m, dyn, T)
+    """n draws of the terminal rate move r_T - r0 ~ N(mu T, sigma^2 T), fully
+    determined by cfg.seed, written into out (a new array by default)."""
+    law = terminal_rate_law(dyn, T)
     # allocated before z: allocated after it, glibc trims and refaults the
     # heap at every cell of a sweep
     out = np.empty(cfg.n, dtype=float) if out is None else out
@@ -199,10 +198,10 @@ def simulate_terminal_rates(
 def simulate_terminal_prices(
     spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
 ) -> np.ndarray:
-    """Terminal prices P(r_T) for the simulated rates, in a new array."""
+    """Terminal prices P at the simulated rate moves, in a new array."""
     draws = draws or Draws()
-    rates = simulate_terminal_rates(spec.market, dyn, T, cfg, draws)
-    return model_price(spec, rates, (rates, draws.work(1, cfg.n)[0]))
+    moves = simulate_terminal_rates(dyn, T, cfg, draws)
+    return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0]))
 
 
 def price_mc(
@@ -259,10 +258,12 @@ def crn_delta(
         )
     bumped = MarketState(m.P0 + h, m.r0)
     draws = draws or Draws()
-    key = ("shape", cfg.seed, cfg.n, terminal_rate_law(m, dyn, c.T), spec.duration, m.r0, spec.q)
+    # r0 stays in the key: the shape's far branch reads b = C (r0 - x0), and
+    # q = expit(b) no longer tells b apart once it saturates
+    key = ("shape", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
 
     def fill(A: np.ndarray, B: np.ndarray) -> None:
-        log_shape(spec, simulate_terminal_rates(m, dyn, c.T, cfg, draws, A), (A, B))
+        log_shape(spec, simulate_terminal_rates(dyn, c.T, cfg, draws, A), (A, B))
 
     shape = draws.reuse(key, 2, cfg.n, fill)
     work, sample = draws.work(2, cfg.n)

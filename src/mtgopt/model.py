@@ -9,16 +9,17 @@ P(r0) = P0 gives the closed-form price
 
     P(r) = P0 exp(-L (r - r0)) (1 - q + q exp(C (r - r0)))^(-U/C)
 
-with q = expit(C (r0 - x0)) = (D(r0) - L) / U. The terminal mortgage rate is
-normal: r_T ~ N(r0 + mu T, sigma^2 T).
+with q = expit(C (r0 - x0)) = (D(r0) - L) / U. The terminal rate move is
+normal: r_T - r0 ~ N(mu T, sigma^2 T).
 
-Prices are evaluated in log space on offsets from r0, so neither a small
-curvature nor a coupon rate far from r0 cancels digits, and curvatures up to
-C ~ 40-50 stay inside double range.
+Prices are evaluated in log space on the rate move r - r0, so neither a large
+r0, a small curvature nor a coupon rate far from r0 cancels digits, and
+curvatures up to C ~ 40-50 stay inside double range.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,6 +27,9 @@ import numpy as np
 from .errors import NonFiniteResultError, ValidationError
 
 MIN_CURVATURE = 1e-100
+
+# the largest x whose e^x is a finite double
+MAX_EXP_ARG = math.log(sys.float_info.max)
 
 
 def _require_finite(params) -> None:
@@ -103,6 +107,8 @@ class OptionContract:
             raise ValidationError(f"strike K must be > 0, got {self.K}")
         if not self.T > 0.0:
             raise ValidationError(f"expiry T must be > 0, got {self.T}")
+        if not -self.r_f * self.T <= MAX_EXP_ARG:
+            raise ValidationError(f"discount e^(-r_f T) must be finite, got r_f={self.r_f}, T={self.T}")
 
     @property
     def df(self) -> float:
@@ -152,22 +158,22 @@ def _softplus(y: float) -> float:
     return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
 
 
-def log_shape(spec: ModelSpec, r, out=None):
-    """The P0-free terms (A, B) of log P(r) = log P0 - A - B: A = (L/C) x and
-    B = (U/C) log(1 - q + q e^x), with x = C (r - r0).
+def log_shape(spec: ModelSpec, d, out=None):
+    """The P0-free terms (A, B) of log P = log P0 - A - B at the rate moves
+    d = r - r0: A = (L/C) x and B = (U/C) log(1 - q + q e^x), with x = C d.
 
     The bracket is log1p(q expm1(x)) for |x| <= 1, where its argument stays in
     [1/e, e], and beyond that the log-space sum of log(1 - q) = -sp(b) and
     log q + x = x - sp(-b), with b = C (r0 - x0) and sp(y) = log(1 + e^y).
 
-    out, a pair of float arrays shaped like r, receives A and B; without it
-    both are new arrays. r is written only if it is out[0].
+    out, a pair of float arrays shaped like d, receives A and B; without it
+    both are new arrays. d is written only if it is out[0].
     """
     p, m = spec.duration, spec.market
     A, B = (None, None) if out is None else out
-    x = np.multiply(np.subtract(r, m.r0, out=A, dtype=float), p.C, out=A)
+    x = np.multiply(d, p.C, out=A, dtype=float)
     # the array the bracket is worked in; asarray turns the scalar that a
-    # ufunc returns for a 0-d r into an array that out= can write
+    # ufunc returns for a 0-d d into an array that out= can write
     step = np.asarray(np.abs(x, out=B))
     far = step > 1.0
     np.maximum(x, -1.0, out=step)
@@ -192,22 +198,23 @@ def log_price_at(P0: float, shape, out=None):
     return np.subtract(np.subtract(math.log(P0), A, out=out), B, out=out)
 
 
-def log_price(spec: ModelSpec, r, out=None):
-    """log P(r), anchored at log P(r0) = log P0; out as for log_shape, and the
-    log price is written over out[0]."""
-    return log_price_at(spec.market.P0, log_shape(spec, r, out), None if out is None else out[0])
+def log_price(spec: ModelSpec, d, out=None):
+    """log P at the rate moves d = r - r0, anchored at log P0 at d = 0; out as
+    for log_shape, and the log price is written over out[0]."""
+    return log_price_at(spec.market.P0, log_shape(spec, d, out), None if out is None else out[0])
 
 
 def price(spec: ModelSpec, r, out=None):
-    """Model price P(r); strictly decreasing in r and anchored at P(r0) = P0.
+    """Model price at the rate moves r - r0 held in r; strictly decreasing in
+    the move and anchored at P0 at a zero move.
 
     out as for log_shape; the price is written over out[0].
     """
     return np.exp(log_price(spec, r, out), out=None if out is None else out[0])
 
 
-def terminal_rate_law(m: MarketState, dyn: RateDynamics, T: float) -> NormalLaw:
-    """Law of the terminal rate: N(r0 + mu T, sigma^2 T)."""
+def terminal_rate_law(dyn: RateDynamics, T: float) -> NormalLaw:
+    """Law of the terminal rate move r_T - r0: N(mu T, sigma^2 T)."""
     if not T > 0.0:
         raise ValidationError(f"expiry T must be > 0, got {T}")
-    return NormalLaw(mean=m.r0 + dyn.mu * T, std=dyn.sigma * math.sqrt(T))
+    return NormalLaw(mean=dyn.mu * T, std=dyn.sigma * math.sqrt(T))

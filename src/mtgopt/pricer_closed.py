@@ -4,9 +4,10 @@ Three pieces: a shifted Black-Scholes kernel over a lognormal underlier with
 an effective strike, in orientation o = +-1 (a call on Z or a put on Z);
 shifted-lognormal pricing, which fits theta + o Z to terminal-price moments and
 prices through the kernel with K_eff = o (K - theta); and the
-parametric lognormal, which matches the terminal price in closed form by
-writing e^{-log P / scale} as a sum of two perfectly correlated lognormals, so
-price and Greeks need no sample at all.
+parametric lognormal, which matches P/P0 in closed form by writing
+(P/P0)^{-1/scale} as a sum of two perfectly correlated lognormals and prices
+the kernel on (M1/P0, K/P0), so price and Greeks are multiples of the spot and
+need no sample at all.
 
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an error.
@@ -19,13 +20,7 @@ from dataclasses import dataclass
 
 from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
 from .errors import NonFiniteResultError
-from .model import (
-    ModelSpec,
-    OptionContract,
-    RateDynamics,
-    _softplus,
-    terminal_rate_law,
-)
+from .model import MAX_EXP_ARG, ModelSpec, OptionContract, RateDynamics, _softplus, terminal_rate_law
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -80,10 +75,16 @@ class PriceResult:
 
 @dataclass(frozen=True)
 class TerminalLognormalLaw:
-    """Matched lognormal law of the terminal price: LogN(mu_P, sigma_P^2)."""
+    """Matched lognormal law of the terminal price relative to the spot:
+    P/P0 ~ LogN(mu, sigma_P^2), so P ~ LogN(mu_P, sigma_P^2)."""
 
-    mu_P: float
+    mu: float
     sigma_P: float
+    P0: float
+
+    @property
+    def mu_P(self) -> float:
+        return math.log(self.P0) + self.mu
 
 
 def _ndtr(x: float) -> float:
@@ -104,13 +105,13 @@ def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
     """df E[(o (Z - K_eff))+] for o = orientation: a call for o = +1,
     df (M1 N(d1) - K_eff N(d2)), a put for o = -1, df (K_eff N(-d2) - M1 N(-d1)).
 
-    Without a strike (K_eff <= 0, Z > 0) or a spread (W <= 0) the value is the
-    discounted intrinsic df max(o (M1 - K_eff), 0); adding 0.0 turns its -0.0
-    at o = -1, M1 = K_eff into +0.0. Negation is exact, so o = -1 gives the
-    put's bits.
+    Without a strike (K_eff <= 0, Z > 0), a spread (W <= 0) or a finite strike
+    (K_eff = inf, a worthless call) the value is the discounted intrinsic
+    df max(o (M1 - K_eff), 0); adding 0.0 turns its -0.0 at o = -1, M1 = K_eff
+    into +0.0. Negation is exact, so o = -1 gives the put's bits.
     """
     o = orientation
-    if inp.K_eff <= 0.0 or inp.W <= 0.0:
+    if inp.K_eff <= 0.0 or inp.W <= 0.0 or inp.K_eff == math.inf:
         return inp.df * (max(o * (inp.M1 - inp.K_eff), 0.0) + 0.0)
     d1 = _d1(inp)
     d2 = d1 - inp.W
@@ -140,16 +141,16 @@ def _log_bracket(q: float, sp_b: float, sp_nb: float, x: float) -> float:
 
 
 def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> TerminalLognormalLaw:
-    """Matched lognormal terminal law.
+    """Matched lognormal law of P/P0 at expiry T.
 
     With delta = r_T - r0 ~ N(d, s^2), Y = (P/P0)^{-C/U} = (1 - q) e^{a1 delta} +
     q e^{a2 delta}, a1 = LC/U, a2 = a1 + C. LogN(mu_X, sigma_X^2) takes Y's first
     two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
-    means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu_P, sigma_P^2).
+    means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
     """
     p, m = spec.duration, spec.market
-    law = terminal_rate_law(m, dyn, T)
-    d, s, b = law.mean - m.r0, law.std, p.C * (m.r0 - p.x0)
+    law = terminal_rate_law(dyn, T)
+    d, s, b = law.mean, law.std, p.C * (m.r0 - p.x0)
     a1 = p.L * p.C / p.U
     a1s, a2s = a1 * s, (a1 + p.C) * s  # formed first, so inf * 0 cannot arise
     g = p.C * d + 0.5 * (p.C * s) * (a1s + a2s)
@@ -168,8 +169,7 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
         raise NonFiniteResultError(f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x}")
     scale = p.U / p.C
     return TerminalLognormalLaw(
-        mu_P=math.log(m.P0) - scale * (log_m1 - 0.5 * var_x),
-        sigma_P=scale * math.sqrt(var_x),
+        mu=-scale * (log_m1 - 0.5 * var_x), sigma_P=scale * math.sqrt(var_x), P0=m.P0
     )
 
 
@@ -185,14 +185,14 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     to their callers.
     """
     p, m, q = spec.duration, spec.market, spec.q
-    law = terminal_rate_law(m, dyn, T)
-    C, r0, centre, spread = p.C, m.r0, law.mean, math.sqrt(2.0) * law.std
-    b = C * (r0 - p.x0)
+    law = terminal_rate_law(dyn, T)
+    C, centre, spread = p.C, law.mean, math.sqrt(2.0) * law.std
+    b = C * (m.r0 - p.x0)
     sp_b, sp_nb, low, high = _softplus(b), _softplus(-b), p.L / C, p.U / C
     y, mean, m2, m3 = [], 0.0, 0.0, 0.0
     try:
         for w, z in zip(_PROXY_WEIGHTS, _PROXY_NODES):
-            x = (centre + spread * z - r0) * C
+            x = (centre + spread * z) * C
             yi = math.exp(-x * low - _log_bracket(q, sp_b, sp_nb, x) * high)
             y.append(yi)
             mean += w * yi
@@ -219,69 +219,57 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
 def ln_kernel(
     spec: ModelSpec, dyn: RateDynamics, c: OptionContract
 ) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
-    """Matched lognormal law and its kernel inputs: M1 = e^{mu_P + sigma_P^2/2}, W = sigma_P."""
+    """Matched law of P/P0 and its kernel inputs: the mean M1/P0 = e^{mu + sigma_P^2/2},
+    W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
     law = ln_terminal_params(spec, dyn, c.T)
-    m1 = math.exp(law.mu_P + 0.5 * law.sigma_P * law.sigma_P)
-    return law, BsKernelInputs(m1, law.sigma_P, c.K, c.df)
+    log_mean = law.mu + 0.5 * law.sigma_P * law.sigma_P
+    if not log_mean <= MAX_EXP_ARG:
+        raise NonFiniteResultError(
+            f"matched lognormal mean overflows at C={spec.duration.C}, mu={dyn.mu}, "
+            f"sigma={dyn.sigma}, T={c.T}"
+        )
+    return law, BsKernelInputs(math.exp(log_mean), law.sigma_P, c.K / spec.market.P0, c.df)
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
     """Closed-form call under the matched lognormal terminal law."""
     law, inp = ln_kernel(spec, dyn, c)
     return PriceResult(
-        price=bs_call(inp),
+        price=spec.market.P0 * bs_call(inp),
         method="LN",
         diagnostics=law,
         warning=regime_warning(spec, dyn, c.T),
     )
 
 
-def _require_resolved(inp: BsKernelInputs, P0: float, greek: str) -> None:
-    """Raise where P0 or M1 is subnormal: either holds a few digits at most, so
-    a greek that divides M1 by P0 holds none."""
-    if P0 < sys.float_info.min or 0.0 < inp.M1 < sys.float_info.min:
-        raise NonFiniteResultError(f"{greek} is unresolved at P0={P0}: P0 or M1 is subnormal")
-
-
-def delta_from_kernel(inp: BsKernelInputs, P0: float) -> float:
-    """df M1 N(d1) / P0 on the kernel inputs of ln_kernel at spot P0."""
-    _require_resolved(inp, P0, "delta")
+def delta_from_kernel(inp: BsKernelInputs) -> float:
+    """df (M1/P0) N(d1) on the kernel inputs of ln_kernel."""
     if inp.W == 0.0:
-        return inp.df * inp.M1 / P0 if inp.M1 > inp.K_eff else 0.0
-    return inp.df * inp.M1 * _ndtr(_d1(inp)) / P0
+        return inp.df * inp.M1 if inp.M1 > inp.K_eff else 0.0
+    return inp.df * inp.M1 * _ndtr(_d1(inp))
 
 
 def gamma_from_kernel(inp: BsKernelInputs, P0: float) -> float:
-    """df M1 phi(d1) / (P0^2 W) on the kernel inputs of ln_kernel at spot P0."""
+    """df (M1/P0) phi(d1) / (W P0) on the kernel inputs of ln_kernel at spot P0."""
     if inp.W == 0.0:
         return 0.0
-    _require_resolved(inp, P0, "gamma")
     d1 = _d1(inp)
     phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    try:
-        p0_sq = P0**2
-    except OverflowError:
-        p0_sq = math.inf
-    if sys.float_info.min <= p0_sq < math.inf:
-        gamma = inp.df * inp.M1 * phi / (p0_sq * inp.W)
-    else:
-        # P0^2 is not a normal double; M1 / P0 does not scale with P0, so
-        # dividing by P0 twice keeps every digit at a tiny or a huge spot
-        gamma = inp.df * (inp.M1 / P0) * phi / inp.W / P0
+    gamma = inp.df * inp.M1 * phi / inp.W / P0
     if not math.isfinite(gamma):
         raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
     return gamma
 
 
 def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
-    """Exact dC_LN/dP0 = df e^{mu_P + sigma_P^2/2} N(d1) / P0.
+    """Exact dC_LN/dP0 = df e^{mu + sigma_P^2/2} N(d1).
 
-    Exact because mu_P depends on P0 only through its log P0 term, while
-    mu_X and sigma_X do not depend on P0 at all.
+    Exact because C_LN is P0 times a function of K/P0, and the law of P/P0
+    does not depend on P0 at all.
     """
-    return delta_from_kernel(ln_kernel(spec, dyn, c)[1], spec.market.P0)
+    return delta_from_kernel(ln_kernel(spec, dyn, c)[1])
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
-    """Exact d2C_LN/dP0^2 = df e^{mu_P + sigma_P^2/2} phi(d1) / (P0^2 sigma_P)."""
+    """Exact d2C_LN/dP0^2 = df e^{mu + sigma_P^2/2} phi(d1) / (sigma_P P0)."""
     return gamma_from_kernel(ln_kernel(spec, dyn, c)[1], spec.market.P0)

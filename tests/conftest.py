@@ -70,7 +70,7 @@ def numpy_regime_moments(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[
     m3 < -100 eps mean m2."""
     nodes, weights = np.polynomial.hermite.hermgauss(21)
     weights = weights / math.sqrt(math.pi)
-    law = terminal_rate_law(spec.market, dyn, T)
+    law = terminal_rate_law(dyn, T)
     p = price(spec, law.mean + math.sqrt(2.0) * law.std * nodes)
     mean = float(weights @ p)
     centered = p - mean

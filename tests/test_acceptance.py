@@ -307,9 +307,9 @@ def test_criterion_08_duration_ode_property(capsys):
         )
         r0 = rng.uniform(0.0, 0.08)
         spec = ModelSpec.calibrate(dur, MarketState(rng.uniform(80.0, 120.0), r0))
-        for r in (r0 - 0.02, r0, r0 + 0.02, r0 + 0.05):
-            fd = (price(spec, r + h) - price(spec, r - h)) / (2.0 * h)
-            exact = -duration(dur, r) * price(spec, r)
+        for d in (-0.02, 0.0, 0.02, 0.05):
+            fd = (price(spec, d + h) - price(spec, d - h)) / (2.0 * h)
+            exact = -duration(dur, r0 + d) * price(spec, d)
             worst = max(worst, abs(fd - exact) / abs(exact))
     ok = worst <= 1e-6
     with capsys.disabled():

@@ -6,6 +6,10 @@ calls or reads fails every op of the benchmark; this runs the first ops of
 each workload at a small n so that such a change fails here, and pins their
 outputs' bits across commits. Both files are loaded by path: perfbench/ is not
 a package, and workloads imports the oracle by its bare name.
+
+`python tests/test_benchmark_workloads.py` (with the package importable)
+prints the current FINGERPRINT_SHA256 block, to paste over the one below
+after a declared byte move.
 """
 import hashlib
 import importlib.util
@@ -38,33 +42,46 @@ def test_first_ops_pass_their_checks_and_rerun_bit_for_bit(name):
         assert workload.fingerprint(workload.prepare(i)()) == workload.fingerprint(out), (name, i)
 
 
-# sha256 of repr(fingerprint) of ops 0, 1 and 2 at seed 1 and n = 4000. A
-# change that moves any output bit of the benchmark moves these; re-record
+def _fingerprint_hashes(name: str) -> tuple[str, ...]:
+    """sha256 of repr(fingerprint) of ops 0, 1 and 2 at seed 1 and n = 4000."""
+    workload = workloads.build(name, 1, n=4000)
+    return tuple(
+        hashlib.sha256(repr(workload.fingerprint(workload.prepare(i)())).encode()).hexdigest()
+        for i in range(3)
+    )
+
+
+# A change that moves any output bit of the benchmark moves these; re-record
 # them only with a declared byte move.
 FINGERPRINT_SHA256 = {
     "closed_form": (
-        "334057fc305cf544b6ef8a2bf82b76bb6f5fb0107e4c33e35bd804ed7090f487",
-        "32956cc645fb7e83e79c4b10d8463acd3544f1c34283e9119a27523681e921d1",
-        "fb6f3de3325152c4bb5cd95d8c9bd60c913d7ae6ca9d5d7cb84da412e1d50989",
+        "84e7fa0f3604496410288a96c34c0e6b0ee343a1668687c5917fd7434e9a5e5f",
+        "b0151386bb88afb9a8655e172067363bdf743d8222ef2844faac8b94088b7f2e",
+        "684cfe363e141c49bfc79cf6758285ce80f479d631faaacad6af29694dd76982",
     ),
     "sweep_crn_delta": (
-        "4c2196c74d332e6289f59852928b2ed1f2794103429c5c96086a9d52b6137ecc",
-        "7e81eb0d6b151be8d0031b3a274fbf7377f69c7d54a9998a56ccea7dfb47bb92",
-        "8a65a4b9988cc4cf9c973456945f252b0303cf92e0354fa8a1c1c5ec3d9fbceb",
+        "59f54b2c40c83eefbd2629dfa9e46d8281b81b3ff806d0fbbca2ccb95e8734fd",
+        "39ae412044224a22868e3b328c40e4990a9dc626c638c3aa51e1dd6d1e2f13c7",
+        "0fc0118d7c80f70ad2d5a4879eec96f76ffc0c3cc3a1771682e59a6c54fa4f1f",
     ),
     "sweep_ref": (
-        "8def4842975448613cfd677037ae1f16e16bf3565cb1f719ff85f3dcb28767f9",
-        "c3d52abea34cf603667db62477ea3193578d742b03146db1ddfbabe1c7684726",
-        "c062b76bf9a268860538e0e0dcc29db7a1e17431d0cbfb347d8b892951d57c3b",
+        "123ddf6f09f1780066dacf459bed27a7e95e740c178a8529189bf32a1215e47b",
+        "f30c6a408356aba47fdca06d8008fe7c8e642546be96bb971eb66b58ad82f205",
+        "ba6869598bad170600ce941bbdd03772bf3d192276c6b7bf8c441d1760c67428",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_first_ops_keep_their_recorded_fingerprints(name):
-    workload = workloads.build(name, 1, n=4000)
-    got = tuple(
-        hashlib.sha256(repr(workload.fingerprint(workload.prepare(i)())).encode()).hexdigest()
-        for i in range(3)
-    )
-    assert got == FINGERPRINT_SHA256[name]
+    assert _fingerprint_hashes(name) == FINGERPRINT_SHA256[name]
+
+
+if __name__ == "__main__":
+    print("FINGERPRINT_SHA256 = {")
+    for name in sorted(workloads.WORKLOADS):
+        print(f'    "{name}": (')
+        for digest in _fingerprint_hashes(name):
+            print(f'        "{digest}",')
+        print("    ),")
+    print("}")

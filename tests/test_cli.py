@@ -380,7 +380,6 @@ def test_non_finite_result_exit_3(capsys, tmp_path):
     ]
     for cmd in (("price", "--method", "ln"), ("greeks", "--method", "ln")):
         cases.append(cmd + at + ("--set", "sigma=1e150"))
-        cases.append(cmd + at + ("--set", "T=1e308", "--set", "r_f=-1"))
         # the matched lognormal itself overflows
         cases.append(cmd + at + ("--set", "L=1e300"))
         cases.append(cmd + at + ("--set", "L=1e200"))
@@ -411,6 +410,37 @@ def test_overflow_messages_name_their_parameters(capsys):
     assert err == "error: non-finite result: matched lognormal overflows at C=3.0, sigma=1e+150, T=0.25\n"
 
 
+@pytest.mark.parametrize("r_f, T", [("-3000", "0.25"), ("-1", "1e308")])
+def test_discount_factor_that_overflows_exits_2_naming_r_f_and_t(capsys, tmp_path, r_f, T):
+    # e^(-r_f T) past double range: one line naming both leaves, before anything is drawn
+    at = ("--set", "C=3", "--set", "n=200", "--set", f"r_f={r_f}", "--set", f"T={T}")
+    want = f"error: discount e^(-r_f T) must be finite, got r_f={float(r_f)}, T={float(T)}\n"
+    for argv in (
+        ("price", "--method", "ln"), ("price", "--method", "mc"), ("price", "--method", "sln"),
+        ("greeks", "--method", "ln"), ("greeks", "--method", "mc"),
+        ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--out", str(tmp_path / "s.csv")),
+    ):
+        assert run_cli(capsys, *argv, *at) == (2, "", want), argv
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "leaves",
+    [("C=0.01", "sigma=3", "T=10"), ("C=3", "mu=-3000"), ("C=3", "U=1e150")],
+    ids=["wide-law", "drift", "duration-range"],
+)
+def test_ln_mean_that_overflows_exits_3_naming_its_parameters(capsys, leaves):
+    # the matched mean M1/P0 = e^(mu + sigma_P^2 / 2) past double range
+    argv = [arg for leaf in leaves for arg in ("--set", leaf)]
+    bundle = dict(C="3", mu="0.0", sigma="0.02", T="0.25")
+    bundle.update(leaf.split("=") for leaf in leaves)
+    C, mu, sigma, T = (float(bundle[k]) for k in ("C", "mu", "sigma", "T"))
+    want = (f"error: non-finite result: matched lognormal mean overflows at C={C}, mu={mu}, "
+            f"sigma={sigma}, T={T}\n")
+    for command in ("price", "greeks"):
+        assert run_cli(capsys, command, "--method", "ln", *argv) == (3, "", want), command
+
+
 @pytest.mark.parametrize(
     "method,leaf",
     [(("--method", "ln"), "U"), (("--method", "mc", "--set", "n=100"), "U"), (("--method", "mc"), "L")],
@@ -426,6 +456,28 @@ def test_curvature_below_the_floor_exits_2(capsys):
         code, out, err = run_cli(capsys, "price", "--method", "ln", "--set", f"C={C}")
         assert (code, out) == (2, "")
         assert err == f"error: curvature C must be >= 1e-100, got {float(C)}\n"
+
+
+@pytest.mark.parametrize("r0", ["1e14", "1e16", "1e300"])
+def test_mc_at_a_huge_rate_is_the_saturated_constant_duration_price(capsys, r0):
+    # the engines see only the move r_T - r0, so no draw is rounded at the ulp
+    # of r0 (2 at 1e16, where the price was 4.2e-14 with a 2.8e-31 error bar);
+    # q saturates at 1 there, as at a coupon rate far below r0
+    exact = 4.2312076392  # constant-duration D = L + U = 10: Black-Scholes at sigma_P = 0.1
+    at = ("--set", "C=3", "--set", "n=2000")
+    doc = run_json(capsys, "price", "--method", "mc", *at, "--set", f"r0={r0}")
+    assert abs(doc["price"] - exact) <= 4.0 * doc["std_error"]
+    assert doc == run_json(capsys, "price", "--method", "mc", *at, "--set", "x0=-1e8")
+    greeks = ("greeks", "--method", "mc", "--set", "C=3")
+    assert run_json(capsys, *greeks, "--set", f"r0={r0}") == run_json(capsys, *greeks, "--set", "x0=-1e8")
+
+
+def test_ln_at_a_vanishing_expiry_is_at_the_money(capsys):
+    # M1/P0 and K/P0 round to 1 at T = 1e-300: delta 1/2, and a price below
+    # any double; the absolute M1 once gave delta 1.0000000000000004 > 1
+    at = ("--method", "ln", "--set", "C=3", "--set", "T=1e-300")
+    assert run_json(capsys, "greeks", *at)["delta"] == 0.5
+    assert run_json(capsys, "price", *at)["price"] == 0.0
 
 
 def test_huge_curvature_with_tiny_volatility_is_finite(capsys):
@@ -637,6 +689,8 @@ def test_extreme_finite_inputs_exit_cleanly(capsys, tmp_path, command):
             code, out, err = run_cli(capsys, *case)
             assert code in (0, 2, 3), (case, err)
             assert err.count("\n") <= 1, (case, err)
+            # an overflow names the parameters that caused it
+            assert "math range error" not in err, (case, err)
             if code != 0:
                 assert out == "" and err.startswith("error: "), (case, err)
                 continue
@@ -703,17 +757,14 @@ def test_ln_gamma_past_double_range_exits_3_naming_p0(capsys):
     assert (code, out, err) == (3, "", "error: non-finite result: gamma is inf at P0=3e-308\n")
 
 
-@pytest.mark.parametrize(
-    "P0, extra",
-    [("5e-324", ()), ("1e-310", ()), ("1e-320", ()), ("1e-300", ("--set", "mu=10"))],
-    ids=["P0=5e-324", "P0=1e-310", "P0=1e-320", "M1 subnormal at P0=1e-300"],
-)
-def test_ln_gamma_at_a_subnormal_spot_or_mean_exits_3_naming_p0(capsys, P0, extra):
-    # a subnormal P0 or M1 keeps a few digits at most; 5e-324 gave delta 1.0, gamma 0.0
-    argv = ("greeks", "--method", "ln", "--set", "C=3", "--set", f"P0={P0}", "--set", f"K={P0}", *extra)
-    code, out, err = run_cli(capsys, *argv)
-    want = f"error: non-finite result: gamma is unresolved at P0={P0}: P0 or M1 is subnormal\n"
-    assert (code, out, err) == (3, "", want)
+@pytest.mark.parametrize("P0", ["5e-324", "1e-310", "1e-320"], ids=["P0=5e-324", "P0=1e-310", "P0=1e-320"])
+def test_ln_gamma_at_a_subnormal_spot_or_mean_exits_3_naming_p0(capsys, P0):
+    # gamma scales as 1/P0, past double range at a subnormal spot; the price
+    # scales as P0, a subnormal that exits 0
+    at = ("--method", "ln", "--set", "C=3", "--set", f"P0={P0}", "--set", f"K={P0}")
+    code, out, err = run_cli(capsys, "greeks", *at)
+    assert (code, out, err) == (3, "", f"error: non-finite result: gamma is inf at P0={P0}\n")
+    assert 0.0 <= run_json(capsys, "price", *at)["price"] < sys.float_info.min
 
 
 @pytest.mark.parametrize("P0", [1e155, 1e200, 1e300, 1e308])
@@ -736,15 +787,19 @@ def test_ln_at_a_spot_whose_square_overflows_scales_with_p0(capsys, P0, C):
     assert price["price"] / P0 == pytest.approx(ref["price"] / 100.0, rel=1e-11)
 
 
-def test_ln_delta_at_a_subnormal_spot_exits_3_naming_p0(capsys, tmp_path):
-    # the sweep gave deltas 1 and 0 here, where the P0 = K scaling gives 0.516
-    code, out, err = run_cli(
-        capsys, "sweep", "--axis1", "K=5e-324,1e-323", "--axis2", "C=3,4", "--engines", "ln",
-        "--greek", "delta", "--set", "P0=5e-324", "--out", str(tmp_path / "s.csv"),
-    )
-    want = "error: non-finite result: delta is unresolved at P0=5e-324: P0 or M1 is subnormal\n"
-    assert (code, out, err) == (3, "", want)
-    assert not (tmp_path / "s.csv").exists()
+def test_ln_delta_sweep_at_a_subnormal_spot_matches_the_p0_scaling(capsys, tmp_path):
+    # the delta depends on K/P0 alone: a sweep gave deltas 1 and 0 here (and
+    # then exited 3), where the P0 = K scaling gives the deltas at P0 = 100
+    def deltas(P0: str, strikes: str) -> list[str]:
+        csv = tmp_path / "s.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis1", f"K={strikes}", "--axis2", "C=3,4", "--engines", "ln",
+            "--greek", "delta", "--set", f"P0={P0}", "--out", str(csv),
+        )
+        assert (code, err) == (0, ""), err
+        return [row.split(",")[7] for row in csv.read_text(encoding="utf-8").splitlines()[1:]]
+
+    assert deltas("5e-324", "5e-324,1e-323") == deltas("100", "100,200")
 
 
 def test_greeks_ln_evaluates_the_matched_law_once(capsys, monkeypatch):

@@ -30,13 +30,15 @@ from mtgopt.mc_engine import (
 from mtgopt.model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics, price
 
 # golden stream frozen at first implementation; any change to the generator,
-# uniform mapping, or normal transform is a breaking change and must fail here
+# uniform mapping, or normal transform is a breaking change and must fail here.
+# These are rate moves r_T - r0; adding r0 = 0.01 gives the absolute rates
+# first pinned here bit for bit.
 GOLDEN_RATES_SEED_12345 = [
-    0.013755659303684784,
-    0.01752975220589774,
-    0.017941167416429905,
-    3.8831329420950175e-05,
-    9.409627019972555e-05,
+    0.0037556593036847832,
+    0.00752975220589774,
+    0.007941167416429903,
+    -0.00996116867057905,
+    -0.009905903729800275,
 ]
 GOLDEN_PRICES_C3_SEED_12345 = [
     98.06256684173232,
@@ -50,9 +52,7 @@ GOLDEN_SE_MC_C3 = 0.011783406227310807
 
 
 def test_rates_golden_vector():
-    got = simulate_terminal_rates(
-        DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, McConfig(n=5, seed=12345)
-    )
+    got = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, McConfig(n=5, seed=12345))
     assert got.tolist() == GOLDEN_RATES_SEED_12345
 
 
@@ -73,8 +73,8 @@ def test_price_mc_golden():
 
 def test_same_seed_same_vector():
     cfg = McConfig(n=1000, seed=99)
-    a = simulate_terminal_rates(DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, cfg)
-    b = simulate_terminal_rates(DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, cfg)
+    a = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, cfg)
+    b = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, cfg)
     assert np.array_equal(a, b)
 
 
@@ -227,32 +227,28 @@ def test_a_change_of_n_drops_the_slots():
 
 def test_sample_prefix_stable_in_n():
     # growing n extends the sample without changing earlier draws
-    a = simulate_terminal_rates(
-        DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, McConfig(n=SHARD_SIZE, seed=7)
-    )
-    b = simulate_terminal_rates(
-        DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, McConfig(n=SHARD_SIZE + 3, seed=7)
-    )
+    a = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, McConfig(n=SHARD_SIZE, seed=7))
+    b = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, McConfig(n=SHARD_SIZE + 3, seed=7))
     assert np.array_equal(a, b[:SHARD_SIZE])
 
 
 def test_rate_sample_mean_sanity():
     cfg = McConfig(n=70000, seed=2024)
-    rates = simulate_terminal_rates(DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, cfg)
+    moves = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, cfg)
     se = 0.02 * math.sqrt(0.25) / math.sqrt(cfg.n)
-    assert abs(float(np.mean(rates)) - 0.01) < 4 * se
+    assert abs(float(np.mean(moves)) - 0.0) < 4 * se
 
 
 def test_vanishing_volatility_pins_rates():
     dyn = RateDynamics(mu=0.04, sigma=1e-300)
-    rates = simulate_terminal_rates(DEFAULT_MARKET, dyn, 0.25, McConfig(n=100, seed=1))
-    assert np.allclose(rates, 0.02, rtol=0, atol=1e-12)
+    moves = simulate_terminal_rates(dyn, 0.25, McConfig(n=100, seed=1))
+    assert np.allclose(moves, 0.02 - DEFAULT_MARKET.r0, rtol=0, atol=1e-12)
 
 
 def test_monotone_rate_price_pairing():
     spec = default_spec(3.0)
     cfg = McConfig(n=1000, seed=5)
-    rates = simulate_terminal_rates(DEFAULT_MARKET, DEFAULT_DYNAMICS, 0.25, cfg)
+    rates = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, cfg)
     prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
     order = np.argsort(rates)[::-1]  # rates descending
     assert np.all(np.diff(prices[order]) > 0)  # prices ascending
@@ -288,7 +284,7 @@ def test_delta_deterministic_payoff_limit():
     dyn = RateDynamics(mu=0.0, sigma=1e-300)
     spec = default_spec(3.0)
     c = OptionContract(K=50.0, T=0.25, r_f=0.0209)
-    want = math.exp(-0.0209 * 0.25) * float(price(spec, 0.01)) / 100.0
+    want = math.exp(-0.0209 * 0.25) * float(price(spec, 0.0)) / 100.0
     got = crn_delta(spec, dyn, c, McConfig(n=100, seed=3))[0]
     assert got == pytest.approx(want, rel=1e-9)
 

@@ -1,4 +1,4 @@
-"""Model layer: duration curve, spot-anchored log-space price, rate law."""
+"""Model layer: duration curve, spot-anchored log-space price on rate moves, rate law."""
 import math
 
 import mpmath
@@ -59,13 +59,13 @@ def test_calibrate_level_pinned_c3():
     # oracle: P(0) = k (1+e^{-C x0})^{-U/C} with k = 100 e^{0.01} (1+e^{3(0.01-0.055)})^{9/3}
     k = 664.437567149752
     want = k * (1.0 + math.exp(-3.0 * 0.055)) ** (-9.0 / 3.0)
-    assert price(default_spec(3.0), 0.0) == pytest.approx(want, rel=1e-9)
+    assert price(default_spec(3.0), 0.0 - DEFAULT_MARKET.r0) == pytest.approx(want, rel=1e-9)
 
 
 def test_calibrate_level_pinned_c_half():
     k = 21648754.340908803
     want = k * (1.0 + math.exp(-0.5 * 0.055)) ** (-9.0 / 0.5)
-    assert price(default_spec(0.5), 0.0) == pytest.approx(want, rel=1e-9)
+    assert price(default_spec(0.5), 0.0 - DEFAULT_MARKET.r0) == pytest.approx(want, rel=1e-9)
 
 
 def test_expit_is_scipy_expit_bit_for_bit():
@@ -84,13 +84,14 @@ def test_calibrate_level_degenerate_duration():
     k = 100.0
     spec = ModelSpec.calibrate(DurationParams(L=0.0, U=1e-12, C=2.0, x0=0.055), DEFAULT_MARKET)
     want = k * (1.0 + math.exp(-2.0 * 0.055)) ** (-1e-12 / 2.0)
-    assert price(spec, 0.0) == pytest.approx(want, rel=1e-9)
+    assert price(spec, 0.0 - DEFAULT_MARKET.r0) == pytest.approx(want, rel=1e-9)
 
 
-def _mp_log_price(p: DurationParams, m: MarketState, r: float) -> mpmath.mpf:
-    # 50 digits: log P0 - L (r - r0) - (U/C) log((1 + e^{C (r - x0)}) / (1 + e^{C (r0 - x0)}))
+def _mp_log_price(p: DurationParams, m: MarketState, d: float) -> mpmath.mpf:
+    # 50 digits at r = r0 + d: log P0 - L d - (U/C) log((1 + e^{C (r - x0)}) / (1 + e^{C (r0 - x0)}))
     with mpmath.workdps(50):
-        L, U, C, x0, P0, r0, r = (mpmath.mpf(v) for v in (p.L, p.U, p.C, p.x0, m.P0, m.r0, r))
+        L, U, C, x0, P0, r0, d = (mpmath.mpf(v) for v in (p.L, p.U, p.C, p.x0, m.P0, m.r0, d))
+        r = r0 + d
         ratio = (1 + mpmath.exp(C * (r - x0))) / (1 + mpmath.exp(C * (r0 - x0)))
         return mpmath.log(P0) - L * (r - r0) - U / C * mpmath.log(ratio)
 
@@ -105,10 +106,10 @@ def test_price_map_matches_50_digit_reference(C, x0, sigma):
     # 300 default draws; relative price error is the absolute log-price error
     p = DurationParams(L=1.0, U=9.0, C=C, x0=x0)
     spec = ModelSpec.calibrate(p, DEFAULT_MARKET)
-    rates = simulate_terminal_rates(DEFAULT_MARKET, RateDynamics(0.0, sigma), 0.25, McConfig(n=300))
-    got = log_price(spec, rates)
+    moves = simulate_terminal_rates(RateDynamics(0.0, sigma), 0.25, McConfig(n=300))
+    got = log_price(spec, moves)
     with mpmath.workdps(50):
-        worst = max(abs(mpmath.mpf(g) - _mp_log_price(p, DEFAULT_MARKET, r)) for g, r in zip(got, rates))
+        worst = max(abs(mpmath.mpf(g) - _mp_log_price(p, DEFAULT_MARKET, d)) for g, d in zip(got, moves))
     assert worst <= 1e-14
 
 
@@ -122,11 +123,11 @@ def test_curvature_floor():
 def test_price_reproduces_spot():
     for C in (0.5, 3.0, 30.0, 40.0):
         spec = default_spec(C)
-        assert price(spec, 0.01) == pytest.approx(100.0, rel=1e-12)
+        assert price(spec, 0.0) == pytest.approx(100.0, rel=1e-12)
 
 
 def test_price_pinned_c3():
-    assert price(default_spec(3.0), 0.02) == pytest.approx(94.90409926076111, rel=1e-12)
+    assert price(default_spec(3.0), 0.02 - DEFAULT_MARKET.r0) == pytest.approx(94.90409926076111, rel=1e-12)
 
 
 def test_price_strictly_decreasing():
@@ -148,8 +149,9 @@ def test_ode_consistency_defaults():
         spec = default_spec(C)
         p = spec.duration
         for r in np.linspace(p.x0 - 0.05, p.x0 + 0.05, 21):
-            fd = (price(spec, r + h) - price(spec, r - h)) / (2 * h)
-            rhs = -duration(p, r) * price(spec, r)
+            d = r - spec.market.r0
+            fd = (price(spec, d + h) - price(spec, d - h)) / (2 * h)
+            rhs = -duration(p, r) * price(spec, d)
             assert fd == pytest.approx(rhs, rel=1e-6)
 
 
@@ -164,7 +166,7 @@ def test_calibration_identity_randomized():
         )
         m = MarketState(P0=rng.uniform(80.0, 120.0), r0=rng.uniform(0.0, 0.08))
         spec = ModelSpec.calibrate(p, m)
-        assert price(spec, m.r0) == pytest.approx(m.P0, rel=1e-12)
+        assert price(spec, 0.0) == pytest.approx(m.P0, rel=1e-12)
 
 
 def test_ode_consistency_randomized():
@@ -180,8 +182,9 @@ def test_ode_consistency_randomized():
         m = MarketState(P0=rng.uniform(80.0, 120.0), r0=rng.uniform(0.0, 0.08))
         spec = ModelSpec.calibrate(p, m)
         for r in np.linspace(p.x0 - 0.05, p.x0 + 0.05, 7):
-            fd = (price(spec, r + h) - price(spec, r - h)) / (2 * h)
-            rhs = -duration(p, r) * price(spec, r)
+            d = r - m.r0
+            fd = (price(spec, d + h) - price(spec, d - h)) / (2 * h)
+            rhs = -duration(p, r) * price(spec, d)
             assert fd == pytest.approx(rhs, rel=1e-6)
 
 
@@ -195,20 +198,19 @@ def test_log_linear_limit_small_curvature():
 
 
 def test_terminal_rate_law_defaults():
-    law = terminal_rate_law(DEFAULT_MARKET, RateDynamics(mu=0.0, sigma=0.02), 0.25)
-    assert law.mean == pytest.approx(0.01, abs=0)
+    law = terminal_rate_law(RateDynamics(mu=0.0, sigma=0.02), 0.25)
+    assert law.mean == pytest.approx(0.0, abs=0)
     assert law.std == pytest.approx(0.01, rel=1e-15)
 
 
 def test_terminal_rate_law_drift_and_vol():
-    m = MarketState(P0=100.0, r0=0.01)
-    assert terminal_rate_law(m, RateDynamics(mu=0.04, sigma=0.02), 0.25).mean == pytest.approx(0.02)
-    assert terminal_rate_law(m, RateDynamics(mu=0.0, sigma=0.04), 0.25).std == pytest.approx(0.02)
+    assert terminal_rate_law(RateDynamics(mu=0.04, sigma=0.02), 0.25).mean == pytest.approx(0.01)
+    assert terminal_rate_law(RateDynamics(mu=0.0, sigma=0.04), 0.25).std == pytest.approx(0.02)
 
 
 def test_terminal_rate_law_rejects_nonpositive_expiry():
     with pytest.raises(ValidationError):
-        terminal_rate_law(DEFAULT_MARKET, RateDynamics(mu=0.0, sigma=0.02), 0.0)
+        terminal_rate_law(RateDynamics(mu=0.0, sigma=0.02), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -228,10 +230,10 @@ def test_invariant_violations_rejected(bad):
         bad()
 
 
-def _reference_log_shape(spec, r):
+def _reference_log_shape(spec, d):
     # the allocating expression form of model.log_shape, one new array per step
     p, m = spec.duration, spec.market
-    x = p.C * (np.asarray(r, dtype=float) - m.r0)
+    x = p.C * np.asarray(d, dtype=float)
     far = np.abs(x) > 1.0
     step = np.log1p(spec.q * np.expm1(np.minimum(np.maximum(x, -1.0), 1.0)))
     if np.count_nonzero(far):
@@ -242,9 +244,9 @@ def _reference_log_shape(spec, r):
 
 
 def _kernel_inputs():
-    law = terminal_rate_law(DEFAULT_MARKET, RateDynamics(0.0, 0.02), 0.25)
+    law = terminal_rate_law(RateDynamics(0.0, 0.02), 0.25)
     nodes = law.mean + math.sqrt(2.0) * law.std * np.polynomial.hermite.hermgauss(21)[0]
-    sample = simulate_terminal_rates(DEFAULT_MARKET, RateDynamics(0.0, 0.02), 0.25, McConfig(n=70000, seed=3))
+    sample = simulate_terminal_rates(RateDynamics(0.0, 0.02), 0.25, McConfig(n=70000, seed=3))
     return {
         "n70000": sample,
         "nodes21": nodes,
@@ -268,7 +270,7 @@ def test_in_place_kernels_equal_the_allocating_ones_bit_for_bit(C, name):
     got = price(spec, r, work)
     assert got is work[0]
     assert got.tobytes() == np.asarray(price(spec, r)).tobytes() == want_price.tobytes()
-    # the rates themselves may serve as the first work array
+    # the rate moves themselves may serve as the first work array
     own = r.copy()
     assert price(spec, own, (own, np.empty_like(r))).tobytes() == want_price.tobytes()
     assert r.tobytes() == before

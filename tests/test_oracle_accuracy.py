@@ -63,7 +63,7 @@ def test_oracle_model_is_the_default_bundle():
     z = np.linspace(-8.0, 8.0, 161)
     for C in (0.5, 3.0, 30.0):
         mdl = exact_model(C)
-        want = log_price(default_spec(C), mdl.rate_mean + mdl.rate_std * z)
+        want = log_price(default_spec(C), mdl.mu * mdl.T + mdl.rate_std * z)
         np.testing.assert_allclose(mdl.log_price(z), want, rtol=1e-14, atol=0)
 
 

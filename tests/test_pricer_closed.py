@@ -148,7 +148,7 @@ def test_ln_exponents_perfectly_correlated():
 
 def test_ln_terminal_params_vanishing_volatility():
     law = ln_terminal_params(default_spec(3.0), RateDynamics(mu=0.0, sigma=1e-10), 0.25)
-    assert math.exp(law.mu_P) == pytest.approx(float(price(default_spec(3.0), 0.01)), rel=1e-6)
+    assert math.exp(law.mu_P) == pytest.approx(float(price(default_spec(3.0), 0.0)), rel=1e-6)
     assert law.sigma_P <= 1e-8
 
 
@@ -209,11 +209,12 @@ def test_price_ln_pinned():
 
 
 def test_price_ln_is_kernel_on_matched_law():
-    # single source of truth: no second formula path
+    # single source of truth: no second formula path; the kernel prices P/P0
+    # on (M1/P0, K/P0), and the price is P0 times that
     spec = default_spec(2.0)
     law = ln_terminal_params(spec, DEFAULT_DYNAMICS, 0.25)
-    m1 = math.exp(law.mu_P + 0.5 * law.sigma_P**2)
-    want = bs_call(BsKernelInputs(m1, law.sigma_P, 100.0, math.exp(-0.0209 * 0.25)))
+    m1 = math.exp(law.mu + 0.5 * law.sigma_P**2)
+    want = 100.0 * bs_call(BsKernelInputs(m1, law.sigma_P, 100.0 / 100.0, math.exp(-0.0209 * 0.25)))
     assert price_ln(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT).price == want
 
 
@@ -346,15 +347,14 @@ def test_gamma_ln_matches_second_difference_at_defaults():
 
 
 def test_greeks_ln_without_spread_are_intrinsic():
-    # sigma = 1e-300 leaves W = 0: delta is df M1 / P0 in the money and 0 out
+    # sigma = 1e-300 leaves W = 0: delta is df M1/P0 in the money and 0 out
     # of it, gamma is 0 either way
     dyn = RateDynamics(mu=0.0, sigma=1e-300)
     spec = default_spec(3.0)
     itm, otm = OptionContract(99.0, 0.25, 0.0209), OptionContract(101.0, 0.25, 0.0209)
     law = ln_terminal_params(spec, dyn, 0.25)
     assert law.sigma_P == 0.0
-    m1 = math.exp(law.mu_P)
-    assert delta_ln(spec, dyn, itm) == itm.df * m1 / 100.0
+    assert delta_ln(spec, dyn, itm) == itm.df * math.exp(law.mu)
     assert delta_ln(spec, dyn, otm) == 0.0
     assert gamma_ln(spec, dyn, itm) == 0.0
     assert gamma_ln(spec, dyn, otm) == 0.0
@@ -427,14 +427,61 @@ def test_regime_warning_matches_the_numpy_proxy_on_random_sets(record_property):
     assert 100 <= warns <= sets - 100
 
 
-@pytest.mark.parametrize("P0, mu", [(5e-324, 0.0), (1e-310, 0.0), (1e-300, 10.0)],
-                         ids=["P0=5e-324", "P0=1e-310", "M1 subnormal at P0=1e-300"])
-def test_ln_greeks_at_a_subnormal_spot_or_mean_raise(P0, mu):
+def _ln_at_spot(P0: float, mu: float = 0.0) -> tuple[ModelSpec, RateDynamics, OptionContract]:
+    # C = 3 at P0 = K: the law of P/P0 and K/P0 = 1 are the same at every spot
     spec = ModelSpec.calibrate(default_duration(3.0), MarketState(P0, 0.01))
-    c = OptionContract(P0, 0.25, 0.0209)
-    for greek, fn in (("delta", delta_ln), ("gamma", gamma_ln)):
-        with pytest.raises(NonFiniteResultError, match=f"^{greek} is unresolved at P0="):
-            fn(spec, RateDynamics(mu, 0.02), c)
+    return spec, RateDynamics(mu, 0.02), OptionContract(P0, 0.25, 0.0209)
+
+
+@pytest.mark.parametrize("P0", [1e-300, 1.0, 1e308])
+def test_ln_price_and_greeks_scale_with_p0_at_extreme_spots(P0):
+    ref = _ln_at_spot(100.0)
+    at = _ln_at_spot(P0)
+    assert price_ln(*at).price / P0 == pytest.approx(price_ln(*ref).price / 100.0, rel=1e-14)
+    assert delta_ln(*at) == pytest.approx(delta_ln(*ref), rel=1e-14)
+    assert P0 * gamma_ln(*at) == pytest.approx(100.0 * gamma_ln(*ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("P0, mu", [(5e-324, 0.0), (1e-310, 0.0), (1e-300, 10.0)],
+                         ids=["P0=5e-324", "P0=1e-310", "tiny-M1"])
+def test_ln_greeks_at_a_subnormal_spot_or_mean_scale_with_p0(P0, mu):
+    # M1/P0 and K/P0 do not depend on the spot, so delta is the P0 = 100 delta
+    # bit for bit; gamma scales as 1/P0, past double range at a subnormal spot
+    at, ref = _ln_at_spot(P0, mu), _ln_at_spot(100.0, mu)
+    assert delta_ln(*at) == delta_ln(*ref)
+    if P0 < sys.float_info.min:
+        with pytest.raises(NonFiniteResultError, match=f"^gamma is inf at P0={P0}$"):
+            gamma_ln(*at)
+    else:
+        assert P0 * gamma_ln(*at) == 100.0 * gamma_ln(*ref)
+
+
+def _mp_ln_kernel(law, c: OptionContract) -> tuple:
+    # price, delta and gamma of a call on LogN(mu_P, sigma_P^2) in 50 digits
+    with mpmath.workdps(50):
+        P0, w, K = mpmath.mpf(law.P0), mpmath.mpf(law.sigma_P), mpmath.mpf(c.K)
+        df = mpmath.exp(-mpmath.mpf(c.r_f) * mpmath.mpf(c.T))
+        m1 = P0 * mpmath.exp(mpmath.mpf(law.mu) + w * w / 2)
+        d1 = (mpmath.log(m1 / K) + w * w / 2) / w
+        price_ = df * (m1 * mpmath.ncdf(d1) - K * mpmath.ncdf(d1 - w))
+        return price_, df * m1 / P0 * mpmath.ncdf(d1), df * m1 / P0 * mpmath.npdf(d1) / (w * P0)
+
+
+def test_ln_kernel_matches_50_digits_on_the_matched_law(record_property):
+    # the kernel's own error, on the law ln_terminal_params returns, across
+    # the 13 x 12 (K, C) reference grid
+    worst = [0.0, 0.0, 0.0]
+    for C in REFERENCE_CURVATURES:
+        spec = default_spec(C)
+        law = ln_terminal_params(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT.T)
+        for K in REFERENCE_STRIKES:
+            c = OptionContract(K, DEFAULT_CONTRACT.T, DEFAULT_CONTRACT.r_f)
+            got = (price_ln(spec, DEFAULT_DYNAMICS, c).price, delta_ln(spec, DEFAULT_DYNAMICS, c),
+                   gamma_ln(spec, DEFAULT_DYNAMICS, c))
+            for i, (g, want) in enumerate(zip(got, _mp_ln_kernel(law, c))):
+                worst[i] = max(worst[i], float(abs(g - want) / want))
+    record_property("worst_relative_price_delta_gamma", worst)
+    assert max(worst) <= 1e-13, worst
 
 
 @pytest.mark.parametrize("sigma", [80.0, 1000.0], ids=["moments overflow", "price overflows"])
