@@ -94,7 +94,10 @@ def _ndtr(x: float) -> float:
 
 
 def _d1(inp: BsKernelInputs) -> float:
-    """d1; where M1 / K_eff underflows to 0 (a worthless call), its limit -inf."""
+    """d1; its limit +inf where K_eff underflowed to 0 (a call that cannot miss)
+    and -inf where M1 / K_eff underflows to 0 (a worthless call)."""
+    if inp.K_eff == 0.0:
+        return math.inf
     ratio = inp.M1 / inp.K_eff
     if ratio == 0.0:
         return -math.inf
@@ -105,10 +108,10 @@ def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
     """df E[(o (Z - K_eff))+] for o = orientation: a call for o = +1,
     df (M1 N(d1) - K_eff N(d2)), a put for o = -1, df (K_eff N(-d2) - M1 N(-d1)).
 
-    Without a strike (K_eff <= 0, Z > 0), a spread (W <= 0) or a finite strike
-    (K_eff = inf, a worthless call) the value is the discounted intrinsic
-    df max(o (M1 - K_eff), 0); adding 0.0 turns its -0.0 at o = -1, M1 = K_eff
-    into +0.0. Negation is exact, so o = -1 gives the put's bits.
+    Without a strike (K_eff <= 0, Z > 0), a spread (W <= 0) or with an infinite
+    strike (K_eff = inf: K/P0 overflowed, a worthless call) the value is the
+    discounted intrinsic df max(o (M1 - K_eff), 0); adding 0.0 turns its -0.0 at
+    o = -1, M1 = K_eff into +0.0. Negation is exact, so o = -1 gives the put's bits.
     """
     o = orientation
     if inp.K_eff <= 0.0 or inp.W <= 0.0 or inp.K_eff == math.inf:

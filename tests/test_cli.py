@@ -802,6 +802,22 @@ def test_ln_delta_sweep_at_a_subnormal_spot_matches_the_p0_scaling(capsys, tmp_p
     assert deltas("5e-324", "5e-324,1e-323") == deltas("100", "100,200")
 
 
+@pytest.mark.parametrize("spot", [(), ("--set", "P0=1e300")])
+def test_ln_strike_whose_ratio_to_spot_underflows_is_deep_in_the_money(capsys, tmp_path, spot):
+    # K/P0 underflows to 0: the call cannot miss, so delta = df M1/P0 and gamma = 0
+    K, K2 = ("1e-30", "1e-25") if spot else ("1e-323", "5e-323")
+    doc = run_json(capsys, "greeks", "--method", "ln", "--set", "C=3", "--set", f"K={K}", *spot)
+    assert doc["delta"] == doc["sanity"]["delta_upper_bound"] > 0.0 and doc["gamma"] == 0.0
+    csv = tmp_path / "s.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis1", f"K={K},{K2}", "--axis2", "C=3", "--engines", "ln",
+        "--greek", "delta", "--out", str(csv), *spot,
+    )
+    assert (code, err) == (0, ""), err
+    rows = csv.read_text(encoding="utf-8").splitlines()[1:]
+    assert [float(row.split(",")[7]) for row in rows] == pytest.approx([doc["delta"]] * 2, rel=1e-9)
+
+
 def test_greeks_ln_evaluates_the_matched_law_once(capsys, monkeypatch):
     laws = []
 
