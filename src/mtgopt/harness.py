@@ -15,8 +15,8 @@ A sweep validates every cell before it draws, then prices the cells one seed
 group at a time (the cells that share a cell seed) on one sample provider,
 mc_engine.Draws, which every engine reads and in whose slots every n-sized
 stage of a cell runs. Within a group each (seed, n) is drawn once, and the MC
-delta legs of its cells on one rate law and duration curve share their
-P0-free log shape; the provider releases them before the next group draws.
+delta cells on one rate law and duration curve share one kept sample of P/P0
+and its moments; the provider releases them before the next group draws.
 A skew table is one group: every row reads one kept sample.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
@@ -206,8 +206,8 @@ def _mc_fields(
 ) -> dict[str, float | None]:
     """The MC engine's fields; skew describes the sample MC priced.
 
-    For a delta that is the base leg, whose moments crn_delta reduces in its
-    own slots and hands back; a price sample dies on return, before SLN draws.
+    For a delta that is P/P0, whose moments crn_delta keeps for the group and
+    hands back; a price sample dies on return, before SLN draws.
     """
     if spec.greek == "delta":
         check_moment_count(cfg.n)

@@ -13,16 +13,16 @@ rely on.
 Draws is the one sample provider and the one owner of n-sized arrays: it
 maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
 z * law.std + law.mean. One provider serves one CLI command, one skew table
-or one sweep; it draws each (seed, n) once and keeps it, with the delta legs'
-log shape, in slots of its own until release(), which a sweep calls after
+or one sweep; it draws each (seed, n) once and keeps it, with the delta's
+sample of P/P0 and its moments, until release(), which a sweep calls after
 each seed group (the cells that share a cell seed).
 
 Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
-standard error, delta legs and their base leg's moments) runs in place on the
-provider's slots, so a warm delta touches four arrays (the kept A and B, two
+standard error, the delta's payoff and mask and the moments) runs in place on
+the provider's slots, so a warm delta touches three arrays (the kept P/P0, two
 work slots) and allocates none. No array a call hands back lives in them:
 callers own what they get, and a later call never overwrites it. A delta hands
-back no array, only its base leg's moments. A provider serves one thread.
+back no array, only the moments of P/P0. A provider serves one thread.
 """
 from __future__ import annotations
 
@@ -35,8 +35,7 @@ import numpy as np
 
 from .distfit import SampleMoments, central_moments
 from .errors import ValidationError
-from .model import MarketState, ModelSpec, OptionContract, RateDynamics
-from .model import log_price_at, log_shape, terminal_rate_law
+from .model import ModelSpec, OptionContract, RateDynamics, log_shape, terminal_rate_law
 from .model import price as model_price
 from .pricer_closed import PriceResult
 
@@ -48,11 +47,6 @@ SHARD_SIZE = 16384
 # property of the draw, not only of the fitter) and so the default grids sit
 # inside the frozen accuracy gates with margin
 DEFAULT_SEED = 38590
-
-# each delta leg carries roundoff of a few ulps of P0, so a forward difference
-# carries a few times eps P0 / bump; a bump of at least 2^22 eps P0 keeps that
-# to a few times 2^-22 (about 2.4e-7)
-MIN_RELATIVE_BUMP = 2.0**22 * np.finfo(float).eps
 
 _MASK64 = (1 << 64) - 1
 
@@ -128,9 +122,10 @@ class Draws:
     drawn by `workers` threads, and the work arrays of the calls that read them.
 
     Its arrays are slots of n floats. Each z, and each array made from it that
-    a later call asks for again (the delta legs' log shape), is kept in slots
-    of its own until release(), and handed out as a read-only view; work
-    arrays come from the slots after those. A change of n drops every slot.
+    a later call asks for again (the delta's sample of P/P0), is kept in slots
+    of its own until release() and handed out as a read-only view; keep()
+    holds what is made from them (a sample's moments) as long. Work arrays
+    come from the slots after those. A change of n drops every slot.
     """
 
     def __init__(self, workers: int = 1):
@@ -138,11 +133,11 @@ class Draws:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._slots: list[np.ndarray] = []
-        self._kept: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._kept: dict[tuple, object] = {}
         self._held = 0
 
     def release(self) -> None:
-        """Forget every kept array; its slots become work arrays again."""
+        """Forget everything kept; the kept arrays' slots become work arrays again."""
         self._kept.clear()
         self._held = 0
 
@@ -155,6 +150,12 @@ class Draws:
             self._slots.append(np.empty(n, dtype=float))
         return self._slots[self._held : self._held + k]
 
+    def keep(self, key: tuple, make):
+        """What make() returns, made once and kept under key until release()."""
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
     def reuse(self, key: tuple, k: int, n: int, fill) -> tuple[np.ndarray, ...]:
         """k arrays of n floats that fill(*slots) writes, kept under key until
         release() and handed out read-only.
@@ -162,16 +163,17 @@ class Draws:
         The slots are reserved before fill runs, so what fill keeps in turn
         goes into the slots after them.
         """
-        arrays = self._kept.get(key)
-        if arrays is None:
+
+        def make() -> tuple[np.ndarray, ...]:
             slots = self.work(k, n)
             self._held += k
             fill(*slots)
             arrays = tuple(a.view() for a in slots)
             for a in arrays:
                 a.flags.writeable = False
-            self._kept[key] = arrays
-        return arrays
+            return arrays
+
+        return self.keep(key, make)
 
     def normals(self, seed: int, n: int) -> np.ndarray:
         """z for (seed, n), drawn once until release(); read-only."""
@@ -238,42 +240,41 @@ def crn_delta(
     cfg: McConfig,
     draws: Draws | None = None,
 ) -> tuple[float, SampleMoments | None]:
-    """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump, and the
-    moments of the base leg's price sample (None below the n = 3 that a third
-    moment needs).
+    """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump on one rate
+    sample (CRN), and the moments of the sample f = P/P0 that both legs price
+    (None below the n = 3 that a third moment needs).
 
-    Both legs price one rate sample (CRN) as exp(log P0' - A - B) for the
-    P0-free terms (A, B) of model.log_shape, which the provider keeps for every
+    f = exp(-A - B) for the P0-free terms (A, B) of model.log_shape, the price
+    map at a unit spot, and its moments are kept by the provider for every
     call on the same sample, rate law and duration curve until release(). The
-    legs and the moments run in two work slots: the base leg's sample is the
-    second, and its moments write their powers over it. A bump below
-    MIN_RELATIVE_BUMP * P0 would give a delta made of roundoff, so it is
-    rejected.
+    legs are (P0 + h) f and P0 f, so with k = K/P0 the difference is read off
+    f without cancelling: df/n [sum (f - k)+ + k #{f > k} + sum over the band
+    K/(P0 + h) < f <= k, where only the bumped leg pays, of f + (P0 f - K)/h].
     """
     h = cfg.bump
     m = spec.market
-    if h < MIN_RELATIVE_BUMP * m.P0:
-        raise ValidationError(
-            f"bump={h} is below the roundoff floor {MIN_RELATIVE_BUMP:.3g} * P0 at P0={m.P0}"
-        )
-    bumped = MarketState(m.P0 + h, m.r0)
     draws = draws or Draws()
     # r0 stays in the key: the shape's far branch reads b = C (r0 - x0), and
     # q = expit(b) no longer tells b apart once it saturates
-    key = ("shape", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
+    key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
 
-    def fill(A: np.ndarray, B: np.ndarray) -> None:
-        log_shape(spec, simulate_terminal_rates(dyn, c.T, cfg, draws, A), (A, B))
+    def fill(f: np.ndarray) -> None:
+        moves = simulate_terminal_rates(dyn, c.T, cfg, draws, f)
+        A, B = log_shape(spec, moves, (f, draws.work(1, cfg.n)[0]))
+        np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
 
-    shape = draws.reuse(key, 2, cfg.n, fill)
-    work, sample = draws.work(2, cfg.n)
-
-    def leg(P0: float, prices: np.ndarray) -> float:
-        np.exp(log_price_at(P0, shape, prices), out=prices)
-        payoff = np.maximum(np.subtract(prices, c.K, out=work), 0.0, out=work)
-        return c.df * float(np.mean(payoff))
-
-    up = leg(bumped.P0, work)
-    base = leg(m.P0, sample)
-    moments = central_moments(sample, (work, sample)) if cfg.n >= 3 else None
-    return (up - base) / h, moments
+    (f,) = draws.reuse(key, 1, cfg.n, fill)
+    moments = draws.keep(
+        ("moments", *key), lambda: central_moments(f, draws.work(2, cfg.n)) if cfg.n >= 3 else None
+    )
+    work, mask = draws.work(2, cfg.n)
+    mask = mask.view(bool)[: cfg.n]
+    k = c.K / m.P0
+    above = np.count_nonzero(np.greater(f, k, out=mask))
+    total = float(np.add.reduce(np.maximum(np.subtract(f, k, out=work), 0.0, out=work)))
+    if above:  # k = K/P0 may overflow to inf, and then no path is above it
+        total += k * above
+    if np.count_nonzero(np.greater(f, c.K / (m.P0 + h), out=mask)) > above:
+        band = f[mask & (f <= k)]
+        total += float(np.add.reduce(band + (m.P0 * band - c.K) / h))
+    return c.df * total / cfg.n, moments

@@ -188,20 +188,12 @@ def log_shape(spec: ModelSpec, d, out=None):
     return np.multiply(x, p.L / p.C, out=A), np.multiply(step, p.U / p.C, out=step)
 
 
-def log_price_at(P0: float, shape, out=None):
-    """log P0 - A - B: the log price at spot P0 for the terms (A, B) of log_shape,
-    written into out if given.
-
-    Every spot on one duration curve and rate sample shares those terms.
-    """
-    A, B = shape
-    return np.subtract(np.subtract(math.log(P0), A, out=out), B, out=out)
-
-
 def log_price(spec: ModelSpec, d, out=None):
-    """log P at the rate moves d = r - r0, anchored at log P0 at d = 0; out as
-    for log_shape, and the log price is written over out[0]."""
-    return log_price_at(spec.market.P0, log_shape(spec, d, out), None if out is None else out[0])
+    """log P = log P0 - A - B at the rate moves d = r - r0, anchored at log P0
+    at d = 0; out as for log_shape, and the log price is written over out[0]."""
+    A, B = log_shape(spec, d, out)
+    target = None if out is None else out[0]
+    return np.subtract(np.subtract(math.log(spec.market.P0), A, out=target), B, out=target)
 
 
 def price(spec: ModelSpec, r, out=None):

@@ -39,6 +39,11 @@ def default_spec(C: float) -> ModelSpec:
     return ModelSpec.calibrate(default_duration(C), DEFAULT_MARKET)
 
 
+def unit_spot(spec: ModelSpec) -> ModelSpec:
+    """spec at P0 = 1: its price map is P/P0, the sample an MC delta prices."""
+    return ModelSpec(spec.duration, MarketState(1.0, spec.market.r0), spec.q)
+
+
 def duration(p: DurationParams, r):
     """Duration D(r) = L + U/(1+e^{-C(r-x0)}); strictly increasing, range (L, L+U)."""
     return p.L + p.U * expit(p.C * (np.asarray(r, dtype=float) - p.x0))

@@ -60,9 +60,9 @@ FINGERPRINT_SHA256 = {
         "684cfe363e141c49bfc79cf6758285ce80f479d631faaacad6af29694dd76982",
     ),
     "sweep_crn_delta": (
-        "59f54b2c40c83eefbd2629dfa9e46d8281b81b3ff806d0fbbca2ccb95e8734fd",
-        "39ae412044224a22868e3b328c40e4990a9dc626c638c3aa51e1dd6d1e2f13c7",
-        "0fc0118d7c80f70ad2d5a4879eec96f76ffc0c3cc3a1771682e59a6c54fa4f1f",
+        "85bbf0e253b5556ef8fb49c773f857803c6a673c0b93b74b4231cbba1862d1e9",
+        "f314b2c191fa4f053f4d91ffb37b009c6aa57b34babf4daad02ae6471578a907",
+        "3b12ab4906174ea3a51b8e9980ea767711a90ee31b594a6573c3680ff498f383",
     ),
     "sweep_ref": (
         "123ddf6f09f1780066dacf459bed27a7e95e740c178a8529189bf32a1215e47b",

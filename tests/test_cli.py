@@ -7,11 +7,13 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import unit_spot
 from mtgopt import mc_engine, pricer_closed
 from mtgopt.cli import _SCHEMA, main
-from mtgopt.harness import BaseParams
+from mtgopt.harness import BaseParams, SweepAxis, SweepSpec, materialize, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -258,12 +260,25 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
     # an MC price needs two draws for its standard error
     code, out, err = run_cli(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=1")
     assert (code, out) == (2, "") and "n=1" in err
-    # a bump below the roundoff floor (about 9.3e-8 at P0=100) would give a
-    # delta made of roundoff
+
+
+@pytest.mark.parametrize("C", ["1e-06", "0.5", "3", "30"])
+def test_greeks_mc_takes_any_positive_bump(capsys, C):
+    # the delta is read off one sample of P/P0, with no difference of two
+    # rounded legs, so a bump far below eps P0 is no delta of roundoff: at
+    # n = 2000 no path lies between the legs' strikes, and the delta is the
+    # default bump's; a bump of 1e300 is the secant over it, df E[P/P0]
+    def delta(*leaves):
+        argv = ("greeks", "--method", "mc", "--set", f"C={C}", "--set", "n=2000")
+        return run_json(capsys, *argv, *(f"--set={leaf}" for leaf in leaves))["delta"]
+
+    default = delta()
     for bump in ("1e-14", "1e-13", "1e-08"):
-        argv = ("greeks", "--method", "mc", "--set", "C=3", "--set", f"bump={bump}")
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "") and f"bump={bump}" in err
+        assert abs(delta(f"bump={bump}") - default) < 1e-6, bump
+    spec, dyn, c, cfg = materialize(BaseParams(C=float(C), n=2000))
+    f = mc_engine.simulate_terminal_prices(unit_spot(spec), dyn, c.T, cfg)
+    up, base = (c.df * float(np.mean(np.maximum(s * f - c.K, 0.0))) for s in (100.0 + 1e300, 100.0))
+    assert delta("bump=1e300") == pytest.approx((up - base) / 1e300, rel=1e-12)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -717,6 +732,25 @@ def test_tiny_spot_skewness_underflow_exits_3(capsys, tmp_path):
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: degenerate sample: ") and err.count("\n") == 1, argv
         assert "underflows" in err, argv
+
+
+def test_tiny_spot_crn_delta_sweep_takes_its_skew_from_p_over_p0(capsys, tmp_path):
+    # a delta sweep's skew is that of P/P0, whose m2 does not shrink with the
+    # spot: at P0 = 1e-150 it is the P0 = 100 sweep's, bit for bit
+    csv = tmp_path / "out.csv"
+    skews = []
+    for spots, bump in (("1e-150,2e-150", "1e-156"), ("100,200", "1e-4")):
+        argv = ("sweep", "--axis1", f"P0={spots}", "--axis2", "C=3", "--engines", "mc", "--greek", "delta",
+                "--crn-axis", "1", "--set", "n=2000", "--set", f"bump={bump}", "--out", str(csv))
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        skews.append([row.split(",")[-1] for row in csv.read_text(encoding="utf-8").splitlines()[1:]])
+        axis = SweepAxis("P0", tuple(float(v) for v in spots.split(",")))
+        spec = SweepSpec(BaseParams(n=2000, bump=float(bump)), axis, SweepAxis("C", (3.0,)),
+                         engines=("MC",), greek="delta", crn_axis=1)
+        skews.append([cell.skew.hex() for cell in run_sweep(spec)])
+    tiny_csv, tiny, ref_csv, ref = skews
+    assert tiny_csv == ref_csv and tiny == ref and len(set(tiny)) == 1
 
 
 @pytest.mark.parametrize("mu", ["1e150", "1e300"])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import unit_spot
 from mtgopt import harness
 from mtgopt.distfit import (
     LognormalParams,
@@ -35,6 +36,7 @@ from mtgopt.harness import (
     sweep_csv_lines,
     write_csv,
 )
+from mtgopt import mc_engine, model as model_module
 from mtgopt.mc_engine import crn_delta, mix64, price_mc, simulate_terminal_prices
 
 PACKAGE_ROOT = str(Path(harness.__file__).resolve().parents[1])
@@ -131,7 +133,7 @@ def test_sweep_worker_count_invariance():
 
 
 # the sweeps of the sample-reuse test: a CRN delta sweep along P0 (every cell
-# of a column shares the delta legs' log shape), CRN delta sweeps along C and
+# of a column shares one kept sample of P/P0), CRN delta sweeps along C and
 # sigma (one draw, a new duration curve or rate law per row), a CRN price
 # sweep along sigma and a sweep without a CRN axis, which keeps nothing
 REUSE_SWEEPS = {
@@ -185,10 +187,12 @@ def test_sweep_cells_equal_standalone_engine_calls(name):
         axes = {spec.axis1.name: cell.axis1_value, spec.axis2.name: cell.axis2_value}
         model, dyn, c, cfg = materialize(replace(spec.base, **axes))
         ref = replace(cfg, seed=reference_seed(spec, i, j))
-        sample = simulate_terminal_prices(model, dyn, c.T, ref)
         if spec.greek == "delta":
+            # a delta's skew is that of the sample of P/P0 it priced
+            sample = simulate_terminal_prices(unit_spot(model), dyn, c.T, ref)
             want = (crn_delta(model, dyn, c, ref)[0], None)
         else:
+            sample = simulate_terminal_prices(model, dyn, c.T, ref)
             res = price_mc(model, dyn, c, ref)
             want = (res.price, res.std_error)
         assert (cell.price_mc, cell.se_mc) == want, (name, k)
@@ -215,7 +219,7 @@ def test_no_state_survives_a_sweep():
 
 def test_crn_sweep_memory_does_not_grow_with_the_group_count():
     # along C every strike column shares one sample; each column's sample and
-    # log shapes are dropped before the next column draws
+    # kept samples of P/P0 are dropped before the next column draws
     def peak(strikes):
         spec = small_spec(
             base=BaseParams(seed=12345, n=20000),
@@ -254,19 +258,24 @@ def test_sweep_without_a_crn_axis_holds_a_few_arrays_of_n():
     assert peak <= 7 * n * 8, peak / (n * 8)
 
 
-def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
-    # a delta cell works in the kept log shape (A, B), the kept z and two work
-    # slots, the second of which holds the base leg's sample while crn_delta
-    # reduces its moments; a sample of its own would make six arrays of n
-    n = 70000
-    spec = small_spec(
+def crn_delta_sweep(n: int, curvatures: tuple[float, ...]) -> SweepSpec:
+    """LN and MC deltas at 12 spots, one CRN group per curvature."""
+    return small_spec(
         base=BaseParams(seed=12345, n=n),
         axis1=SweepAxis("P0", tuple(95.0 + i for i in range(12))),
-        axis2=SweepAxis("C", (3.0,)),
+        axis2=SweepAxis("C", curvatures),
         engines=("LN", "MC"),
         greek="delta",
         crn_axis=1,
     )
+
+
+def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
+    # a delta group keeps f = P/P0 and z, and works in two slots: the moments
+    # of f take both once, each spot's payoff and mask one each; keeping the
+    # log shape (A, B) instead of f would make five arrays of n
+    n = 70000
+    spec = crn_delta_sweep(n, (3.0,))
     # the first sweep loads the draw's imports, which would dwarf the arrays
     run_sweep(spec)
     tracemalloc.start()
@@ -275,7 +284,36 @@ def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * n * 8, peak / (n * 8)
+    assert peak <= 4.5 * n * 8, peak / (n * 8)
+
+
+def test_crn_delta_sweep_maps_and_reduces_its_sample_once_per_group(monkeypatch):
+    # twelve spots read one kept f: the map (log shape, then one exp) and the
+    # moments run once per group, not once per spot
+    calls = {"log_shape": 0, "exp": 0, "central_moments": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    class CountingNumpy:
+        exp = staticmethod(counted("exp", np.exp))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    for module in (mc_engine, model_module):
+        monkeypatch.setattr(module, "log_shape", counted("log_shape", module.log_shape))
+    for module in (mc_engine, harness):
+        monkeypatch.setattr(module, "central_moments", counted("central_moments", module.central_moments))
+    monkeypatch.setattr(mc_engine, "np", CountingNumpy())
+    monkeypatch.setattr(model_module, "np", CountingNumpy())
+    cells = run_sweep(crn_delta_sweep(2000, (0.5, 3.0)))
+    assert len(cells) == 24
+    assert calls == {"log_shape": 2, "exp": 2, "central_moments": 2}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")

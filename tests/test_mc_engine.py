@@ -11,6 +11,7 @@ from conftest import (
     DEFAULT_MARKET,
     default_spec,
     moment_bits,
+    unit_spot,
 )
 from mtgopt.distfit import central_moments
 from mtgopt.errors import ValidationError
@@ -121,13 +122,14 @@ def test_later_calls_never_overwrite_earlier_results(where):
     # no provider, one provider that every call shares, or one that a sweep
     # releases after each group: the second crn_delta and price sample of a
     # group read what the first kept, and each delta's moments are those of
-    # a fresh price sample
+    # a fresh sample of P/P0
     draws = None if where == "none" else Draws()
     c = DEFAULT_CONTRACT
 
     def results(C: float, seed: int) -> list[np.ndarray]:
         spec, cfg = default_spec(C), McConfig(n=5000, seed=seed)
-        fresh = moment_bits(central_moments(simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg)))
+        f = simulate_terminal_prices(unit_spot(spec), DEFAULT_DYNAMICS, c.T, cfg)
+        fresh = moment_bits(central_moments(f))
         out = [price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics]
         for _ in range(2):
             assert moment_bits(crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1]) == fresh
@@ -149,33 +151,40 @@ def test_later_calls_never_overwrite_earlier_results(where):
 
 
 @pytest.mark.parametrize("C", [1e-6, 3.0, 40.0])
-def test_crn_delta_legs_are_the_price_map_at_both_spots(C):
-    # exp(log P0' - A - B) on the shared terms is the map's own evaluation order
+@pytest.mark.parametrize("bump", [1e-4, 1e-8, 1.0])
+def test_crn_delta_with_a_path_in_the_band_is_the_two_leg_difference(C, bump):
+    # K sits between P0 f and (P0 + h) f of one path, which only the bumped
+    # leg exercises; the two legs, priced here on P/P0, differ by the delta up
+    # to their own roundoff of a few eps P0 / h
     spec = default_spec(C)
-    cfg = McConfig(n=3000, seed=22)
-    delta, moments = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
-    sample = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
-    assert moment_bits(moments) == moment_bits(central_moments(sample))
-    legs = []
-    for P0 in (100.0 + cfg.bump, 100.0):
-        prices = simulate_terminal_prices(bumped_spec(spec, P0 - 100.0), DEFAULT_DYNAMICS, 0.25, cfg)
-        legs.append(DEFAULT_CONTRACT.df * float(np.mean(np.maximum(prices - DEFAULT_CONTRACT.K, 0.0))))
-    assert delta == (legs[0] - legs[1]) / cfg.bump
-    assert delta == crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0]
+    cfg = McConfig(n=3000, seed=22, bump=bump)
+    f = simulate_terminal_prices(unit_spot(spec), DEFAULT_DYNAMICS, 0.25, cfg)
+    P0 = spec.market.P0
+    c = OptionContract(K=(P0 + 0.5 * bump) * float(np.sort(f)[cfg.n // 2]), T=0.25, r_f=0.0209)
+    assert np.count_nonzero((P0 * f < c.K) & ((P0 + bump) * f > c.K)) >= 1
+    delta, moments = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)
+    assert moment_bits(moments) == moment_bits(central_moments(f))
+    up, base = (c.df * float(np.mean(np.maximum(s * f - c.K, 0.0))) for s in (P0 + bump, P0))
+    eps = np.finfo(float).eps
+    assert abs(delta - (up - base) / bump) <= 8.0 * eps * P0 / bump
+    assert delta == crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)[0]
 
 
 def test_kept_log_shape_is_keyed_by_what_it_depends_on():
-    # one provider across specs that differ only in L, U or sigma: each delta
-    # must still equal a fresh one
+    # one provider across specs that differ only in L, U, sigma or P0: each
+    # delta and its moments must still equal fresh ones (P0 shares the kept f)
     draws = Draws()
     cfg = McConfig(n=2000, seed=5)
     cases = [(default_spec(3.0), DEFAULT_DYNAMICS), (default_spec(3.0), RateDynamics(0.0, 0.03))]
     for L, U in ((2.0, 9.0), (1.0, 8.0)):
         spec = ModelSpec.calibrate(DurationParams(L, U, 3.0, 0.055), DEFAULT_MARKET)
         cases.append((spec, DEFAULT_DYNAMICS))
+    spot = ModelSpec.calibrate(DurationParams(1.0, 8.0, 3.0, 0.055), MarketState(104.0, 0.01))
+    cases.append((spot, DEFAULT_DYNAMICS))
     for spec, dyn in cases:
-        kept = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws)[0]
-        assert kept == crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg)[0]
+        kept = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws)
+        fresh = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg)
+        assert kept[0] == fresh[0] and moment_bits(kept[1]) == moment_bits(fresh[1])
 
 
 def test_kept_arrays_are_read_only_and_drawn_once():
@@ -205,8 +214,8 @@ def test_kept_arrays_are_read_only_and_drawn_once():
 
 
 def test_a_fill_that_keeps_gets_the_slots_after_its_own():
-    # reuse reserves its slots before fill runs, as crn_delta's log shape,
-    # which keeps z inside its fill, needs
+    # reuse reserves its slots before fill runs, as crn_delta's sample of
+    # P/P0, which keeps z inside its fill, needs
     draws = Draws()
     (twice,) = draws.reuse(("twice",), 1, 50, lambda A: np.multiply(draws.normals(7, 50), 2.0, out=A))
     z = draws.normals(7, 50)
@@ -324,9 +333,8 @@ def test_delta_central_close_to_forward():
 
 @pytest.mark.parametrize("C", [0.5, 3.0, 30.0])
 def test_delta_smallest_accepted_bump_matches_default(C):
-    # 1e-7 is just above the roundoff floor at P0 = 100; at n = 2000 no path
-    # crosses the strike between the two bumps (at n = 70000 one does, which
-    # moves the delta by about 1.1e-5)
+    # at n = 2000 no path crosses the strike between the two bumps (at
+    # n = 70000 one does, which moves the delta by about 1.1e-5)
     spec = default_spec(C)
     small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))[0]
     default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))[0]
