@@ -40,7 +40,7 @@ from .harness import (
     sweep_csv_lines,
     write_csv,
 )
-from .mc_engine import Draws, crn_delta, price_mc, simulate_terminal_prices
+from .mc_engine import check_workers, crn_delta, price_mc, simulate_terminal_prices, thread_draws
 from .pricer_closed import (
     delta_from_kernel,
     gamma_from_kernel,
@@ -111,9 +111,9 @@ def _parse_set(pairs: list[str]) -> dict[str, float | int]:
     return out
 
 
-def _resolve_bundle(args: argparse.Namespace) -> tuple[BaseParams, Draws]:
-    """The bundle and the command's sample provider; workers is checked first."""
-    draws = Draws(args.workers)
+def _resolve_bundle(args: argparse.Namespace) -> BaseParams:
+    """The bundle; workers is checked first."""
+    check_workers(args.workers)
     leaves: dict[str, float | int | None] = {}
     if args.config is not None:
         leaves.update(_read_config_file(args.config))
@@ -127,7 +127,7 @@ def _resolve_bundle(args: argparse.Namespace) -> tuple[BaseParams, Draws]:
                 leaves["seed"] = int(env)
             except ValueError as exc:
                 raise ValidationError(f"MTGOPT_SEED must be an integer, got {env!r}") from exc
-    return replace(BaseParams(), **leaves), draws
+    return replace(BaseParams(), **leaves)
 
 
 def _emit(payload: dict) -> None:
@@ -155,8 +155,8 @@ def _fit_payload(fit) -> dict:
 
 
 def _materialize(args: argparse.Namespace):
-    bundle, draws = _resolve_bundle(args)
-    return (*materialize(bundle), draws)
+    """The bundle's BLOCKS objects and the thread's sample provider."""
+    return (*materialize(_resolve_bundle(args)), thread_draws(args.workers))
 
 
 def cmd_price(args: argparse.Namespace) -> int:
@@ -231,7 +231,7 @@ def _parse_axis(raw: str) -> SweepAxis:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    bundle, draws = _resolve_bundle(args)
+    bundle = _resolve_bundle(args)
     engines = tuple(e.strip().upper() for e in args.engines.split(","))
     spec = SweepSpec(
         base=bundle,
@@ -241,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         greek=args.greek,
         crn_axis=args.crn_axis,
     )
-    cells = run_sweep(spec, draws.workers)
+    cells = run_sweep(spec, args.workers)
     write_csv(sweep_csv_lines(cells), args.out)
     diffs = [
         abs(d)
@@ -353,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    finally:
+        # nothing a command kept outlives it; the provider's slots do
+        thread_draws().release()
 
 
 if __name__ == "__main__":

@@ -12,12 +12,14 @@ the closed-form fit sample and the MC reference sample use separately derived
 seeds: accuracy comparisons never grade an engine against its own draw.
 
 A sweep validates every cell before it draws, then prices the cells one seed
-group at a time (the cells that share a cell seed) on one sample provider,
-mc_engine.Draws, which every engine reads and in whose slots every n-sized
-stage of a cell runs. Within a group each (seed, n) is drawn once, and the MC
-delta cells on one rate law and duration curve share one kept sample of P/P0
-and its moments; the provider releases them before the next group draws.
-A skew table is one group: every row reads one kept sample.
+group at a time (the cells that share a cell seed) on the thread's sample
+provider, mc_engine.thread_draws(), which every engine reads and in whose
+slots every n-sized stage of a cell runs. Within a group each (seed, n) is
+drawn once, and the MC delta cells on one rate law and duration curve share
+one kept sample of P/P0 and its moments; the provider releases them before
+the next group draws, and once more when the sweep ends, raised or not. A
+skew table is one group: every row reads one kept sample. The slots stay
+allocated for the thread's next sweep at the same n.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -43,6 +45,7 @@ from .mc_engine import (
     mix64,
     price_mc,
     simulate_terminal_prices,
+    thread_draws,
 )
 from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
 from .pricer_closed import delta_ln, price_ln, price_sln
@@ -249,8 +252,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     """Evaluate the grid over axis1 x axis2, returned row-major; deterministic in seeds.
 
     Every cell is validated before anything is drawn. The cells that share a
-    cell seed are priced together, and the sweep's one provider releases what
-    they kept before the next group draws.
+    cell seed are priced together, and the thread's provider releases what
+    they kept before the next group draws and when the sweep ends.
     """
     a1, a2 = spec.axis1, spec.axis2
     points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
@@ -259,10 +262,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     for k, (i, j, _, _) in enumerate(points):
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
     vals: dict[int, dict[str, float | None]] = {}
-    draws = Draws(workers)
-    for seed, group in groups.items():
-        for k in group:
-            vals[k] = _price_cell(spec, built[k], seed, draws)
+    draws = thread_draws(workers)
+    try:
+        for seed, group in groups.items():
+            draws.release()
+            for k in group:
+                vals[k] = _price_cell(spec, built[k], seed, draws)
+    finally:
         draws.release()
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]
 
@@ -276,12 +282,15 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
     built = [materialize(replace(base, C=c_val)) for c_val in curvatures]
-    draws = Draws(workers)
+    draws = thread_draws(workers)
     rows = []
-    for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
-        fit_input = central_moments(simulate_terminal_prices(model, dyn, contract.T, cfg, draws))
-        fit = fit_shifted_lognormal(fit_input)
-        rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
+    try:
+        for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
+            fit_input = central_moments(simulate_terminal_prices(model, dyn, contract.T, cfg, draws))
+            fit = fit_shifted_lognormal(fit_input)
+            rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
+    finally:
+        draws.release()
     return rows
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from mtgopt import mc_engine
 from mtgopt.distfit import (
     LognormalParams,
     SampleMoments,
@@ -42,6 +43,12 @@ def default_spec(C: float) -> ModelSpec:
 def unit_spot(spec: ModelSpec) -> ModelSpec:
     """spec at P0 = 1: its price map is P/P0, the sample an MC delta prices."""
     return ModelSpec(spec.duration, MarketState(1.0, spec.market.r0), spec.q)
+
+
+def cold_provider() -> None:
+    """Drop the calling thread's sample provider: the next call that asks for it
+    gets a new one and allocates its slots afresh, as a thread's first call does."""
+    vars(mc_engine._thread).pop("draws", None)
 
 
 def duration(p: DurationParams, r):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import unit_spot
+from conftest import cold_provider, unit_spot
 from mtgopt import mc_engine, pricer_closed
 from mtgopt.cli import _SCHEMA, main
 from mtgopt.harness import BaseParams, SweepAxis, SweepSpec, materialize, run_sweep
@@ -302,6 +302,20 @@ def test_workers_below_one_exit_2_before_drawing(capsys, tmp_path, monkeypatch, 
     code, out, err = run_cli(capsys, *argv, "--set", "C=3", "--set", "n=1000", "--workers", workers)
     assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_in_process_commands_keep_no_sample_between_calls(capsys):
+    # every command releases the thread's provider when it ends: twenty MC
+    # prices on distinct seeds hold one call's slots, not twenty kept samples
+    cold_provider()
+    at = ("price", "--method", "mc", "--set", "C=3", "--set", "n=2000")
+    run_json(capsys, *at, "--seed", "1")
+    draws = mc_engine.thread_draws()
+    one_call = len(draws._slots)
+    for seed in range(2, 21):
+        run_json(capsys, *at, "--seed", str(seed))
+    assert mc_engine.thread_draws() is draws
+    assert (len(draws._slots), draws._kept, draws._held) == (one_call, {}, 0)
 
 
 # 10**17 floats take 800 PB, past any 57-bit address space, so allocating

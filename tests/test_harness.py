@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import unit_spot
+from conftest import cold_provider, unit_spot
 from mtgopt import harness
 from mtgopt.distfit import (
     LognormalParams,
@@ -19,7 +21,7 @@ from mtgopt.distfit import (
     fit_shifted_lognormal,
     skewness,
 )
-from mtgopt.errors import ValidationError
+from mtgopt.errors import DegenerateSampleError, ValidationError
 from mtgopt.harness import (
     QQ_CSV_HEADER,
     SKEW_CSV_HEADER,
@@ -229,6 +231,7 @@ def test_crn_sweep_memory_does_not_grow_with_the_group_count():
             engines=("MC",),
             crn_axis=1,
         )
+        cold_provider()
         tracemalloc.start()
         try:
             run_sweep(spec)
@@ -249,6 +252,7 @@ def test_sweep_without_a_crn_axis_holds_a_few_arrays_of_n():
         axis1=SweepAxis("K", tuple(97.0 + 0.5 * i for i in range(13))),
         axis2=SweepAxis("C", (3.0,)),
     )
+    cold_provider()
     tracemalloc.start()
     try:
         run_sweep(spec)
@@ -278,6 +282,7 @@ def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
     spec = crn_delta_sweep(n, (3.0,))
     # the first sweep loads the draw's imports, which would dwarf the arrays
     run_sweep(spec)
+    cold_provider()
     tracemalloc.start()
     try:
         run_sweep(spec)
@@ -332,6 +337,79 @@ def test_warm_sweep_reuses_its_provider_slots_instead_of_faulting_in_new_pages()
         run_sweep(spec)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert min(faults) <= 150 * len(strikes), faults
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
+def test_a_repeated_crn_delta_sweep_runs_in_the_pages_of_the_last():
+    # the thread's provider keeps its slots between sweeps; a provider per
+    # sweep faulted its four slots of n floats in afresh, 549 minor faults
+    resource = pytest.importorskip("resource")
+    spec = crn_delta_sweep(70000, (3.0,))
+    run_sweep(spec)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sweep(spec)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) <= 0.05 * 549, faults
+
+
+def test_a_repeated_crn_delta_sweep_allocates_no_array_of_n():
+    n = 70000
+    spec = crn_delta_sweep(n, (3.0,))
+    run_sweep(spec)
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8, peak / (n * 8)
+
+
+def test_a_sweep_that_raises_keeps_nothing_and_the_next_sweep_is_unchanged():
+    # at P0 = 1e-150 a price sample's m2^(3/2) underflows, so the first cell
+    # raises with its z kept in the thread's provider
+    at = dict(seed=12345, n=200)
+    with pytest.raises(DegenerateSampleError, match="underflows"):
+        run_sweep(small_spec(base=BaseParams(P0=1e-150, **at), crn_axis=1))
+    draws = mc_engine.thread_draws()
+    assert (draws._kept, draws._held) == ({}, 0)
+    spec = small_spec(base=BaseParams(**at), crn_axis=1)
+    after = repr([astuple(c) for c in run_sweep(spec)])
+    cold_provider()
+    assert after == repr([astuple(c) for c in run_sweep(spec)])
+
+
+def test_threads_sweep_on_providers_of_their_own():
+    # two threads sweep at once, each on its own provider, and every cell has
+    # the bits of the same sweep run alone on this thread
+    specs = [
+        small_spec(base=BaseParams(seed=1, n=4000)),
+        small_spec(base=BaseParams(seed=2, n=4000), crn_axis=1),
+        small_spec(base=BaseParams(seed=3, n=4000), crn_axis=2),
+        crn_delta_sweep(4000, (0.5, 3.0)),
+        small_spec(base=BaseParams(seed=5, n=3000)),
+        crn_delta_sweep(3000, (3.0,)),
+    ]
+    sequential = [repr([astuple(c) for c in run_sweep(spec)]) for spec in specs]
+    both_started = threading.Barrier(2, timeout=60)
+
+    def run(batch):
+        both_started.wait()
+        return [repr([astuple(c) for c in run_sweep(spec)]) for spec in batch], mc_engine.thread_draws()
+
+    with ThreadPoolExecutor(2) as pool:
+        (cells_a, draws_a), (cells_b, draws_b) = pool.map(run, (specs[:3], specs[3:]))
+    assert cells_a + cells_b == sequential
+    assert draws_a is not draws_b
+    assert mc_engine.thread_draws() not in (draws_a, draws_b)
+
+
+def test_workers_below_one_raise_on_a_thread_that_has_a_provider():
+    run_sweep(small_spec())
+    with pytest.raises(ValidationError, match=r"^workers must be >= 1, got 0$"):
+        run_sweep(small_spec(), workers=0)
 
 
 def test_sweep_row_major_order():
