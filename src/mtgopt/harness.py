@@ -278,6 +278,8 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
 
     The terminal rate law does not depend on C, so a single seeded sample maps
     through every curvature's price curve; rows are directly comparable.
+    Each row maps and reduces in two work slots of the thread's provider, so a
+    table at the n of the thread's last call allocates no array of n.
     """
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
@@ -286,7 +288,11 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     rows = []
     try:
         for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
-            fit_input = central_moments(simulate_terminal_prices(model, dyn, contract.T, cfg, draws))
+            # z is drawn into its own slot before the row takes the two after it
+            draws.normals(cfg.seed, cfg.n)
+            prices, work = draws.work(2, cfg.n)
+            simulate_terminal_prices(model, dyn, contract.T, cfg, draws, (prices, work))
+            fit_input = central_moments(prices, (work, prices))
             fit = fit_shifted_lognormal(fit_input)
             rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
     finally:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +114,9 @@ def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray) -> None:
         ndtri(u, out=u)
 
     if workers > 1 and n_shards > 1:
+        # a few ms to import, so loaded only where a draw uses threads
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(n_shards)))
     else:
@@ -224,12 +226,15 @@ def simulate_terminal_rates(
 
 
 def simulate_terminal_prices(
-    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None
+    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Terminal prices P at the simulated rate moves, in a new array."""
+    """Terminal prices P at the simulated rate moves, in a new array; given
+    out, a pair of n-float arrays, over out[0] with out[1] as scratch. Work
+    slots passed as out must be taken after z is drawn, or z's is one of them."""
     draws = draws or Draws()
-    moves = simulate_terminal_rates(dyn, T, cfg, draws)
-    return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0]))
+    moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])
+    return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0] if out is None else out[1]))
 
 
 def price_mc(

@@ -173,15 +173,21 @@ def log_shape(spec: ModelSpec, d, out=None):
     A, B = (None, None) if out is None else out
     x = np.multiply(d, p.C, out=A, dtype=float)
     # the array the bracket is worked in; asarray turns the scalar that a
-    # ufunc returns for a 0-d d into an array that out= can write
-    step = np.asarray(np.abs(x, out=B))
-    far = step > 1.0
-    np.maximum(x, -1.0, out=step)
-    np.minimum(step, 1.0, out=step)
-    np.expm1(step, out=step)
+    # ufunc returns for a 0-d d into an array that out= can write. Where no
+    # |x| > 1 (the min and max fail this on a NaN), the clip to [-1, 1] and
+    # the far pass would change nothing
+    far = None
+    if x.size and -1.0 <= x.min() and x.max() <= 1.0:
+        step = np.asarray(np.expm1(x, out=B))
+    else:
+        step = np.asarray(np.abs(x, out=B))
+        far = step > 1.0
+        np.maximum(x, -1.0, out=step)
+        np.minimum(step, 1.0, out=step)
+        np.expm1(step, out=step)
     np.multiply(step, spec.q, out=step)
     np.log1p(step, out=step)
-    if np.count_nonzero(far):
+    if far is not None and np.count_nonzero(far):
         b = p.C * (m.r0 - p.x0)
         np.subtract(x, _softplus(-b), out=step, where=far)
         np.logaddexp(-_softplus(b), step, out=step, where=far)

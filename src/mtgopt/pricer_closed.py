@@ -11,6 +11,12 @@ need no sample at all.
 
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an error.
+
+Each LN entry point computes the curve terms once per call: the law of the
+rate move r_T - r0 and softplus(+-b) for b = C (r0 - x0). It hands them to
+the matched law and, in price_ln and regime_warning, to the 21-node regime
+proxy. Only what a call returns is built: price_ln the law record it reports,
+delta_ln and gamma_ln no law record, just the kernel inputs on (mu, sigma_P).
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ from .model import MAX_EXP_ARG, ModelSpec, OptionContract, RateDynamics, _softpl
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
+_SQRT_TWO = math.sqrt(2.0)
 
 # fixed quadrature for the regime proxy: enough nodes to sign the third
 # central moment of the smooth terminal-price curve. The nodes z and the
@@ -45,6 +52,7 @@ _PROXY_WEIGHTS = (
     0.0007080477954815355, 4.2192347425516774e-05, 1.2253548361482539e-06,
     1.4506612844930877e-08, 4.975368604121714e-11, 2.098991219565662e-14,
 )
+_PROXY = tuple(zip(_PROXY_WEIGHTS, _PROXY_NODES))
 # roundoff of a few ulps in each quadrature price moves the third moment by
 # about 3 m2 times that, so a third moment smaller than 100 eps * mean * m2 is
 # not resolved
@@ -143,21 +151,24 @@ def _log_bracket(q: float, sp_b: float, sp_nb: float, x: float) -> float:
     return max(u, v) + math.log1p(math.exp(-abs(u - v)))
 
 
-def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> TerminalLognormalLaw:
-    """Matched lognormal law of P/P0 at expiry T.
-
-    With delta = r_T - r0 ~ N(d, s^2), Y = (P/P0)^{-C/U} = (1 - q) e^{a1 delta} +
-    q e^{a2 delta}, a1 = LC/U, a2 = a1 + C. LogN(mu_X, sigma_X^2) takes Y's first
-    two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
-    means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
-    """
-    p, m = spec.duration, spec.market
+def _curve_terms(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[float, float, float, float]:
+    """What the matched law and the regime proxy share: the mean d and std s of
+    the rate move r_T - r0 ~ N(d, s^2), and softplus(b), softplus(-b) for
+    b = C (r0 - x0)."""
+    p = spec.duration
     law = terminal_rate_law(dyn, T)
-    d, s, b = law.mean, law.std, p.C * (m.r0 - p.x0)
-    a1 = p.L * p.C / p.U
-    a1s, a2s = a1 * s, (a1 + p.C) * s  # formed first, so inf * 0 cannot arise
-    g = p.C * d + 0.5 * (p.C * s) * (a1s + a2s)
-    sp_b, sp_nb = _softplus(b), _softplus(-b)
+    b = p.C * (spec.market.r0 - p.x0)
+    return law.mean, law.std, _softplus(b), _softplus(-b)
+
+
+def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -> tuple[float, float]:
+    """(mu, sigma_P) of the matched lognormal law of P/P0 on the curve terms."""
+    p = spec.duration
+    C = p.C
+    d, s, sp_b, sp_nb = terms
+    a1 = p.L * C / p.U
+    a1s, a2s = a1 * s, (a1 + C) * s  # formed first, so inf * 0 cannot arise
+    g = C * d + 0.5 * (C * s) * (a1s + a2s)
     try:
         step = _log_bracket(spec.q, sp_b, sp_nb, g)
         w1, w2 = math.exp(-sp_b - step), math.exp(g - sp_nb - step)
@@ -165,36 +176,24 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
         var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
     except OverflowError:
         raise NonFiniteResultError(
-            f"matched lognormal overflows at C={p.C}, sigma={dyn.sigma}, T={T}"
+            f"matched lognormal overflows at C={C}, sigma={dyn.sigma}, T={T}"
         ) from None
     log_m1 = a1 * d + 0.5 * a1s * a1s + step
     if not (math.isfinite(log_m1) and math.isfinite(var_x)):
         raise NonFiniteResultError(f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x}")
-    scale = p.U / p.C
-    return TerminalLognormalLaw(
-        mu=-scale * (log_m1 - 0.5 * var_x), sigma_P=scale * math.sqrt(var_x), P0=m.P0
-    )
+    scale = p.U / C
+    return -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
 
 
-def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
-    """A warning when the terminal price is negatively skewed, else None.
-
-    The third central moment comes from fixed quadrature over the rate law and
-    warns only when it is negative beyond roundoff. The parametric lognormal
-    assumes positive skew. The moments are those of P/P0 = e^{-A - B} (the
-    terms of model.log_shape): the test is homogeneous of degree 3 in the
-    price, so the spot changes no decision and cannot overflow it. The check
-    costs more than the closed form itself, so delta_ln and gamma_ln leave it
-    to their callers.
-    """
-    p, m, q = spec.duration, spec.market, spec.q
-    law = terminal_rate_law(dyn, T)
-    C, centre, spread = p.C, law.mean, math.sqrt(2.0) * law.std
-    b = C * (m.r0 - p.x0)
-    sp_b, sp_nb, low, high = _softplus(b), _softplus(-b), p.L / C, p.U / C
+def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -> str | None:
+    """The regime proxy of regime_warning on the curve terms."""
+    p, q = spec.duration, spec.q
+    C = p.C
+    centre, s, sp_b, sp_nb = terms
+    spread, low, high = _SQRT_TWO * s, p.L / C, p.U / C
     y, mean, m2, m3 = [], 0.0, 0.0, 0.0
     try:
-        for w, z in zip(_PROXY_WEIGHTS, _PROXY_NODES):
+        for w, z in _PROXY:
             x = (centre + spread * z) * C
             yi = math.exp(-x * low - _log_bracket(q, sp_b, sp_nb, x) * high)
             y.append(yi)
@@ -208,7 +207,7 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
         m3 += wc2 * c
     if not (math.isfinite(mean) and math.isfinite(m2) and math.isfinite(m3)):
         raise NonFiniteResultError(
-            f"regime proxy is not finite at C={p.C}, sigma={dyn.sigma}, T={T}"
+            f"regime proxy is not finite at C={C}, sigma={dyn.sigma}, T={T}"
         )
     if m3 < -_UNRESOLVED_M3 * mean * m2:
         return (
@@ -219,29 +218,65 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     return None
 
 
-def ln_kernel(
-    spec: ModelSpec, dyn: RateDynamics, c: OptionContract
-) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
-    """Matched law of P/P0 and its kernel inputs: the mean M1/P0 = e^{mu + sigma_P^2/2},
-    W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
-    law = ln_terminal_params(spec, dyn, c.T)
-    log_mean = law.mu + 0.5 * law.sigma_P * law.sigma_P
+def _kernel_inputs(
+    spec: ModelSpec, dyn: RateDynamics, c: OptionContract, terms: tuple
+) -> tuple[float, float, BsKernelInputs]:
+    """(mu, sigma_P) of the matched law and the kernel inputs on it."""
+    mu, sigma_P = _matched_law(spec, dyn, c.T, terms)
+    log_mean = mu + 0.5 * sigma_P * sigma_P
     if not log_mean <= MAX_EXP_ARG:
         raise NonFiniteResultError(
             f"matched lognormal mean overflows at C={spec.duration.C}, mu={dyn.mu}, "
             f"sigma={dyn.sigma}, T={c.T}"
         )
-    return law, BsKernelInputs(math.exp(log_mean), law.sigma_P, c.K / spec.market.P0, c.df)
+    return mu, sigma_P, BsKernelInputs(math.exp(log_mean), sigma_P, c.K / spec.market.P0, c.df)
+
+
+def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> TerminalLognormalLaw:
+    """Matched lognormal law of P/P0 at expiry T.
+
+    With delta = r_T - r0 ~ N(d, s^2), Y = (P/P0)^{-C/U} = (1 - q) e^{a1 delta} +
+    q e^{a2 delta}, a1 = LC/U, a2 = a1 + C. LogN(mu_X, sigma_X^2) takes Y's first
+    two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
+    means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
+    """
+    mu, sigma_P = _matched_law(spec, dyn, T, _curve_terms(spec, dyn, T))
+    return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0)
+
+
+def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
+    """A warning when the terminal price is negatively skewed, else None.
+
+    The third central moment comes from fixed quadrature over the rate law and
+    warns only when it is negative beyond roundoff. The parametric lognormal
+    assumes positive skew. The moments are those of P/P0 = e^{-A - B} (the
+    terms of model.log_shape): the test is homogeneous of degree 3 in the
+    price, so the spot changes no decision and cannot overflow it. The check
+    costs about twice a delta_ln (7.5 against 3.3 us at C = 3 on a 2-core
+    Xeon), so delta_ln and gamma_ln leave it to their callers.
+    """
+    return _proxy_warning(spec, dyn, T, _curve_terms(spec, dyn, T))
+
+
+def ln_kernel(
+    spec: ModelSpec, dyn: RateDynamics, c: OptionContract
+) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
+    """Matched law of P/P0 and its kernel inputs: the mean M1/P0 = e^{mu + sigma_P^2/2},
+    W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
+    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))
+    return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0), inp
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
     """Closed-form call under the matched lognormal terminal law."""
-    law, inp = ln_kernel(spec, dyn, c)
+    terms = _curve_terms(spec, dyn, c.T)
+    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, terms)
+    P0 = spec.market.P0
     return PriceResult(
-        price=spec.market.P0 * bs_call(inp),
+        price=P0 * bs_call(inp),
         method="LN",
-        diagnostics=law,
-        warning=regime_warning(spec, dyn, c.T),
+        diagnostics=TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=P0),
+        warning=_proxy_warning(spec, dyn, c.T, terms),
     )
 
 
@@ -270,9 +305,10 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     Exact because C_LN is P0 times a function of K/P0, and the law of P/P0
     does not depend on P0 at all.
     """
-    return delta_from_kernel(ln_kernel(spec, dyn, c)[1])
+    return delta_from_kernel(_kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))[2])
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu + sigma_P^2/2} phi(d1) / (sigma_P P0)."""
-    return gamma_from_kernel(ln_kernel(spec, dyn, c)[1], spec.market.P0)
+    inp = _kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))[2]
+    return gamma_from_kernel(inp, spec.market.P0)

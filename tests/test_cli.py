@@ -867,14 +867,15 @@ def test_ln_strike_whose_ratio_to_spot_underflows_is_deep_in_the_money(capsys, t
 
 
 def test_greeks_ln_evaluates_the_matched_law_once(capsys, monkeypatch):
+    # _matched_law is what every LN entry point computes (mu, sigma_P) with
     laws = []
 
     def counting(*args):
         laws.append(args)
         return law(*args)
 
-    law = pricer_closed.ln_terminal_params
-    monkeypatch.setattr(pricer_closed, "ln_terminal_params", counting)
+    law = pricer_closed._matched_law
+    monkeypatch.setattr(pricer_closed, "_matched_law", counting)
     doc = run_json(capsys, "greeks", "--method", "ln", "--set", "C=3")
     assert len(laws) == 1
     assert doc["delta"] == pytest.approx(0.5159808504727675, rel=1e-12)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import regime_verdicts
-from mtgopt import cli, pricer_closed
+from mtgopt import pricer_closed
 from mtgopt.cli import main
 from mtgopt.harness import DEFAULT_SEED, BaseParams, skew_csv_lines, skew_table, write_csv
 
@@ -100,17 +100,18 @@ def test_skew_csv_matches_golden(tmp_path):
 
 def test_every_golden_regime_verdict_matches_the_numpy_proxy(capsys, tmp_path, monkeypatch):
     # every rate law a golden case runs the LN regime check on, against the
-    # numpy proxy that the scalar quadrature replaced
-    asked, check = [], pricer_closed.regime_warning
+    # numpy proxy that the scalar quadrature replaced; price_ln and
+    # regime_warning both run the check through _proxy_warning
+    asked, check = [], pricer_closed._proxy_warning
 
-    def recording(spec, dyn, T):
+    def recording(spec, dyn, T, terms):
         asked.append((spec, dyn, T))
-        return check(spec, dyn, T)
+        return check(spec, dyn, T, terms)
 
-    for module in (cli, pricer_closed):
-        monkeypatch.setattr(module, "regime_warning", recording)
+    monkeypatch.setattr(pricer_closed, "_proxy_warning", recording)
     for argv in CASES.values():
         _run(argv, tmp_path, capsys.readouterr)
+    monkeypatch.undo()
     # price and greeks at three curvatures, and 7 strikes x 3 curvatures of the LN sweep
     assert len(asked) == 3 + 3 + 21
     for spec, dyn, T in asked:

@@ -367,6 +367,35 @@ def test_a_repeated_crn_delta_sweep_allocates_no_array_of_n():
     assert peak < n * 8, peak / (n * 8)
 
 
+SKEW_CURVATURES, SKEW_BASE = [0.5, 3.0, 30.0], BaseParams(n=70000, seed=3)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
+def test_a_repeated_skew_table_runs_in_the_pages_of_the_last():
+    # each row maps and reduces in the provider's work slots; a new price
+    # array and two moment temporaries per row took 1134 minor faults a table
+    resource = pytest.importorskip("resource")
+    skew_table(SKEW_CURVATURES, SKEW_BASE)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        skew_table(SKEW_CURVATURES, SKEW_BASE)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) <= 0.05 * 1134, faults
+
+
+def test_a_repeated_skew_table_allocates_no_array_of_n():
+    first = skew_table(SKEW_CURVATURES, SKEW_BASE)
+    tracemalloc.start()
+    try:
+        again = skew_table(SKEW_CURVATURES, SKEW_BASE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SKEW_BASE.n * 8, peak / (SKEW_BASE.n * 8)
+    assert repr(again) == repr(first)
+
+
 def test_a_sweep_that_raises_keeps_nothing_and_the_next_sweep_is_unchanged():
     # at P0 = 1e-150 a price sample's m2^(3/2) underflows, so the first cell
     # raises with its z kept in the thread's provider

@@ -1,9 +1,11 @@
-"""Import contract: only a draw loads scipy.
+"""Import contract: only a draw loads scipy, and only a threaded draw a pool.
 
 scipy.special takes about a quarter second to import, so the package, the
 LN closed form, `defaults` and config errors must run without it; each case
 runs in a fresh interpreter. The LN regime check uses constant quadrature
 nodes, so the closed form does not load numpy.polynomial either.
+concurrent.futures (a few ms) is loaded by a draw on more than one worker
+and more than one shard, not by the package.
 """
 import json
 import os
@@ -25,6 +27,16 @@ import sys
 from mtgopt.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(f"scipy={'scipy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+# as RUN_CLI, reporting whether a thread pool module was loaded
+RUN_CLI_POOL = """
+import sys
+from mtgopt.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"pool={'concurrent.futures' in sys.modules}\\n")
 sys.exit(code)
 """
 
@@ -80,3 +92,16 @@ def test_a_draw_in_a_fresh_interpreter_prints_the_in_process_bytes(capsys, monke
     assert main(list(argv)) == 0
     assert r.stdout == capsys.readouterr().out
     assert json.loads(r.stdout)["n"] == 2000
+
+
+def test_importing_the_harness_does_not_load_a_thread_pool():
+    r = fresh("import sys, mtgopt.harness; print('concurrent.futures' in sys.modules)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("argv", [("defaults",), ("price", "--method", "ln", "--set", "C=3")],
+                         ids=["defaults", "price-ln"])
+def test_commands_that_do_not_draw_on_threads_do_not_load_a_thread_pool(argv):
+    r = fresh(RUN_CLI_POOL, *argv)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.endswith("pool=False\n"), r.stderr

@@ -276,6 +276,29 @@ def test_in_place_kernels_equal_the_allocating_ones_bit_for_bit(C, name):
     assert r.tobytes() == before
 
 
+def test_far_elements_leave_the_bits_of_the_near_ones_as_on_the_all_near_path():
+    # a sample with no |x| > 1 skips the clip and far passes; the same near
+    # elements among far ones go through them and must come out the same
+    spec = default_spec(3.0)
+    r = _kernel_inputs()["n70000"]
+    assert np.abs(3.0 * r).max() <= 1.0
+    near_A, near_B = log_shape(spec, r)
+    mixed = r.copy()
+    far = np.arange(0, r.size, 997)
+    mixed[far] = np.linspace(-2.0, 2.0, far.size)  # |x| up to 6
+    A, B = log_shape(spec, mixed)
+    kept = np.ones(r.size, dtype=bool)
+    kept[far] = False
+    assert (A[kept].tobytes(), B[kept].tobytes()) == (near_A[kept].tobytes(), near_B[kept].tobytes())
+    want_A, want_B = _reference_log_shape(spec, mixed)
+    assert (A.tobytes(), B.tobytes()) == (want_A.tobytes(), want_B.tobytes())
+    # |x| = 1 exactly is near on both paths, and an empty d has nothing to map
+    edge = np.array([-2.0, -1e-3, 0.0, 2.0])
+    got, want = log_shape(default_spec(0.5), edge), _reference_log_shape(default_spec(0.5), edge)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [a.size for a in log_shape(spec, np.empty(0))] == [0, 0]
+
+
 def test_price_works_in_double_precision_for_any_input_type():
     spec = default_spec(3.0)
     grid = np.linspace(-0.05, 0.15, 41).astype(np.float32)

@@ -1,4 +1,5 @@
 """Closed-form pricers: kernel identities, parametric chain, exact Greeks."""
+import json
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from conftest import (
     regime_verdicts,
 )
 import mtgopt
+from mtgopt import pricer_closed
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
 from mtgopt.errors import NonFiniteResultError
 from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
@@ -489,3 +491,53 @@ def test_regime_warning_that_overflows_names_its_parameters(sigma):
     with pytest.raises(NonFiniteResultError) as exc:
         regime_warning(default_spec(3.0), RateDynamics(0.0, sigma), 0.25)
     assert str(exc.value) == f"regime proxy is not finite at C=3.0, sigma={sigma}, T=0.25"
+
+
+def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
+    # price, delta, gamma and the warning at the 13 x 12 (K, C) points of the
+    # benchmark's closed_form workload, as hex, recorded before the LN entry
+    # points shared their curve terms
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "closed_form_ln_hex.json").read_text())
+    got = []
+    for C in REFERENCE_CURVATURES:
+        spec = default_spec(C)
+        for K in REFERENCE_STRIKES:
+            c = OptionContract(K, DEFAULT_CONTRACT.T, DEFAULT_CONTRACT.r_f)
+            res = price_ln(spec, DEFAULT_DYNAMICS, c)
+            assert res.warning in (None, doc["warning"])
+            got.append([C, K, res.price.hex(), delta_ln(spec, DEFAULT_DYNAMICS, c).hex(),
+                        gamma_ln(spec, DEFAULT_DYNAMICS, c).hex(), res.warning is not None])
+    assert got == doc["points"]
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls, original = [], getattr(pricer_closed, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pricer_closed, name, counted)
+    return calls
+
+
+def test_one_ln_call_computes_the_rate_law_and_softplus_terms_once(monkeypatch):
+    spec, c = default_spec(30.0), DEFAULT_CONTRACT
+    laws, softplus = _counting(monkeypatch, "terminal_rate_law"), _counting(monkeypatch, "_softplus")
+    res = price_ln(spec, DEFAULT_DYNAMICS, c)
+    assert res.warning is not None
+    assert (len(laws), len(softplus)) == (1, 2)
+    for greek in (delta_ln, gamma_ln):
+        laws.clear()
+        softplus.clear()
+        greek(spec, DEFAULT_DYNAMICS, c)
+        assert (len(laws), len(softplus)) == (1, 2), greek.__name__
+
+
+def test_ln_greeks_build_no_matched_law_record(monkeypatch):
+    records = _counting(monkeypatch, "TerminalLognormalLaw")
+    delta_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT)
+    gamma_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT)
+    assert records == []
+    assert price_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT).diagnostics is not None
+    assert len(records) == 1
