@@ -3,11 +3,13 @@
 Three-moment shifted lognormal: match mean, second and third central moments
 of a sample with theta + Z or theta - Z, Z ~ LogN(mu_X, sigma_X^2). Writing
 eta = e^{sigma_X^2}, the absolute skewness b satisfies b^2 = (eta-1)(eta+2)^2,
-a cubic with a unique root eta >= 1. The solver works in eps = eta - 1: for
-small b the root is eps ~ (b/3)^2, far below the resolution of a double near
-1.0, and the downstream formulas only ever need eps (sigma_X^2 = log1p(eps),
-E[Z] = sqrt(m2/eps)), so carrying eps preserves the moment plug-back precision
-that eta itself cannot represent.
+a cubic with a unique root eta >= 1. In eps = eta - 1 it is (3 + eps)^2 eps =
+b^2, whose root is eps = 4 sinh^2(asinh(b/2)/3): with y = asinh(b/2)/3 and
+s = sinh y, (3 + 4 s^2)^2 4 s^2 = (2 sinh 3y)^2 = b^2. The fit carries eps,
+not eta: for small b the root is eps ~ (b/3)^2, far below the resolution of a
+double near 1.0, and the downstream formulas only ever need eps (sigma_X^2 =
+log1p(eps), E[Z] = sqrt(m2/eps)), so carrying eps preserves the moment
+plug-back precision that eta itself cannot represent.
 """
 from __future__ import annotations
 
@@ -115,34 +117,9 @@ def skewness(m: SampleMoments) -> float:
 
 
 def _solve_excess(b: float) -> float:
-    """Root eps >= 0 of (3+eps)^2 eps = b^2 (i.e. eta = 1+eps solves the skew cubic).
-
-    g(eps) = eps^3 + 6 eps^2 + 9 eps - b^2 is strictly increasing and convex on
-    eps >= 0, so Newton from the upper bracket converges monotonically; a
-    bisection safeguard keeps every iterate inside the bracket regardless.
-    """
-    if b == 0.0:
-        return 0.0
-    bsq = b * b
-    # eta <= cbrt(4+b^2) and eta >= 1 bracket the root in eps-space
-    hi = (4.0 + bsq) ** (1.0 / 3.0) - 1.0
-    lo = 0.0
-    eps = hi
-    for _ in range(100):
-        g = ((eps + 6.0) * eps + 9.0) * eps - bsq
-        if g > 0.0:
-            hi = eps
-        else:
-            lo = eps
-        dg = (3.0 * eps + 12.0) * eps + 9.0
-        step = g / dg
-        nxt = eps - step
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)  # bisection safeguard
-        if nxt == eps or abs(nxt - eps) <= 1e-17 * eps:
-            return nxt
-        eps = nxt
-    return eps
+    """The root eps >= 0 of (3 + eps)^2 eps = b^2, 4 sinh^2(asinh(b/2)/3)."""
+    s = math.sinh(math.asinh(0.5 * b) / 3.0)
+    return 4.0 * s * s
 
 
 def fit_shifted_lognormal(m: SampleMoments) -> ShiftedLognormalFit:

@@ -128,6 +128,9 @@ class SweepAxis:
             raise ValidationError(
                 f"axis {name} needs a finite start, stop and stop - start, got {start}:{stop}"
             )
+        # np.linspace gives one point as start alone; NaN passes on as above
+        if count == 1 and abs(stop - start) > 0.0:
+            raise ValidationError(f"axis {name} has one point, so it needs start = stop, got {start}:{stop}")
         return cls(name, tuple(np.linspace(start, stop, count).tolist()))
 
 

@@ -88,6 +88,9 @@ class McConfig:
             raise ValidationError(f"sample count n must be >= 1, got {self.n}")
         if self.n > MAX_FLOATS:
             raise ValidationError(f"sample count n must be <= {MAX_FLOATS}, got {self.n}")
+        # Philox takes a 64-bit key, so a seed outside it would share a stream
+        if not 0 <= self.seed <= _MASK64:
+            raise ValidationError(f"seed must be in [0, 2^64), got {self.seed}")
         if not math.isfinite(self.bump):
             raise ValidationError(f"bump must be finite, got {self.bump}")
         if not self.bump > 0.0:
@@ -106,7 +109,7 @@ def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray) -> None:
     def fill(j: int) -> None:
         lo = j * SHARD_SIZE
         hi = min(n, lo + SHARD_SIZE)
-        key = np.array([seed & _MASK64, j], dtype=np.uint64)
+        key = np.array([seed, j], dtype=np.uint64)
         raw = np.random.Philox(key=key).random_raw(hi - lo)
         u = out[lo:hi]
         np.add(np.right_shift(raw, np.uint64(11), out=raw), 0.5, out=u)
@@ -285,8 +288,8 @@ def crn_delta(
     h = cfg.bump
     m = spec.market
     draws = draws or Draws()
-    # r0 stays in the key: the shape's far branch reads b = C (r0 - x0), and
-    # q = expit(b) no longer tells b apart once it saturates
+    # r0 stays in the key: the far branch reads the spec's softplus pair of
+    # b = C (r0 - x0), which q = expit(b) no longer tells apart once it saturates
     key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
 
     def fill(f: np.ndarray) -> None:

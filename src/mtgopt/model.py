@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,25 +117,23 @@ class OptionContract:
         return math.exp(-self.r_f * self.T)
 
 
-@dataclass(frozen=True)
-class NormalLaw:
+class NormalLaw(NamedTuple):
     """A normal law by mean and standard deviation."""
 
     mean: float
     std: float
 
-    def __post_init__(self) -> None:
-        if not self.std >= 0.0:
-            raise ValidationError(f"std must be >= 0, got {self.std}")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A calibrated model: duration curve, market state and q = expit(C (r0 - x0))."""
+    """A calibrated model: duration curve, market state, q = expit(b) and the
+    bracket's logs log q = -sp(-b), log(1 - q) = -sp(b), b = C (r0 - x0), sp = softplus."""
 
     duration: DurationParams
     market: MarketState
     q: float
+    log_q: float
+    log_1mq: float
 
     @classmethod
     def calibrate(cls, duration: DurationParams, market: MarketState) -> "ModelSpec":
@@ -143,7 +142,7 @@ class ModelSpec:
             raise NonFiniteResultError(
                 f"C (r0 - x0) overflows at C={duration.C}, r0={market.r0}, x0={duration.x0}"
             )
-        return cls(duration, market, _expit(b))
+        return cls(duration, market, _expit(b), -_softplus(-b), -_softplus(b))
 
 
 def _expit(b: float) -> float:
@@ -163,13 +162,12 @@ def log_shape(spec: ModelSpec, d, out=None):
     d = r - r0: A = (L/C) x and B = (U/C) log(1 - q + q e^x), with x = C d.
 
     The bracket is log1p(q expm1(x)) for |x| <= 1, where its argument stays in
-    [1/e, e], and beyond that the log-space sum of log(1 - q) = -sp(b) and
-    log q + x = x - sp(-b), with b = C (r0 - x0) and sp(y) = log(1 + e^y).
+    [1/e, e], and beyond that logaddexp(log(1 - q), log q + x) on the spec's logs.
 
     out, a pair of float arrays shaped like d, receives A and B; without it
     both are new arrays. d is written only if it is out[0].
     """
-    p, m = spec.duration, spec.market
+    p = spec.duration
     A, B = (None, None) if out is None else out
     x = np.multiply(d, p.C, out=A, dtype=float)
     # the array the bracket is worked in; asarray turns the scalar that a
@@ -188,9 +186,8 @@ def log_shape(spec: ModelSpec, d, out=None):
     np.multiply(step, spec.q, out=step)
     np.log1p(step, out=step)
     if far is not None and np.count_nonzero(far):
-        b = p.C * (m.r0 - p.x0)
-        np.subtract(x, _softplus(-b), out=step, where=far)
-        np.logaddexp(-_softplus(b), step, out=step, where=far)
+        np.add(x, spec.log_q, out=step, where=far)
+        np.logaddexp(spec.log_1mq, step, out=step, where=far)
     return np.multiply(x, p.L / p.C, out=A), np.multiply(step, p.U / p.C, out=step)
 
 

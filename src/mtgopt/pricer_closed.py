@@ -12,10 +12,10 @@ need no sample at all.
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an error.
 
-Each LN entry point computes the curve terms once per call: the law of the
-rate move r_T - r0 and softplus(+-b) for b = C (r0 - x0). It hands them to
-the matched law and, in price_ln and regime_warning, to the 21-node regime
-proxy. Only what a call returns is built: price_ln the law record it reports,
+Each LN entry point computes the law of the rate move r_T - r0 once per call
+and hands it to the matched law and, in price_ln and regime_warning, to the
+21-node regime proxy; both read log q and log(1 - q) off the calibrated spec.
+Only what a call returns is built: price_ln the law record it reports,
 delta_ln and gamma_ln no law record, just the kernel inputs on (mu, sigma_P).
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
 from .errors import NonFiniteResultError
-from .model import MAX_EXP_ARG, ModelSpec, OptionContract, RateDynamics, _softplus, terminal_rate_law
+from .model import MAX_EXP_ARG, ModelSpec, NormalLaw, OptionContract, RateDynamics, terminal_rate_law
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -142,36 +142,25 @@ def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
     return PriceResult(price=price_from_fit(fit, c), method="SLN", diagnostics=fit)
 
 
-def _log_bracket(q: float, sp_b: float, sp_nb: float, x: float) -> float:
-    """The bracket of model.log_shape for one float: log(1 - q + q e^x), q = expit(b),
-    with sp_b = softplus(b) and sp_nb = softplus(-b)."""
+def _log_bracket(spec: ModelSpec, x: float) -> float:
+    """The bracket of model.log_shape for one float: log(1 - q + q e^x)."""
     if abs(x) <= 1.0:
-        return math.log1p(q * math.expm1(x))
-    u, v = -sp_b, x - sp_nb
+        return math.log1p(spec.q * math.expm1(x))
+    u, v = spec.log_1mq, x + spec.log_q
     return max(u, v) + math.log1p(math.exp(-abs(u - v)))
 
 
-def _curve_terms(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[float, float, float, float]:
-    """What the matched law and the regime proxy share: the mean d and std s of
-    the rate move r_T - r0 ~ N(d, s^2), and softplus(b), softplus(-b) for
-    b = C (r0 - x0)."""
-    p = spec.duration
-    law = terminal_rate_law(dyn, T)
-    b = p.C * (spec.market.r0 - p.x0)
-    return law.mean, law.std, _softplus(b), _softplus(-b)
-
-
-def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -> tuple[float, float]:
-    """(mu, sigma_P) of the matched lognormal law of P/P0 on the curve terms."""
+def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float]:
+    """(mu, sigma_P) of the matched lognormal law of P/P0 on the rate law N(d, s^2)."""
     p = spec.duration
     C = p.C
-    d, s, sp_b, sp_nb = terms
+    d, s = law
     a1 = p.L * C / p.U
     a1s, a2s = a1 * s, (a1 + C) * s  # formed first, so inf * 0 cannot arise
     g = C * d + 0.5 * (C * s) * (a1s + a2s)
     try:
-        step = _log_bracket(spec.q, sp_b, sp_nb, g)
-        w1, w2 = math.exp(-sp_b - step), math.exp(g - sp_nb - step)
+        step = _log_bracket(spec, g)
+        w1, w2 = math.exp(spec.log_1mq - step), math.exp(g + spec.log_q - step)
         e11, e12, e22 = math.expm1(a1s * a1s), math.expm1(a1s * a2s), math.expm1(a2s * a2s)
         var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
     except OverflowError:
@@ -185,17 +174,17 @@ def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -> 
     return -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
 
 
-def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -> str | None:
-    """The regime proxy of regime_warning on the curve terms."""
-    p, q = spec.duration, spec.q
+def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> str | None:
+    """The regime proxy of regime_warning on the rate law."""
+    p = spec.duration
     C = p.C
-    centre, s, sp_b, sp_nb = terms
+    centre, s = law
     spread, low, high = _SQRT_TWO * s, p.L / C, p.U / C
     y, mean, m2, m3 = [], 0.0, 0.0, 0.0
     try:
         for w, z in _PROXY:
             x = (centre + spread * z) * C
-            yi = math.exp(-x * low - _log_bracket(q, sp_b, sp_nb, x) * high)
+            yi = math.exp(-x * low - _log_bracket(spec, x) * high)
             y.append(yi)
             mean += w * yi
     except OverflowError:
@@ -219,10 +208,10 @@ def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, terms: tuple) -
 
 
 def _kernel_inputs(
-    spec: ModelSpec, dyn: RateDynamics, c: OptionContract, terms: tuple
+    spec: ModelSpec, dyn: RateDynamics, c: OptionContract, law: NormalLaw
 ) -> tuple[float, float, BsKernelInputs]:
-    """(mu, sigma_P) of the matched law and the kernel inputs on it."""
-    mu, sigma_P = _matched_law(spec, dyn, c.T, terms)
+    """(mu, sigma_P) of the matched law on the rate law and the kernel inputs on it."""
+    mu, sigma_P = _matched_law(spec, dyn, c.T, law)
     log_mean = mu + 0.5 * sigma_P * sigma_P
     if not log_mean <= MAX_EXP_ARG:
         raise NonFiniteResultError(
@@ -240,7 +229,7 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
     two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
     means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
     """
-    mu, sigma_P = _matched_law(spec, dyn, T, _curve_terms(spec, dyn, T))
+    mu, sigma_P = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
     return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0)
 
 
@@ -255,7 +244,7 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     costs about twice a delta_ln (7.5 against 3.3 us at C = 3 on a 2-core
     Xeon), so delta_ln and gamma_ln leave it to their callers.
     """
-    return _proxy_warning(spec, dyn, T, _curve_terms(spec, dyn, T))
+    return _proxy_warning(spec, dyn, T, terminal_rate_law(dyn, T))
 
 
 def ln_kernel(
@@ -263,20 +252,20 @@ def ln_kernel(
 ) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
     """Matched law of P/P0 and its kernel inputs: the mean M1/P0 = e^{mu + sigma_P^2/2},
     W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
-    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))
+    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))
     return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0), inp
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
     """Closed-form call under the matched lognormal terminal law."""
-    terms = _curve_terms(spec, dyn, c.T)
-    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, terms)
+    law = terminal_rate_law(dyn, c.T)
+    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, law)
     P0 = spec.market.P0
     return PriceResult(
         price=P0 * bs_call(inp),
         method="LN",
         diagnostics=TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=P0),
-        warning=_proxy_warning(spec, dyn, c.T, terms),
+        warning=_proxy_warning(spec, dyn, c.T, law),
     )
 
 
@@ -305,10 +294,10 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     Exact because C_LN is P0 times a function of K/P0, and the law of P/P0
     does not depend on P0 at all.
     """
-    return delta_from_kernel(_kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))[2])
+    return delta_from_kernel(_kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2])
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu + sigma_P^2/2} phi(d1) / (sigma_P P0)."""
-    inp = _kernel_inputs(spec, dyn, c, _curve_terms(spec, dyn, c.T))[2]
+    inp = _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2]
     return gamma_from_kernel(inp, spec.market.P0)

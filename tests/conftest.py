@@ -1,6 +1,7 @@
 """Shared builders for the default parameter set used across test modules, and
 closed forms that only the tests need."""
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
@@ -41,8 +42,9 @@ def default_spec(C: float) -> ModelSpec:
 
 
 def unit_spot(spec: ModelSpec) -> ModelSpec:
-    """spec at P0 = 1: its price map is P/P0, the sample an MC delta prices."""
-    return ModelSpec(spec.duration, MarketState(1.0, spec.market.r0), spec.q)
+    """spec at P0 = 1: its price map is P/P0, the sample an MC delta prices.
+    replace keeps every calibrated field, none of which depends on P0."""
+    return replace(spec, market=MarketState(1.0, spec.market.r0))
 
 
 def cold_provider() -> None:

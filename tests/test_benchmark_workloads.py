@@ -65,9 +65,9 @@ FINGERPRINT_SHA256 = {
         "3b12ab4906174ea3a51b8e9980ea767711a90ee31b594a6573c3680ff498f383",
     ),
     "sweep_ref": (
-        "123ddf6f09f1780066dacf459bed27a7e95e740c178a8529189bf32a1215e47b",
-        "f30c6a408356aba47fdca06d8008fe7c8e642546be96bb971eb66b58ad82f205",
-        "ba6869598bad170600ce941bbdd03772bf3d192276c6b7bf8c441d1760c67428",
+        "fb80b4e5fa2aae631932689b000188ed0ae1c67e3e23daa867cfef0f7ff3dcdf",
+        "68dfd9238909322bfad98ed327839fbbcababf84798b11e090e139126c5e7c8a",
+        "f49460f4cdd2866fc34b19e368ba49b3475f669bb99929d377c888572d4b8fe1",
     ),
 }
 

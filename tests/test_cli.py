@@ -224,6 +224,36 @@ def test_seed_precedence(capsys, tmp_path, monkeypatch):
     assert fit_out() == ref_222
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "36893488147419103231"])
+@pytest.mark.parametrize("route", ["flag", "set", "config", "env"])
+def test_a_seed_outside_64_bits_exits_2_before_it_draws(capsys, tmp_path, monkeypatch, route, seed):
+    # Philox keys on 64 bits: -1 and 2^65 - 1 would draw the stream of 2^64 - 1,
+    # and 2^64 that of 0
+    drawn = []
+    monkeypatch.setattr(mc_engine, "_standard_normals", lambda *args: drawn.append(args))
+    argv = ["price", "--method", "mc", "--set", "C=3", "--set", "n=2000"]
+    if route == "flag":
+        argv.append(f"--seed={seed}")
+    elif route == "set":
+        argv.append(f"--set=seed={seed}")
+    elif route == "config":
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(f'{{"mc": {{"seed": {seed}}}}}')
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("MTGOPT_SEED", seed)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: seed must be in [0, 2^64), got {seed}\n")
+    assert drawn == []
+
+
+def test_the_largest_seed_draws(capsys):
+    top = run_json(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=2000",
+                   "--seed", "18446744073709551615")
+    zero = run_json(capsys, "price", "--method", "mc", "--set", "C=3", "--set", "n=2000", "--seed", "0")
+    assert top["price"] != zero["price"]
+
+
 def test_invalid_inputs_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "price", "--set", "C=-1")
     assert code == 2 and "curvature" in err
@@ -623,6 +653,19 @@ def test_sweep_linear_axis_grammar(capsys, tmp_path):
         "--out", str(out),
     )
     assert code == 2 and "start:stop:count" in err
+    # one point is the start, so a stop elsewhere would be dropped
+    code, _, err = run_cli(
+        capsys, "sweep", "--axis1", "K=99:101:1", "--axis2", "C=3", "--set", "n=100",
+        "--out", str(out),
+    )
+    assert (code, err) == (2, "error: axis K has one point, so it needs start = stop, got 99.0:101.0\n")
+    code, _, err = run_cli(
+        capsys, "sweep", "--axis1", "K=100:100:1", "--axis2", "C=3", "--set", "n=100",
+        "--engines", "ln", "--out", str(out),
+    )
+    assert code == 0, err
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[1] == "100"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Moment statistics, the skew cubic, and the shifted-lognormal fit."""
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from conftest import (
 from mtgopt.distfit import (
     LognormalParams,
     SampleMoments,
+    _solve_excess,
     central_moments,
     fit_shifted_lognormal,
     lognormal_mean,
@@ -151,6 +154,37 @@ def test_solve_eta_round_trip_uniform():
         eta = solve_eta(float(b))
         back = (eta + 2.0) * math.sqrt(eta - 1.0)
         assert abs(back - b) <= 1e-12 * (1.0 + b)
+
+
+def _mp_excess(b: float) -> mpmath.mpf:
+    # the 50-digit root of the cubic itself, started from the double root
+    with mpmath.workdps(50):
+        bsq = mpmath.mpf(b) ** 2
+        return mpmath.findroot(lambda e: (3 + e) ** 2 * e - bsq, mpmath.mpf(_solve_excess(b)))
+
+
+@pytest.mark.parametrize("lo, hi, bound", [(1e-4, 265.0, 6.0), (265.0, 1e9, 16.0)])
+def test_excess_root_matches_50_digits(lo, hi, bound):
+    # eps itself, not eta - 1, whose rounding near 1.0 hides eps's precision at
+    # small |skew|; a sample of n <= 70 000 has |skew| <= sqrt(n) < 265, and
+    # |skew| < 1e-4 takes the two-moment fallback
+    worst = 0.0
+    for b in np.geomspace(lo, hi, 241).tolist():
+        want = _mp_excess(b)
+        with mpmath.workdps(50):
+            worst = max(worst, float(abs(mpmath.mpf(_solve_excess(b)) / want - 1)))
+    assert worst <= bound * sys.float_info.epsilon, worst / sys.float_info.epsilon
+
+
+def test_fit_at_a_huge_skew_is_finite():
+    # |skew| = 1e160: no sample reaches it, but the cubic's b^2 would overflow
+    m = SampleMoments(1.0, 1e-200, 1e-140, 3)
+    assert skewness(m) == pytest.approx(1e160, rel=1e-12)
+    fit = fit_shifted_lognormal(m)
+    values = (fit.theta, fit.eps, fit.log_params.mu_X, fit.log_params.sigma_X)
+    assert all(math.isfinite(v) for v in values), fit
+    # (3 + eps)^2 eps = b^2 gives eps = b^(2/3) - 2 + O(b^(-2/3))
+    assert fit.orientation == 1 and fit.eps == pytest.approx(1e160 ** (2.0 / 3.0), rel=1e-12)
 
 
 def test_fit_recovers_synthetic_positive():

@@ -5,8 +5,10 @@ LN closed form, `defaults` and config errors must run without it; each case
 runs in a fresh interpreter. The LN regime check uses constant quadrature
 nodes, so the closed form does not load numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
-and more than one shard, not by the package.
+and more than one shard, not by the package. No module of the package imports
+another's private (underscore) names.
 """
+import ast
 import json
 import os
 import subprocess
@@ -105,3 +107,12 @@ def test_commands_that_do_not_draw_on_threads_do_not_load_a_thread_pool(argv):
     r = fresh(RUN_CLI_POOL, *argv)
     assert r.returncode == 0, r.stderr
     assert r.stderr.endswith("pool=False\n"), r.stderr
+
+
+def test_no_module_imports_a_private_name_from_another():
+    private = []
+    for path in sorted(Path(mtgopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mtgopt")):
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert private == []

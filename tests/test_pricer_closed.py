@@ -21,7 +21,7 @@ from conftest import (
     regime_verdicts,
 )
 import mtgopt
-from mtgopt import pricer_closed
+from mtgopt import model, pricer_closed
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
 from mtgopt.errors import NonFiniteResultError
 from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
@@ -171,7 +171,7 @@ def test_scalar_bracket_matches_the_price_map():
         spec = ModelSpec.calibrate(DurationParams(0.0, 1.0, 1.0, -b), MarketState(1.0, 0.0))
         for x in (-100.0, -3.0, -1.0, -0.999, -0.5, -1e-6, 0.0, 1e-12, 0.3, 1.0, 1.0001, 7.0, 100.0):
             want = -float(log_price(spec, x))
-            bracket = _log_bracket(spec.q, _softplus(b), _softplus(-b), x)
+            bracket = _log_bracket(spec, x)
             assert abs(bracket - want) <= 1e-15 * abs(want), (b, x)
 
 
@@ -510,28 +510,51 @@ def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
     assert got == doc["points"]
 
 
-def _counting(monkeypatch, name: str) -> list:
-    calls, original = [], getattr(pricer_closed, name)
+def _counting(monkeypatch, name: str, module=pricer_closed) -> list:
+    calls, original = [], getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pricer_closed, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_one_ln_call_computes_the_rate_law_and_softplus_terms_once(monkeypatch):
+    # softplus(+-b) is worked out once, at calibration; an LN call reads the pair
+    # off the spec and works out the rate law once
+    softplus = _counting(monkeypatch, "_softplus", model)
     spec, c = default_spec(30.0), DEFAULT_CONTRACT
-    laws, softplus = _counting(monkeypatch, "terminal_rate_law"), _counting(monkeypatch, "_softplus")
+    assert len(softplus) == 2
+    laws = _counting(monkeypatch, "terminal_rate_law")
     res = price_ln(spec, DEFAULT_DYNAMICS, c)
     assert res.warning is not None
     assert (len(laws), len(softplus)) == (1, 2)
     for greek in (delta_ln, gamma_ln):
         laws.clear()
-        softplus.clear()
         greek(spec, DEFAULT_DYNAMICS, c)
         assert (len(laws), len(softplus)) == (1, 2), greek.__name__
+
+
+def test_calibrate_stores_the_softplus_pair_bit_for_bit():
+    # log q = -softplus(-b) and log(1 - q) = -softplus(b) for b = C (r0 - x0),
+    # on the curvatures of the reference grid and on random finite b
+    specs = [default_spec(C) for C in REFERENCE_CURVATURES]
+    rng = np.random.default_rng(2020)
+    signs = np.sign(rng.uniform(-1.0, 1.0, 100))
+    bs = np.concatenate([
+        rng.uniform(-50.0, 50.0, 200),
+        rng.uniform(-800.0, 800.0, 100),
+        signs * 10.0 ** rng.uniform(-300.0, 300.0, 100),
+    ])
+    # with C = 1 and r0 = 0, x0 = -b gives b = C (r0 - x0) exactly
+    for b in bs.tolist():
+        specs.append(ModelSpec.calibrate(DurationParams(1.0, 9.0, 1.0, -b), MarketState(1.0, 0.0)))
+    for spec in specs:
+        p = spec.duration
+        b = p.C * (spec.market.r0 - p.x0)
+        assert (spec.log_q, spec.log_1mq) == (-_softplus(-b), -_softplus(b)), b
 
 
 def test_ln_greeks_build_no_matched_law_record(monkeypatch):
