@@ -47,6 +47,7 @@ from .pricer_closed import (
     ln_kernel,
     price_ln,
     price_sln,
+    quadrature_moments,
     regime_warning,
 )
 
@@ -165,9 +166,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         res = price_mc(model, dyn, contract, cfg, draws)
         _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": cfg.n})
     elif args.method == "sln":
-        prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
-        res = price_sln(central_moments(prices), contract)
-        _emit({"method": "sln", "price": res.price, "n": cfg.n, "fit": _fit_payload(res.diagnostics)})
+        res = price_sln(quadrature_moments(model, dyn, contract.T), contract, model.market.P0)
+        _emit({"method": "sln", "price": res.price, "fit": _fit_payload(res.diagnostics)})
     else:
         res = price_ln(model, dyn, contract)
         law = res.diagnostics

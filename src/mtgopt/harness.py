@@ -7,9 +7,10 @@ two axis leaves replaced.
 Sweeps evaluate a two-axis grid of cells. Per-cell seeds derive from the base
 seed and the axis indices through a 64-bit mix, so cells are independent yet
 reproducible; crn_axis drops the chosen axis index from the hash so one rate
-sample is reused along that axis (for exactly-monotone curves). Within a cell
-the closed-form fit sample and the MC reference sample use separately derived
-seeds: accuracy comparisons never grade an engine against its own draw.
+sample is reused along that axis (for exactly-monotone curves). A cell's MC
+reference mixes its cell seed once more. Only MC draws: SLN prices exact
+quadrature moments of P/P0 and LN its matched law, so neither depends on n
+or the seed, and no engine is graded against a draw of its own.
 
 A sweep validates every cell before it draws, then prices the cells one seed
 group at a time (the cells that share a cell seed) on the thread's sample
@@ -48,10 +49,9 @@ from .mc_engine import (
     thread_draws,
 )
 from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
-from .pricer_closed import delta_ln, price_ln, price_sln
+from .pricer_closed import delta_ln, price_ln, price_sln, quadrature_moments
 
-# sub-seed tags: fit sample vs MC reference inside one cell
-_FIT_TAG = 1
+# sub-seed tag of a cell's MC reference sample
 _REF_TAG = 2
 
 # MC prices at or below this are not divided by for relative differences
@@ -213,7 +213,7 @@ def _mc_fields(
     """The MC engine's fields; skew describes the sample MC priced.
 
     For a delta that is P/P0, whose moments crn_delta keeps for the group and
-    hands back; a price sample dies on return, before SLN draws.
+    hands back; a price sample dies on return.
     """
     if spec.greek == "delta":
         check_moment_count(cfg.n)
@@ -234,10 +234,7 @@ def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[
     if ENGINE_MC in spec.engines:
         out.update(_mc_fields(spec, model, dyn, c, replace(cfg, seed=mix64(seed, _REF_TAG)), draws))
     if ENGINE_SLN in spec.engines and spec.greek is None:
-        fit_cfg = replace(cfg, seed=mix64(seed, _FIT_TAG))
-        fit_sample = simulate_terminal_prices(model, dyn, c.T, fit_cfg, draws)
-        moments = central_moments(fit_sample, draws.work(2, cfg.n))
-        out["price_sln"] = price_sln(moments, c).price
+        out["price_sln"] = price_sln(quadrature_moments(model, dyn, c.T), c, model.market.P0).price
     if ENGINE_LN in spec.engines:
         out["price_ln"] = (
             delta_ln(model, dyn, c) if spec.greek == "delta" else price_ln(model, dyn, c).price

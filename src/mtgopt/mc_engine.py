@@ -61,8 +61,8 @@ MAX_FLOATS = sys.maxsize // 8
 def mix64(*parts: int) -> int:
     """Deterministic 64-bit mix (splitmix64 finalizer folded over the parts).
 
-    Used wherever a derived seed is needed (sweep cells, fit-vs-reference
-    split); the builtin hash() is salted per process and cannot serve here.
+    Used wherever a derived seed is needed (sweep cells and their MC
+    reference); the builtin hash() is salted per process and cannot serve here.
     """
     h = 0x9E3779B97F4A7C15
     for p in parts:

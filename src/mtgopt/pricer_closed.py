@@ -2,19 +2,21 @@
 
 Three pieces: a shifted Black-Scholes kernel over a lognormal underlier with
 an effective strike, in orientation o = +-1 (a call on Z or a put on Z);
-shifted-lognormal pricing, which fits theta + o Z to terminal-price moments and
-prices through the kernel with K_eff = o (K - theta); and the
-parametric lognormal, which matches P/P0 in closed form by writing
-(P/P0)^{-1/scale} as a sum of two perfectly correlated lognormals and prices
-the kernel on (M1/P0, K/P0), so price and Greeks are multiples of the spot and
-need no sample at all.
+shifted-lognormal pricing, which fits theta + o Z to the moments of P/P0 and
+prices P0 times the kernel with K_eff = o (K/P0 - theta); and the parametric
+lognormal, which matches P/P0 in closed form by writing (P/P0)^{-1/scale} as
+a sum of two perfectly correlated lognormals and prices the kernel on
+(M1/P0, K/P0). Both prices, and the LN Greeks, are multiples of the spot and
+need no sample at all: the SLN's moments come from quadrature_moments, 21-node
+Gauss-Hermite quadrature over the rate law, which is also the regime proxy.
 
 The parametric route assumes positively skewed terminal prices (low
-curvature); results outside that regime carry a warning rather than an error.
+curvature); results outside that regime carry a warning rather than an
+error. The warning signs the third moment of the same quadrature.
 
 Each LN entry point computes the law of the rate move r_T - r0 once per call
 and hands it to the matched law and, in price_ln and regime_warning, to the
-21-node regime proxy; both read log q and log(1 - q) off the calibrated spec.
+regime proxy; both read log q and log(1 - q) off the calibrated spec.
 Only what a call returns is built: price_ln the law record it reports,
 delta_ln and gamma_ln no law record, just the kernel inputs on (mu, sigma_P).
 """
@@ -22,9 +24,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .distfit import SampleMoments, ShiftedLognormalFit, fit_shifted_lognormal, lognormal_mean
+from .distfit import LognormalParams, SampleMoments, ShiftedLognormalFit
+from .distfit import fit_shifted_lognormal, lognormal_mean
 from .errors import NonFiniteResultError
 from .model import MAX_EXP_ARG, ModelSpec, NormalLaw, OptionContract, RateDynamics, terminal_rate_law
 
@@ -32,9 +35,11 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO = math.sqrt(2.0)
 
-# fixed quadrature for the regime proxy: enough nodes to sign the third
-# central moment of the smooth terminal-price curve. The nodes z and the
-# weights w / sqrt(pi) of numpy.polynomial.hermite.hermgauss(21), bit for bit
+# fixed quadrature for the moments of P/P0: on the smooth terminal-price
+# curve 21 nodes give the mean, m2 and m3 of 81 nodes to 5e-13 relative at
+# the default bundle (C = 0.5 to 40), enough to sign m3 and to fit the SLN.
+# The nodes z and the weights w / sqrt(pi) of
+# numpy.polynomial.hermite.hermgauss(21), bit for bit
 _PROXY_NODES = (
     -5.550351873264678, -4.773992343411219, -4.12199554749184, -3.5319728771376777,
     -2.979991207704598, -2.453552124512838, -1.9449629491862537, -1.448934250650732,
@@ -129,17 +134,22 @@ def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
     return inp.df * (o * inp.M1 * _ndtr(o * d1) - o * inp.K_eff * _ndtr(o * d2))
 
 
-def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract) -> float:
-    """Call price under theta + o Z: the kernel in orientation o with K_eff = o (K - theta)."""
+def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract, P0: float = 1.0) -> float:
+    """Call price per unit spot under theta + o Z fitted to P/P0: the kernel in
+    orientation o with K_eff = o (K/P0 - theta), whose limits price a K/P0 of 0
+    or inf. P0 = 1 prices a fit of P itself."""
     o = fit.orientation
     lp = fit.log_params
-    return bs_call(BsKernelInputs(lognormal_mean(lp), lp.sigma_X, o * (c.K - fit.theta), c.df), o)
+    return bs_call(BsKernelInputs(lognormal_mean(lp), lp.sigma_X, o * (c.K / P0 - fit.theta), c.df), o)
 
 
-def price_sln(moments: SampleMoments, c: OptionContract) -> PriceResult:
-    """Fit theta +- LogN to terminal-price moments and price through the kernel."""
+def price_sln(moments: SampleMoments, c: OptionContract, P0: float = 1.0) -> PriceResult:
+    """Fit theta +- LogN to moments of P/P0 (of P at P0 = 1), price P0 times the
+    kernel, and report the fit scaled to P: theta times P0, mu_X plus log P0."""
     fit = fit_shifted_lognormal(moments)
-    return PriceResult(price=price_from_fit(fit, c), method="SLN", diagnostics=fit)
+    lp = fit.log_params
+    of_p = replace(fit, theta=P0 * fit.theta, log_params=LognormalParams(lp.mu_X + math.log(P0), lp.sigma_X))
+    return PriceResult(price=P0 * price_from_fit(fit, c, P0), method="SLN", diagnostics=of_p)
 
 
 def _log_bracket(spec: ModelSpec, x: float) -> float:
@@ -174,8 +184,9 @@ def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -
     return -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
 
 
-def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> str | None:
-    """The regime proxy of regime_warning on the rate law."""
+def _quadrature(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float, float]:
+    """(mean, m2, m3) of f = P/P0 = e^{-A - B} (the terms of model.log_shape)
+    on the 21 Gauss-Hermite nodes of the rate law. No spot enters them."""
     p = spec.duration
     C = p.C
     centre, s = law
@@ -198,6 +209,18 @@ def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw)
         raise NonFiniteResultError(
             f"regime proxy is not finite at C={C}, sigma={dyn.sigma}, T={T}"
         )
+    return mean, m2, m3
+
+
+def quadrature_moments(spec: ModelSpec, dyn: RateDynamics, T: float) -> SampleMoments:
+    """Mean and central moments m2, m3 of P/P0 at expiry T on the quadrature
+    nodes: no sample, so no n or seed, and no spot to overflow them."""
+    return SampleMoments(*_quadrature(spec, dyn, T, terminal_rate_law(dyn, T)), len(_PROXY))
+
+
+def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> str | None:
+    """The regime proxy of regime_warning on the rate law: the sign of m3."""
+    mean, m2, m3 = _quadrature(spec, dyn, T, law)
     if m3 < -_UNRESOLVED_M3 * mean * m2:
         return (
             "parametric lognormal assumes positively skewed terminal prices; "

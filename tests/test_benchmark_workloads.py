@@ -65,9 +65,9 @@ FINGERPRINT_SHA256 = {
         "3b12ab4906174ea3a51b8e9980ea767711a90ee31b594a6573c3680ff498f383",
     ),
     "sweep_ref": (
-        "fb80b4e5fa2aae631932689b000188ed0ae1c67e3e23daa867cfef0f7ff3dcdf",
-        "68dfd9238909322bfad98ed327839fbbcababf84798b11e090e139126c5e7c8a",
-        "f49460f4cdd2866fc34b19e368ba49b3475f669bb99929d377c888572d4b8fe1",
+        "5d4f069ce5dc0d67d934dd4827adcdd7ed521f0176d664b3aab6275ee76c659d",
+        "b5b3de7a76d2595bb5dc0d6a4ff6e0cfed1e6323b2216730b04936c8c6309510",
+        "55878cb7c1d982c04e8c7eb0d14c165c991af21c94e73fcaf380eb2f7c4aacea",
     ),
 }
 

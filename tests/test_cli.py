@@ -361,7 +361,6 @@ AXIS_PAST = "axis needs 1 to {} points, got count={}"
     "argv,message",
     [
         (("price", "--method", "mc", "--set", "n={}"), N_PAST),
-        (("price", "--method", "sln", "--set", "n={}"), N_PAST),
         (("greeks", "--method", "mc", "--set", "n={}"), N_PAST),
         (("fit", "--set", "n={}"), N_PAST),
         (("qq", "--set", "n={}", "--out", "qq.csv"), N_PAST),
@@ -369,7 +368,7 @@ AXIS_PAST = "axis needs 1 to {} points, got count={}"
         (("qq", "--set", "n=100", "--quantiles", "{}", "--out", "qq.csv"), QUANTILES_PAST),
         (("sweep", "--axis1", "K=99:101:{}", "--axis2", "C=3", "--out", "s.csv"), AXIS_PAST),
     ],
-    ids=["price-mc", "price-sln", "greeks-mc", "fit", "qq", "sweep", "qq-quantiles", "sweep-axis-count"],
+    ids=["price-mc", "greeks-mc", "fit", "qq", "sweep", "qq-quantiles", "sweep-axis-count"],
 )
 def test_a_count_too_large_to_allocate_exits_3_and_past_any_array_exits_2(
     capsys, tmp_path, monkeypatch, argv, message
@@ -776,11 +775,14 @@ def test_extreme_finite_inputs_exit_cleanly(capsys, tmp_path, command):
 
 
 def test_tiny_spot_skewness_underflow_exits_3(capsys, tmp_path):
-    # m2^(3/2) underflows while m2 > 0, so the sample skewness is not resolved
+    # m2^(3/2) underflows while m2 > 0, so the sample skewness is not resolved;
+    # the SLN price takes the moments of P/P0, which do not shrink with the spot
     csv = str(tmp_path / "out.csv")
     at = ("--set", "C=3", "--set", "n=200", "--set", "P0=1e-150")
+    code, out, err = run_cli(capsys, "price", "--method", "sln", *at)
+    assert (code, err) == (0, ""), err
+    assert math.isfinite(_strict_json(out)["price"])
     for argv in (
-        ("price", "--method", "sln") + at,
         ("fit",) + at,
         ("qq", "--out", csv) + at,
         ("sweep", "--axis1", "K=99,101", "--axis2", "C=3", "--out", csv) + at,
@@ -808,6 +810,44 @@ def test_tiny_spot_crn_delta_sweep_takes_its_skew_from_p_over_p0(capsys, tmp_pat
         skews.append([cell.skew.hex() for cell in run_sweep(spec)])
     tiny_csv, tiny, ref_csv, ref = skews
     assert tiny_csv == ref_csv and tiny == ref and len(set(tiny)) == 1
+
+
+def sln_at(capsys, C, P0, K):
+    return run_json(capsys, "price", "--method", "sln", "--set", f"C={C}", "--set", f"P0={P0!r}",
+                    "--set", f"K={K!r}")
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0, 40.0])
+def test_sln_price_scales_with_the_spot(capsys, C):
+    # the SLN fits the moments of P/P0, which do not depend on the spot: at
+    # P0 = K = 100 lam the price is lam times the P0 = K = 100 price up to the
+    # rounding of the last product, and sigma_X is the same bits; a power of
+    # two scales every strike and the fit's theta exactly
+    eps = sys.float_info.epsilon
+    base = sln_at(capsys, C, 100.0, 100.0)
+    for lam in (1e-300, 1e-100, 1e100, 1e300):
+        doc = sln_at(capsys, C, 100.0 * lam, 100.0 * lam)
+        assert abs(doc["price"] / lam / base["price"] - 1.0) <= 4 * eps, lam
+        assert doc["fit"]["sigma_X"] == base["fit"]["sigma_X"], lam
+        assert doc["fit"]["mu_X"] == pytest.approx(base["fit"]["mu_X"] + math.log(lam), abs=1e-12)
+    for K in (97.0, 103.0):
+        base = sln_at(capsys, C, 100.0, K)
+        for lam in (2.0**-990, 2.0**990):
+            doc = sln_at(capsys, C, 100.0 * lam, K * lam)
+            assert doc["price"] / lam == base["price"], (K, lam)
+            assert doc["fit"]["theta"] / lam == base["fit"]["theta"], (K, lam)
+            assert doc["fit"]["sigma_X"] == base["fit"]["sigma_X"], (K, lam)
+
+
+def test_sln_prices_at_a_spot_whose_sample_moments_overflow(capsys):
+    # m3 of a sample of P overflows at P0 = 1e120; the moments of P/P0 do not
+    code, out, err = run_cli(
+        capsys, "price", "--method", "sln", "--set", "C=3", "--set", "P0=1e120", "--set", "K=1e120"
+    )
+    assert (code, err) == (0, ""), err
+    doc = _strict_json(out)
+    assert math.isfinite(doc["price"]) and all(math.isfinite(v) for v in doc["fit"].values())
+    assert doc["price"] / 1e118 == pytest.approx(sln_at(capsys, 3.0, 100.0, 100.0)["price"], rel=1e-15)
 
 
 @pytest.mark.parametrize("mu", ["1e150", "1e300"])

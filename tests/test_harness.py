@@ -292,33 +292,61 @@ def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
     assert peak <= 4.5 * n * 8, peak / (n * 8)
 
 
+def counting(calls: dict, name: str, fn):
+    """fn, adding one to calls[name] per call."""
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_crn_delta_sweep_maps_and_reduces_its_sample_once_per_group(monkeypatch):
     # twelve spots read one kept f: the map (log shape, then one exp) and the
     # moments run once per group, not once per spot
     calls = {"log_shape": 0, "exp": 0, "central_moments": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     class CountingNumpy:
-        exp = staticmethod(counted("exp", np.exp))
+        exp = staticmethod(counting(calls, "exp", np.exp))
 
         def __getattr__(self, name):
             return getattr(np, name)
 
     for module in (mc_engine, model_module):
-        monkeypatch.setattr(module, "log_shape", counted("log_shape", module.log_shape))
+        monkeypatch.setattr(module, "log_shape", counting(calls, "log_shape", module.log_shape))
     for module in (mc_engine, harness):
-        monkeypatch.setattr(module, "central_moments", counted("central_moments", module.central_moments))
+        monkeypatch.setattr(module, "central_moments", counting(calls, "central_moments", module.central_moments))
     monkeypatch.setattr(mc_engine, "np", CountingNumpy())
     monkeypatch.setattr(model_module, "np", CountingNumpy())
     cells = run_sweep(crn_delta_sweep(2000, (0.5, 3.0)))
     assert len(cells) == 24
     assert calls == {"log_shape": 2, "exp": 2, "central_moments": 2}
+
+
+def test_price_sweep_draws_maps_and_reduces_only_its_mc_sample(monkeypatch):
+    # SLN prices quadrature moments of P/P0, so a sweep without a CRN axis
+    # draws, maps and reduces one sample per cell, the MC reference, and a
+    # sweep of SLN alone draws nothing
+    calls = {"draw": 0, "log_shape": 0, "central_moments": 0}
+    monkeypatch.setattr(mc_engine, "_standard_normals", counting(calls, "draw", mc_engine._standard_normals))
+    monkeypatch.setattr(model_module, "log_shape", counting(calls, "log_shape", model_module.log_shape))
+    monkeypatch.setattr(harness, "central_moments", counting(calls, "central_moments", harness.central_moments))
+    spec = small_spec(
+        base=BaseParams(seed=12345, n=2000),
+        axis1=SweepAxis("K", tuple(97.0 + 0.5 * i for i in range(13))),
+        axis2=SweepAxis("C", (3.0,)),
+    )
+    cells = run_sweep(spec)
+    assert calls == {"draw": 13, "log_shape": 13, "central_moments": 13}
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(mc_engine, "_standard_normals", no_draw)
+    sln = run_sweep(replace(spec, engines=("SLN",)))
+    assert [c.price_sln for c in sln] == [c.price_sln for c in cells]
+    assert all(c.price_mc is None and c.skew is None for c in sln)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
@@ -493,9 +521,8 @@ def test_crn_makes_mc_price_monotone_in_strike():
 
 
 def test_fit_and_reference_seeds_differ():
-    # SLN grades against an independent reference: with identical samples the
-    # rel diff would vanish up to fit error; verify the draws differ by
-    # checking SLN and MC disagree at noise scale but not identically
+    # SLN grades against an independent reference: it prices exact moments,
+    # not a draw, so SLN and MC disagree at noise scale but not identically
     cells = run_sweep(small_spec())
     assert all(c.price_sln != c.price_mc for c in cells)
 

@@ -1,9 +1,10 @@
 """Import contract: only a draw loads scipy, and only a threaded draw a pool.
 
 scipy.special takes about a quarter second to import, so the package, the
-LN closed form, `defaults` and config errors must run without it; each case
-runs in a fresh interpreter. The LN regime check uses constant quadrature
-nodes, so the closed form does not load numpy.polynomial either.
+SLN and LN closed forms, `defaults` and config errors must run without it;
+each case runs in a fresh interpreter. The SLN moments and the LN regime
+check use constant quadrature nodes, so the closed forms do not load
+numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
 and more than one shard, not by the package. No module of the package imports
 another's private (underscore) names.
@@ -72,12 +73,14 @@ def test_importing_the_package_does_not_load_scipy():
     [
         (("defaults",), 0),
         (("price", "--method", "ln", "--set", "C=3"), 0),
+        (("price", "--method", "sln", "--set", "C=3"), 0),
         (("greeks", "--method", "ln", "--set", "C=30"), 0),
         (("price", "--method", "ln", "--set", "C=3", "--set", "P0=1e155", "--set", "K=1e155"), 0),
         (("greeks", "--method", "ln", "--set", "C=3", "--set", "P0=1e155", "--set", "K=1e155"), 0),
         (("price", "--set", "C=-1"), 2),
     ],
-    ids=["defaults", "price-ln", "greeks-ln", "price-ln-P0=1e155", "greeks-ln-P0=1e155", "config-error"],
+    ids=["defaults", "price-ln", "price-sln", "greeks-ln", "price-ln-P0=1e155", "greeks-ln-P0=1e155",
+         "config-error"],
 )
 def test_commands_that_do_not_draw_do_not_load_scipy(argv, code):
     r = fresh(RUN_CLI, *argv)

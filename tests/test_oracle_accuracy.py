@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mtgopt.distfit import central_moments
 from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
 from mtgopt.model import DurationParams, ModelSpec, OptionContract, RateDynamics, log_price
-from mtgopt.pricer_closed import price_ln, price_sln
+from mtgopt.pricer_closed import price_ln, price_sln, quadrature_moments
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
 _spec = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE_PATH)
@@ -47,6 +47,14 @@ LN_MAX_REL_ERR_PCT = {
 SLN_MAX_REL_ERR_PCT = {
     0.5: 1.5, 1.0: 1.5, 2.0: 1.5, 3.0: 1.5, 4.0: 1.6, 5.0: 1.6,
     6.0: 1.6, 10.0: 1.8, 15.0: 2.0, 20.0: 2.3, 30.0: 3.2, 40.0: 7.7,
+}
+
+# the default SLN, fitted to quadrature_moments: measured 0.0029 % at C = 0.5,
+# 0.019 % at 3, 0.042 % at 6, 0.073 % at 10, 0.10 % at 20, 0.27 % at 30 and
+# 1.9 % at 40; what remains is the three-moment law's own error, not noise
+EXACT_SLN_MAX_REL_ERR_PCT = {
+    0.5: 0.05, 1.0: 0.05, 2.0: 0.05, 3.0: 0.05, 4.0: 0.05, 5.0: 0.05,
+    6.0: 0.05, 10.0: 0.2, 15.0: 0.2, 20.0: 0.2, 30.0: 0.5, 40.0: 2.5,
 }
 
 SEEDS = range(1, 65)
@@ -114,6 +122,19 @@ def test_sln_error_map_against_exact(C):
         sln = price_sln(moments, OptionContract(K, c.T, c.r_f)).price
         worst = max(worst, abs(sln / exact - 1.0) * 100.0)
     assert worst <= SLN_MAX_REL_ERR_PCT[C]
+
+
+@pytest.mark.parametrize("C", sorted(EXACT_SLN_MAX_REL_ERR_PCT))
+def test_default_sln_error_map_against_exact(C):
+    spec, mdl, c = default_spec(C), exact_model(C), DEFAULT_CONTRACT
+    moments = quadrature_moments(spec, DEFAULT_DYNAMICS, c.T)
+    assert moments.mean * DEFAULT_MARKET.P0 == pytest.approx(oracle.mean_price(mdl), rel=1e-14)
+    worst = 0.0
+    for K in STRIKES:
+        exact, _ = oracle.call(mdl, K, 1)
+        sln = price_sln(moments, OptionContract(K, c.T, c.r_f), DEFAULT_MARKET.P0).price
+        worst = max(worst, abs(sln / exact - 1.0) * 100.0)
+    assert worst <= EXACT_SLN_MAX_REL_ERR_PCT[C]
 
 
 @pytest.mark.parametrize("C, K", [(0.5, 97.0), (3.0, 100.0), (30.0, 103.0)])
