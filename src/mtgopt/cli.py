@@ -182,7 +182,7 @@ def cmd_greeks(args: argparse.Namespace) -> int:
         delta = crn_delta(model, dyn, contract, cfg, draws)[0]
         _emit({"method": "mc", "delta": delta, "bump": cfg.bump})
         return 0
-    _, inp = ln_kernel(model, dyn, contract)
+    inp = ln_kernel(model, dyn, contract)
     _warn(regime_warning(model, dyn, contract.T))
     _emit(
         {

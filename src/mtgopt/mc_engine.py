@@ -13,20 +13,21 @@ rely on.
 Draws is the one sample provider and the one owner of n-sized arrays: it
 maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
 z * law.std + law.mean. It draws each (seed, n) once and keeps it, with the
-delta's sample of P/P0 and its moments, until release(). thread_draws() gives
-each thread one provider, which the thread's CLI commands, skew tables and
-sweeps share. Each of them releases it when it ends, raised or not (a sweep
-also after each seed group, the cells that share a cell seed), so nothing kept
-outlives a call. The slots do: k arrays of n floats stay allocated per thread
-(4 x 560 KB after a sweep at n = 70 000), and the thread's next call at that n
-faults in no new pages.
+delta's ascending z and sample of P/P0 and its moments, until release().
+thread_draws() gives each thread one provider, which the thread's CLI
+commands, skew tables and sweeps share. Each of them releases it when it
+ends, raised or not (a sweep also after each seed group, the cells that share
+a cell seed), so nothing kept outlives a call. The slots do: k arrays of n
+floats stay allocated per thread (4 x 560 KB after a sweep at n = 70 000),
+and the thread's next call at that n faults in no new pages.
 
 Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
-standard error, the delta's payoff and mask and the moments) runs in place on
-the provider's slots, so a warm delta touches three arrays (the kept P/P0, two
-work slots) and allocates none. No array a call hands back lives in them:
-callers own what they get, and a later call never overwrites it. A delta hands
-back no array, only the moments of P/P0. A provider serves one thread.
+standard error and the moments) runs in place on the provider's slots. A
+warm delta reads only the kept ascending P/P0, with two binary searches and
+two slice sums, and allocates only the terms of its band. No array a
+call hands back lives in them: callers own what they get, and a later call
+never overwrites it. A delta hands back no array, only the moments of P/P0.
+A provider serves one thread.
 """
 from __future__ import annotations
 
@@ -138,12 +139,12 @@ class Draws:
     """The one owner of n-sized float arrays: standard normals z by (seed, n),
     drawn by `workers` threads, and the work arrays of the calls that read them.
 
-    Its arrays are slots of n floats. Each z, and each array made from it that
-    a later call asks for again (the delta's sample of P/P0), is kept in slots
-    of its own until release() and handed out as a read-only view; keep()
-    holds what is made from them (a sample's moments) as long. Work arrays
-    come from the slots after those. release() keeps the slots themselves,
-    and a change of n drops every slot.
+    Its arrays are slots of n floats. Each z, in draw order or ascending, and
+    each array made from it that a later call asks for again (the delta's
+    sample of P/P0), is kept in slots of its own until release() and handed
+    out as a read-only view; keep() holds what is made from them (a sample's
+    moments) as long. Work arrays come from the slots after those. release()
+    keeps the slots themselves, and a change of n drops every slot.
     """
 
     def __init__(self, workers: int = 1):
@@ -195,6 +196,16 @@ class Draws:
         """z for (seed, n), drawn once until release(); read-only."""
         return self.reuse(("z", seed, n), 1, n, lambda out: _standard_normals(seed, n, self.workers, out))[0]
 
+    def sorted_normals(self, seed: int, n: int) -> np.ndarray:
+        """The z of (seed, n) in ascending order, drawn and sorted once until
+        release(), apart from the draw-order z; read-only."""
+
+        def fill(out: np.ndarray) -> None:
+            _standard_normals(seed, n, self.workers, out)
+            out.sort()
+
+        return self.reuse(("sorted z", seed, n), 1, n, fill)[0]
+
 
 _thread = threading.local()
 
@@ -217,14 +228,17 @@ def simulate_terminal_rates(
     cfg: McConfig,
     draws: Draws | None = None,
     out: np.ndarray | None = None,
+    descending: bool = False,
 ) -> np.ndarray:
     """n draws of the terminal rate move r_T - r0 ~ N(mu T, sigma^2 T), fully
-    determined by cfg.seed, written into out (a new array by default)."""
+    determined by cfg.seed, written into out (a new array by default); in
+    draw order, or descending off the provider's ascending z."""
     law = terminal_rate_law(dyn, T)
     # allocated before z: allocated after it, a call on a new provider (no
     # draws given) makes glibc trim and refault the heap
     out = np.empty(cfg.n, dtype=float) if out is None else out
-    z = (draws or Draws()).normals(cfg.seed, cfg.n)
+    draws = draws or Draws()
+    z = draws.sorted_normals(cfg.seed, cfg.n)[::-1] if descending else draws.normals(cfg.seed, cfg.n)
     return np.add(np.multiply(z, law.std, out=out), law.mean, out=out)
 
 
@@ -279,11 +293,16 @@ def crn_delta(
     (None below the n = 3 that a third moment needs).
 
     f = exp(-A - B) for the P0-free terms (A, B) of model.log_shape, the price
-    map at a unit spot, and its moments are kept by the provider for every
-    call on the same sample, rate law and duration curve until release(). The
-    legs are (P0 + h) f and P0 f, so with k = K/P0 the difference is read off
-    f without cancelling: df/n [sum (f - k)+ + k #{f > k} + sum over the band
+    map at a unit spot, falls as the rate move rises, so the moves in
+    descending order give an ascending f; one comparison pass checks that no
+    rounding step broke the order, and a sort mends it if one did. f and its
+    moments, summed in that order, are kept by the provider for every call on
+    the same sample, rate law and duration curve until release(). The legs
+    are (P0 + h) f and P0 f, so with k = K/P0 the difference is read off f
+    without cancelling: df/n [sum of f over f > k + sum over the band
     K/(P0 + h) < f <= k, where only the bumped leg pays, of f + (P0 f - K)/h].
+    On the ascending f both sets are slices that two binary searches find;
+    k = inf leaves both empty.
     """
     h = cfg.bump
     m = spec.market
@@ -293,22 +312,19 @@ def crn_delta(
     key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
 
     def fill(f: np.ndarray) -> None:
-        moves = simulate_terminal_rates(dyn, c.T, cfg, draws, f)
-        A, B = log_shape(spec, moves, (f, draws.work(1, cfg.n)[0]))
+        moves = simulate_terminal_rates(dyn, c.T, cfg, draws, f, descending=True)
+        (work,) = draws.work(1, cfg.n)
+        A, B = log_shape(spec, moves, (f, work))
         np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
+        # a NaN fails the check too, and the sort puts it last, in every suffix
+        if not np.greater_equal(f[1:], f[:-1], out=work.view(bool)[: cfg.n - 1]).all():
+            f.sort()
 
     (f,) = draws.reuse(key, 1, cfg.n, fill)
     moments = draws.keep(
         ("moments", *key), lambda: central_moments(f, draws.work(2, cfg.n)) if cfg.n >= 3 else None
     )
-    work, mask = draws.work(2, cfg.n)
-    mask = mask.view(bool)[: cfg.n]
-    k = c.K / m.P0
-    above = np.count_nonzero(np.greater(f, k, out=mask))
-    total = float(np.add.reduce(np.maximum(np.subtract(f, k, out=work), 0.0, out=work)))
-    if above:  # k = K/P0 may overflow to inf, and then no path is above it
-        total += k * above
-    if np.count_nonzero(np.greater(f, c.K / (m.P0 + h), out=mask)) > above:
-        band = f[mask & (f <= k)]
-        total += float(np.add.reduce(band + (m.P0 * band - c.K) / h))
+    i_k = np.searchsorted(f, c.K / m.P0, "right")
+    band = f[np.searchsorted(f, c.K / (m.P0 + h), "right") : i_k]
+    total = float(np.add.reduce(f[i_k:])) + float(np.add.reduce(band + (m.P0 * band - c.K) / h))
     return c.df * total / cfg.n, moments

@@ -18,7 +18,8 @@ Each LN entry point computes the law of the rate move r_T - r0 once per call
 and hands it to the matched law and, in price_ln and regime_warning, to the
 regime proxy; both read log q and log(1 - q) off the calibrated spec.
 Only what a call returns is built: price_ln the law record it reports,
-delta_ln and gamma_ln no law record, just the kernel inputs on (mu, sigma_P).
+ln_kernel, delta_ln and gamma_ln no law record, just the kernel inputs on
+(mu, sigma_P).
 """
 from __future__ import annotations
 
@@ -214,8 +215,13 @@ def _quadrature(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) ->
 
 def quadrature_moments(spec: ModelSpec, dyn: RateDynamics, T: float) -> SampleMoments:
     """Mean and central moments m2, m3 of P/P0 at expiry T on the quadrature
-    nodes: no sample, so no n or seed, and no spot to overflow them."""
-    return SampleMoments(*_quadrature(spec, dyn, T, terminal_rate_law(dyn, T)), len(_PROXY))
+    nodes: no sample, so no n or seed, and no spot to overflow them. An m3
+    that roundoff cannot resolve (see _UNRESOLVED_M3) is 0.0, so a fit takes
+    no orientation from it."""
+    mean, m2, m3 = _quadrature(spec, dyn, T, terminal_rate_law(dyn, T))
+    if abs(m3) < _UNRESOLVED_M3 * mean * m2:
+        m3 = 0.0
+    return SampleMoments(mean, m2, m3, len(_PROXY))
 
 
 def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> str | None:
@@ -270,13 +276,10 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     return _proxy_warning(spec, dyn, T, terminal_rate_law(dyn, T))
 
 
-def ln_kernel(
-    spec: ModelSpec, dyn: RateDynamics, c: OptionContract
-) -> tuple[TerminalLognormalLaw, BsKernelInputs]:
-    """Matched law of P/P0 and its kernel inputs: the mean M1/P0 = e^{mu + sigma_P^2/2},
+def ln_kernel(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> BsKernelInputs:
+    """Kernel inputs of the matched law of P/P0: the mean M1/P0 = e^{mu + sigma_P^2/2},
     W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
-    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))
-    return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0), inp
+    return _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2]
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:

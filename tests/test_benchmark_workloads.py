@@ -60,9 +60,9 @@ FINGERPRINT_SHA256 = {
         "684cfe363e141c49bfc79cf6758285ce80f479d631faaacad6af29694dd76982",
     ),
     "sweep_crn_delta": (
-        "85bbf0e253b5556ef8fb49c773f857803c6a673c0b93b74b4231cbba1862d1e9",
-        "f314b2c191fa4f053f4d91ffb37b009c6aa57b34babf4daad02ae6471578a907",
-        "3b12ab4906174ea3a51b8e9980ea767711a90ee31b594a6573c3680ff498f383",
+        "802a8d79c5c4ae678ca4cf1b9a099ba9a0b854ac10ef49866309f217a2db9979",
+        "07759dead7b1cd42a9c965b7c300fc8b84f1c1da94d44f0df07cf03d8a8ea2fb",
+        "196559b7a7cf955735bb1c04acef4589b1a5528302ccf304f9967628499899d2",
     ),
     "sweep_ref": (
         "5d4f069ce5dc0d67d934dd4827adcdd7ed521f0176d664b3aab6275ee76c659d",

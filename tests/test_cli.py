@@ -850,6 +850,19 @@ def test_sln_prices_at_a_spot_whose_sample_moments_overflow(capsys):
     assert doc["price"] / 1e118 == pytest.approx(sln_at(capsys, 3.0, 100.0, 100.0)["price"], rel=1e-15)
 
 
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0])
+def test_sln_at_a_vanishing_rate_volatility_takes_no_orientation_from_roundoff(capsys, C):
+    # the quadrature's node prices are equal but for roundoff, which left
+    # m3 ~ -1e-47 at sigma = 1e-300 and a put-oriented fit with theta ~ P0;
+    # an m3 that roundoff cannot resolve is 0, so the fit is the two-moment
+    # lognormal, as it is at sigma = 1e-10
+    for sigma in ("1e-300", "1e-12", "1e-10"):
+        doc = run_json(capsys, "price", "--method", "sln", "--set", f"C={C}", "--set", f"sigma={sigma}")
+        fit = doc["fit"]
+        assert (fit["orientation"], fit["theta"], fit["tau"]) == (1, 0.0, 0.0), sigma
+        assert fit["sigma_X"] < 1e-9 and 0.0 <= doc["price"] < 2e-8, sigma
+
+
 @pytest.mark.parametrize("mu", ["1e150", "1e300"])
 def test_ln_underflowed_mean_prices_a_worthless_call(capsys, mu):
     # the matched mean M1 underflows to 0; MC prices this case at 0.0 too

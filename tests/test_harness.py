@@ -190,8 +190,9 @@ def test_sweep_cells_equal_standalone_engine_calls(name):
         model, dyn, c, cfg = materialize(replace(spec.base, **axes))
         ref = replace(cfg, seed=reference_seed(spec, i, j))
         if spec.greek == "delta":
-            # a delta's skew is that of the sample of P/P0 it priced
-            sample = simulate_terminal_prices(unit_spot(model), dyn, c.T, ref)
+            # a delta's skew is that of the sample of P/P0 it priced, summed
+            # in ascending order
+            sample = np.sort(simulate_terminal_prices(unit_spot(model), dyn, c.T, ref))
             want = (crn_delta(model, dyn, c, ref)[0], None)
         else:
             sample = simulate_terminal_prices(model, dyn, c.T, ref)
@@ -275,9 +276,9 @@ def crn_delta_sweep(n: int, curvatures: tuple[float, ...]) -> SweepSpec:
 
 
 def test_crn_delta_sweep_reduces_its_base_leg_in_the_provider_slots():
-    # a delta group keeps f = P/P0 and z, and works in two slots: the moments
-    # of f take both once, each spot's payoff and mask one each; keeping the
-    # log shape (A, B) instead of f would make five arrays of n
+    # a delta group keeps f = P/P0 and its ascending z, and works in two
+    # slots: the map and the order check take one, the moments of f both;
+    # keeping the log shape (A, B) instead of f would make five arrays of n
     n = 70000
     spec = crn_delta_sweep(n, (3.0,))
     # the first sweep loads the draw's imports, which would dwarf the arrays
@@ -322,6 +323,72 @@ def test_crn_delta_sweep_maps_and_reduces_its_sample_once_per_group(monkeypatch)
     cells = run_sweep(crn_delta_sweep(2000, (0.5, 3.0)))
     assert len(cells) == 24
     assert calls == {"log_shape": 2, "exp": 2, "central_moments": 2}
+
+
+def test_a_crn_delta_group_sorts_z_once_and_reads_each_spot_off_two_binary_searches(monkeypatch):
+    # every provider slot logs the ufunc passes, sorts and binary searches
+    # over it. A group sorts its z once; after its first spot has mapped and
+    # reduced the sample, each spot makes two binary searches and two slice
+    # sums, the suffix over f > K/P0 and the band's terms, and no pass over n
+    log = []
+
+    def plain(a):
+        return a.view(np.ndarray) if isinstance(a, Logged) else a
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            arrays = [a for a in (*inputs, *kwargs.get("out", ())) if isinstance(a, np.ndarray)]
+            log.append((f"{ufunc.__name__}.{method}", max(a.size for a in arrays)))
+            out = kwargs.get("out")
+            if out:
+                kwargs["out"] = tuple(map(plain, out))
+            result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+            if out:
+                return out[0] if len(out) == 1 else out
+            # what is made from a slot logs too
+            return result.view(Logged) if isinstance(result, np.ndarray) else result
+
+        def sort(self, *args, **kwargs):
+            log.append(("sort", self.size))
+            plain(self).sort(*args, **kwargs)
+
+        def searchsorted(self, *args, **kwargs):
+            log.append(("searchsorted", self.size))
+            return plain(self).searchsorted(*args, **kwargs)
+
+    class SlotNumpy:
+        def empty(self, *args, **kwargs):
+            return np.empty(*args, **kwargs).view(Logged)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    def spot(*args):
+        log.append(("spot", 0))
+        return crn_delta(*args)
+
+    monkeypatch.setattr(mc_engine, "np", SlotNumpy())
+    monkeypatch.setattr(harness, "crn_delta", spot)
+    n = 2000
+    # on a new thread, whose provider makes its slots afresh and dies with it
+    with ThreadPoolExecutor(1) as pool:
+        cells = pool.submit(run_sweep, crn_delta_sweep(n, (0.5, 3.0))).result()
+    assert len(cells) == 24 and log.count(("sort", n)) == 2
+    spots = [[]]
+    for entry in log[log.index(("spot", 0)) + 1 :]:
+        if entry == ("spot", 0):
+            spots.append([])
+        else:
+            spots[-1].append(entry)
+    assert len(spots) == 24
+    # the groups run one after the other, and the first spot of each reads
+    # its sample after mapping it
+    for k, entries in enumerate(spots):
+        reads = entries[entries.index(("searchsorted", n)) :] if k % 12 == 0 else entries
+        assert [e for e in reads if e[0] == "searchsorted"] == [("searchsorted", n)] * 2, k
+        assert [e[0] for e in reads if e[0].endswith(".reduce")] == ["add.reduce"] * 2, k
+        assert all(e[0] in ("searchsorted", "add.reduce") or e[1] <= 10 for e in reads), (k, reads)
+        assert all(e[1] < n for e in reads if e[0] == "add.reduce"), (k, reads)
 
 
 def test_price_sweep_draws_maps_and_reduces_only_its_mc_sample(monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
 )
 from mtgopt.distfit import central_moments
 from mtgopt.errors import ValidationError
+from mtgopt import mc_engine
 from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
     DEFAULT_SEED,
@@ -28,7 +29,7 @@ from mtgopt.mc_engine import (
     simulate_terminal_prices,
     simulate_terminal_rates,
 )
-from mtgopt.model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics, price
+from mtgopt.model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics, log_shape, price
 
 # golden stream frozen at first implementation; any change to the generator,
 # uniform mapping, or normal transform is a breaking change and must fail here.
@@ -122,14 +123,14 @@ def test_later_calls_never_overwrite_earlier_results(where):
     # no provider, one provider that every call shares, or one that a sweep
     # releases after each group: the second crn_delta and price sample of a
     # group read what the first kept, and each delta's moments are those of
-    # a fresh sample of P/P0
+    # a fresh sample of P/P0, summed in ascending order
     draws = None if where == "none" else Draws()
     c = DEFAULT_CONTRACT
 
     def results(C: float, seed: int) -> list[np.ndarray]:
         spec, cfg = default_spec(C), McConfig(n=5000, seed=seed)
         f = simulate_terminal_prices(unit_spot(spec), DEFAULT_DYNAMICS, c.T, cfg)
-        fresh = moment_bits(central_moments(f))
+        fresh = moment_bits(central_moments(np.sort(f)))
         out = [price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics]
         for _ in range(2):
             assert moment_bits(crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1]) == fresh
@@ -163,11 +164,80 @@ def test_crn_delta_with_a_path_in_the_band_is_the_two_leg_difference(C, bump):
     c = OptionContract(K=(P0 + 0.5 * bump) * float(np.sort(f)[cfg.n // 2]), T=0.25, r_f=0.0209)
     assert np.count_nonzero((P0 * f < c.K) & ((P0 + bump) * f > c.K)) >= 1
     delta, moments = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)
-    assert moment_bits(moments) == moment_bits(central_moments(f))
+    assert moment_bits(moments) == moment_bits(central_moments(np.sort(f)))
     up, base = (c.df * float(np.mean(np.maximum(s * f - c.K, 0.0))) for s in (P0 + bump, P0))
     eps = np.finfo(float).eps
     assert abs(delta - (up - base) / bump) <= 8.0 * eps * P0 / bump
     assert delta == crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)[0]
+
+
+def draw_order_delta(f: np.ndarray, P0: float, c: OptionContract, h: float) -> float:
+    """The forward difference summed on f in draw order: df/n [sum (f - k)+ +
+    k #{f > k} + sum over the band K/(P0 + h) < f <= k of f + (P0 f - K)/h]."""
+    k = c.K / P0
+    above = np.count_nonzero(f > k)
+    total = float(np.add.reduce(np.maximum(f - k, 0.0)))
+    if above:
+        total += k * above
+    band = f[(f > c.K / (P0 + h)) & (f <= k)]
+    if band.size:
+        total += float(np.add.reduce(band + (P0 * band - c.K) / h))
+    return c.df * total / f.size
+
+
+# the benchmark's 12 spots at K = 100, then a K/P0 that overflows to inf and
+# one that underflows to 0
+DELTA_POINTS = [(float(P0), 100.0) for P0 in range(95, 107)] + [(1e-300, 1e10), (1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0, 40.0])
+def test_crn_delta_is_within_4_eps_of_the_draw_order_sum(C, record_property):
+    # the ascending f holds the draw-order f's values, so the delta moves only
+    # with the order of its sums: sum over f > k of f, which cancels nothing
+    eps = np.finfo(float).eps
+    draws, worst = Draws(), 0.0
+    for bump in (1e-14, 1e-4, 1e300):
+        cfg = McConfig(n=70000, seed=23, bump=bump)
+        f = simulate_terminal_prices(unit_spot(default_spec(C)), DEFAULT_DYNAMICS, 0.25, cfg)
+        for P0, K in DELTA_POINTS:
+            spec = ModelSpec.calibrate(default_spec(C).duration, MarketState(P0, 0.01))
+            c = OptionContract(K=K, T=0.25, r_f=0.0209)
+            got, want = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[0], draw_order_delta(f, P0, c, bump)
+            assert abs(got - want) <= 4.0 * eps * abs(want), (bump, P0, K, got, want)
+            if want:
+                worst = max(worst, abs(got - want) / want / eps)
+            else:
+                assert K / P0 == math.inf and got == 0.0
+    record_property("worst_eps", worst)
+
+
+@pytest.mark.parametrize("C", [3.0, 30.0])
+def test_crn_delta_sorts_a_sample_whose_map_is_not_monotone(monkeypatch, C):
+    # a map that wiggles in the rate move breaks the order of f along the
+    # ascending z, so the order check fails and f is sorted before any spot
+    # reads it: the deltas still match the draw-order sum and the moments are
+    # those of the sorted sample, bit for bit
+    def wiggly_shape(spec, d, out=None):
+        wiggle = 1e-3 * np.sin(1e4 * d)
+        A, B = log_shape(spec, d, out)
+        return np.add(A, wiggle, out=A), B
+
+    spec = default_spec(C)
+    cfg = McConfig(n=5000, seed=29)
+    moves = simulate_terminal_rates(DEFAULT_DYNAMICS, 0.25, cfg)
+    A, B = wiggly_shape(spec, moves)
+    f = np.exp(-(A + B))
+    assert np.any(np.diff(f[np.argsort(moves)]) > 0.0)
+    monkeypatch.setattr(mc_engine, "log_shape", wiggly_shape)
+    draws = Draws()
+    eps = np.finfo(float).eps
+    for P0, K in DELTA_POINTS:
+        at = ModelSpec.calibrate(spec.duration, MarketState(P0, 0.01))
+        c = OptionContract(K=K, T=0.25, r_f=0.0209)
+        got, moments = crn_delta(at, DEFAULT_DYNAMICS, c, cfg, draws)
+        want = draw_order_delta(f, P0, c, cfg.bump)
+        assert abs(got - want) <= 4.0 * eps * abs(want), (P0, K, got, want)
+        assert moment_bits(moments) == moment_bits(central_moments(np.sort(f)))
 
 
 def test_kept_log_shape_is_keyed_by_what_it_depends_on():
@@ -221,6 +291,20 @@ def test_a_fill_that_keeps_gets_the_slots_after_its_own():
     z = draws.normals(7, 50)
     assert not np.shares_memory(twice, z)
     assert twice.tobytes() == (2.0 * Draws().normals(7, 50)).tobytes()
+
+
+def test_sorted_normals_are_the_draw_sorted_once_and_kept_apart(monkeypatch):
+    drawn = []
+    draw = mc_engine._standard_normals
+    monkeypatch.setattr(mc_engine, "_standard_normals", lambda *args: (drawn.append(args[:2]), draw(*args)))
+    draws = Draws()
+    up = draws.sorted_normals(5, 100)
+    assert draws.sorted_normals(5, 100) is up and not up.flags.writeable
+    assert drawn == [(5, 100)]
+    # the draw-order z was not kept with it: asked for, it is drawn again
+    z = draws.normals(5, 100)
+    assert drawn == [(5, 100)] * 2 and not np.shares_memory(z, up)
+    assert up.tobytes() == np.sort(z).tobytes()
 
 
 def test_a_change_of_n_drops_the_slots():
