@@ -12,10 +12,11 @@ reference mixes its cell seed once more. Only MC draws: SLN prices exact
 quadrature moments of P/P0 and LN its matched law, so neither depends on n
 or the seed, and no engine is graded against a draw of its own.
 
-A sweep validates every cell before it draws, then prices the cells one seed
-group at a time (the cells that share a cell seed) on the thread's sample
-provider, mc_engine.thread_draws(), which every engine reads and in whose
-slots every n-sized stage of a cell runs. Within a group each (seed, n) is
+A sweep validates every cell before it draws, building each distinct block
+and calibration once, then prices the cells one seed group at a time (the
+cells that share a cell seed) on the thread's sample provider,
+mc_engine.thread_draws(), which every engine reads and in whose slots every
+n-sized stage of a cell runs. Within a group each (seed, n) is
 drawn once, and the MC delta cells on one rate law and duration curve share
 one kept sample of P/P0 and its moments; the provider releases them before
 the next group draws, and once more when the sweep ends, raised or not. A
@@ -188,15 +189,31 @@ class SkewTableRow:
     fit: ShiftedLognormalFit
 
 
-def materialize(bundle: BaseParams) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
-    """Build and validate every BLOCKS object from the bundle's leaves."""
+def materialize(
+    bundle: BaseParams, made: dict | None = None
+) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
+    """Build and validate every BLOCKS object from the bundle's leaves.
+
+    made, a dict shared by the calls of one sweep, keeps each block by its
+    leaf values and each calibration by its curve and market, so each
+    distinct one is built and validated once, in the order of the first
+    call that needs it.
+    """
     if bundle.C is None:
         raise ValidationError("curvature C must be set (by config or sweep axis)")
-    dur, market, dyn, contract, cfg = (
-        BLOCKS[block](**{leaf: getattr(bundle, leaf) for leaf in leaves})
-        for block, leaves in BLOCK_LEAVES.items()
-    )
-    return ModelSpec.calibrate(dur, market), dyn, contract, cfg
+    made = {} if made is None else made
+    blocks = []
+    for block, leaves in BLOCK_LEAVES.items():
+        values = tuple(getattr(bundle, leaf) for leaf in leaves)
+        key = (block, values)
+        if key not in made:
+            made[key] = BLOCKS[block](*values)
+        blocks.append(made[key])
+    dur, market, dyn, contract, cfg = blocks
+    key = ("spec", id(dur), id(market))
+    if key not in made:
+        made[key] = ModelSpec.calibrate(dur, market)
+    return made[key], dyn, contract, cfg
 
 
 def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
@@ -227,12 +244,13 @@ def _mc_fields(
     return out
 
 
-def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[str, float | None]:
-    """One cell's fields from its materialized (model, dyn, contract, cfg)."""
-    model, dyn, c, cfg = built
+def _price_cell(spec: SweepSpec, built: tuple, ref: McConfig, draws: Draws) -> dict[str, float | None]:
+    """One cell's fields from its materialized (model, dyn, contract) and the
+    config of its group's MC reference sample."""
+    model, dyn, c, _ = built
     out: dict[str, float | None] = {}
     if ENGINE_MC in spec.engines:
-        out.update(_mc_fields(spec, model, dyn, c, replace(cfg, seed=mix64(seed, _REF_TAG)), draws))
+        out.update(_mc_fields(spec, model, dyn, c, ref, draws))
     if ENGINE_SLN in spec.engines and spec.greek is None:
         out["price_sln"] = price_sln(quadrature_moments(model, dyn, c.T), c, model.market.P0).price
     if ENGINE_LN in spec.engines:
@@ -251,23 +269,28 @@ def _price_cell(spec: SweepSpec, built: tuple, seed: int, draws: Draws) -> dict[
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     """Evaluate the grid over axis1 x axis2, returned row-major; deterministic in seeds.
 
-    Every cell is validated before anything is drawn. The cells that share a
-    cell seed are priced together, and the thread's provider releases what
-    they kept before the next group draws and when the sweep ends.
+    Every cell is validated before anything is drawn, each distinct block and
+    calibration once per sweep. The cells that share a cell seed are priced
+    together on one MC reference config, and the thread's provider releases
+    what they kept before the next group draws and when the sweep ends.
     """
     a1, a2 = spec.axis1, spec.axis2
     points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
-    built = [materialize(replace(spec.base, **{a1.name: v1, a2.name: v2})) for _, _, v1, v2 in points]
+    made: dict = {}
+    built = [materialize(replace(spec.base, **{a1.name: v1, a2.name: v2}), made) for _, _, v1, v2 in points]
     groups: dict[int, list[int]] = {}
     for k, (i, j, _, _) in enumerate(points):
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
+    # no axis is an mc leaf, so every cell shares one config
+    cfg = built[0][3]
+    refs = {seed: replace(cfg, seed=mix64(seed, _REF_TAG)) for seed in groups}
     vals: dict[int, dict[str, float | None]] = {}
     draws = thread_draws(workers)
     try:
         for seed, group in groups.items():
             draws.release()
             for k in group:
-                vals[k] = _price_cell(spec, built[k], seed, draws)
+                vals[k] = _price_cell(spec, built[k], refs[seed], draws)
     finally:
         draws.release()
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]

@@ -2,9 +2,14 @@
 
 Reproducibility contract: the sample index space is split into fixed shards of
 SHARD_SIZE; shard j draws from an independent Philox stream keyed by
-(seed, j), uniforms come from raw 64-bit words via u = ((raw >> 11) + 0.5) *
-2^-53 (strictly inside (0,1)), and normals are the inverse CDF of u. Workers
-fill disjoint shard slices of one preallocated array, so every value is
+(seed, j), and normals are the inverse CDF of uniforms strictly inside (0,1).
+Each filling thread keeps one Philox generator and re-keys it per shard
+(counter 0, key (seed, j)); its doubles k 2^-53 are the raw words' top 53
+bits, and u = k 2^-53 + 2^-54, one rounding of (2k + 1) 2^-54, is
+((raw >> 11) + 0.5) 2^-53 bit for bit. A sorted draw sorts the uniforms and
+inverts them in order: ndtri is monotone, so that is the same multiset as
+the sorted normals, and one comparison pass checks the order. Workers fill
+disjoint shard slices of one preallocated array, so every value is
 bit-identical regardless of worker count or scheduling, and all reductions run
 on the assembled array afterwards. Inverse-CDF sampling also preserves the
 monotone rate/price coupling that common-random-number finite differences
@@ -98,34 +103,56 @@ class McConfig:
             raise ValidationError(f"bump must be > 0, got {self.bump}")
 
 
-def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray) -> None:
-    # scipy.special takes about 0.25 s to import, so it is loaded at the first
-    # draw, not with the package: the LN closed form and the CLI's config and
-    # defaults paths never draw. Loaded here, before any worker starts, so no
-    # two threads run the import.
+# each thread's sample provider (thread_draws) and Philox generator (_standard_normals)
+_thread = threading.local()
+
+
+def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray, ascending: bool = False) -> None:
+    """Write the n normals of seed into out, in shard order or ascending.
+
+    Ascending, the uniforms are sorted and then inverted; ndtri is monotone,
+    so the caller only checks the order that its rounding could break.
+    """
+    # scipy.special (about 0.25 s, and it loads numpy.random) is imported at
+    # the first draw, not with the package: the LN closed form and the CLI's
+    # config and defaults paths never draw. Loaded here, before any worker
+    # starts, so no two threads run the import.
+    from numpy.random import Generator, Philox
     from scipy.special import ndtri
 
-    n_shards = (n + SHARD_SIZE - 1) // SHARD_SIZE
+    shards = [out[lo : lo + SHARD_SIZE] for lo in range(0, n, SHARD_SIZE)]
 
     def fill(j: int) -> None:
-        lo = j * SHARD_SIZE
-        hi = min(n, lo + SHARD_SIZE)
-        key = np.array([seed, j], dtype=np.uint64)
-        raw = np.random.Philox(key=key).random_raw(hi - lo)
-        u = out[lo:hi]
-        np.add(np.right_shift(raw, np.uint64(11), out=raw), 0.5, out=u)
-        np.multiply(u, 2.0**-53, out=u)
-        ndtri(u, out=u)
+        # a new Philox(key=...) seeds itself from OS entropy that the key then
+        # overrides (about 20 us); a re-key of the thread's own costs 1-3 us
+        gen = getattr(_thread, "philox", None)
+        if gen is None:
+            gen = _thread.philox = Generator(Philox())
+        state = {"counter": (0, 0, 0, 0), "key": (seed, j)}
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": state, "buffer": (0, 0, 0, 0),
+                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        u = shards[j]
+        # k 2^-53 + 2^-54 rounds once, to ((raw >> 11) + 0.5) 2^-53
+        np.add(gen.random(out=u), 2.0**-54, out=u)
+        if not ascending:
+            ndtri(u, out=u)
 
-    if workers > 1 and n_shards > 1:
+    def run(each) -> None:
+        list(each(fill, range(len(shards))))
+        if ascending:
+            out.sort()
+            # one piece per worker: a task per shard costs more than it spreads
+            step = max(1, -(-n // workers))
+            list(each(lambda u: ndtri(u, out=u), [out[lo : lo + step] for lo in range(0, n, step)]))
+
+    if workers > 1 and len(shards) > 1:
         # a few ms to import, so loaded only where a draw uses threads
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_shards)))
+            run(pool.map)
     else:
-        for j in range(n_shards):
-            fill(j)
+        run(map)
 
 
 def check_workers(workers: int) -> int:
@@ -183,8 +210,16 @@ class Draws:
 
         def make() -> tuple[np.ndarray, ...]:
             slots = self.work(k, n)
+            held, kept = self._held, len(self._kept)
             self._held += k
-            fill(*slots)
+            try:
+                fill(*slots)
+            except BaseException:
+                # give the slots back, with what fill kept in the slots after them
+                for later in list(self._kept)[kept:]:
+                    del self._kept[later]
+                self._held = held
+                raise
             arrays = tuple(a.view() for a in slots)
             for a in arrays:
                 a.flags.writeable = False
@@ -198,16 +233,19 @@ class Draws:
 
     def sorted_normals(self, seed: int, n: int) -> np.ndarray:
         """The z of (seed, n) in ascending order, drawn and sorted once until
-        release(), apart from the draw-order z; read-only."""
+        release(), apart from the draw-order z; read-only.
+
+        The draw inverts sorted uniforms; one comparison pass checks that no
+        rounding step of ndtri broke the order, and a sort mends it if one did.
+        """
 
         def fill(out: np.ndarray) -> None:
-            _standard_normals(seed, n, self.workers, out)
-            out.sort()
+            _standard_normals(seed, n, self.workers, out, True)
+            (work,) = self.work(1, n)
+            if not np.greater_equal(out[1:], out[:-1], out=work.view(bool)[: n - 1]).all():
+                out.sort()
 
         return self.reuse(("sorted z", seed, n), 1, n, fill)[0]
-
-
-_thread = threading.local()
 
 
 def thread_draws(workers: int = 1) -> Draws:

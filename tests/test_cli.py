@@ -561,6 +561,26 @@ def test_sweep_validates_every_cell_before_it_draws(capsys, tmp_path, monkeypatc
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "axes,leaf",
+    [(("K=99,101,inf", "C=0.5,3"), "K"), (("P0=95,96,inf", "C=3", "--greek", "delta", "--crn-axis", "1"), "P0")],
+    ids=["price", "crn-delta"],
+)
+def test_an_invalid_leaf_in_the_last_cell_exits_2_before_anything_is_drawn(capsys, tmp_path, monkeypatch,
+                                                                           axes, leaf):
+    # each distinct block is built once per sweep, still all before any draw
+    def no_draw(*args):
+        raise AssertionError("drew before every cell was validated")
+
+    monkeypatch.setattr(mc_engine, "_standard_normals", no_draw)
+    axis1, axis2, *rest = axes
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis1", axis1, "--axis2", axis2, *rest, "--out", str(tmp_path / "s.csv")
+    )
+    assert (code, out, err) == (2, "", f"error: {leaf} must be finite, got inf\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_qq_checks_the_quantile_count_before_it_draws(capsys, tmp_path, monkeypatch):
     # sigma = 1e-300 gives a constant sample, which would exit 3 if drawn
     def no_draw(*args):

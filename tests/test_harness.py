@@ -416,6 +416,30 @@ def test_price_sweep_draws_maps_and_reduces_only_its_mc_sample(monkeypatch):
     assert all(c.price_mc is None and c.skew is None for c in sln)
 
 
+def test_a_sweep_builds_each_distinct_block_and_calibration_once(monkeypatch):
+    # a cell's blocks differ from the base only in the leaves of its two axes,
+    # so a sweep builds and validates each distinct block once, and calibrates
+    # once per distinct duration curve and market
+    calls = dict.fromkeys([*harness.BLOCKS, "calibrate"], 0)
+    monkeypatch.setattr(harness, "BLOCKS", {b: counting(calls, b, cls) for b, cls in harness.BLOCKS.items()})
+    calibrate = model_module.ModelSpec.calibrate.__func__
+    monkeypatch.setattr(model_module.ModelSpec, "calibrate", classmethod(counting(calls, "calibrate", calibrate)))
+    strikes = SweepAxis("K", tuple(97.0 + 0.5 * i for i in range(13)))
+    curvatures = SweepAxis("C", (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 10.0, 15.0, 20.0, 30.0, 40.0))
+    one = dict(model=1, market=1, dynamics=1, contract=1, mc=1)
+    for spec, want in [
+        (crn_delta_sweep(200, (3.0,)), {**one, "market": 12, "calibrate": 12}),
+        (small_spec(base=BaseParams(seed=5, n=200), axis1=strikes, axis2=SweepAxis("C", (3.0,))),
+         {**one, "contract": 13, "calibrate": 1}),
+        (small_spec(base=BaseParams(seed=5, n=200), axis1=strikes, axis2=curvatures),
+         {**one, "model": 12, "contract": 13, "calibrate": 12}),
+    ]:
+        calls.update(dict.fromkeys(calls, 0))
+        cells = run_sweep(spec)
+        assert len(cells) == len(spec.axis1.values) * len(spec.axis2.values)
+        assert calls == want, spec.axis1.name
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as Linux counts them")
 def test_warm_sweep_reuses_its_provider_slots_instead_of_faulting_in_new_pages():
     # every n-sized stage of a cell runs in the sweep provider's slots; an

@@ -1,8 +1,9 @@
-"""Import contract: only a draw loads scipy, and only a threaded draw a pool.
+"""Import contract: only a draw loads scipy and numpy.random, and only a
+threaded draw a pool.
 
-scipy.special takes about a quarter second to import, so the package, the
-SLN and LN closed forms, `defaults` and config errors must run without it;
-each case runs in a fresh interpreter. The SLN moments and the LN regime
+scipy.special takes about a quarter second to import and numpy.random about
+a tenth, so the package, the SLN and LN closed forms, `defaults` and config
+errors must run without them; each case runs in a fresh interpreter. The SLN moments and the LN regime
 check use constant quadrature nodes, so the closed forms do not load
 numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
@@ -30,6 +31,16 @@ import sys
 from mtgopt.cli import main
 code = main(sys.argv[1:])
 sys.stderr.write(f"scipy={'scipy' in sys.modules}\\n")
+sys.exit(code)
+"""
+
+
+# as RUN_CLI, reporting whether numpy.random was loaded
+RUN_CLI_RANDOM = """
+import sys
+from mtgopt.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(f"numpy.random={'numpy.random' in sys.modules}\\n")
 sys.exit(code)
 """
 
@@ -68,7 +79,8 @@ def test_importing_the_package_does_not_load_scipy():
     assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
 
-@pytest.mark.parametrize(
+# the commands that draw nothing, with their exit codes
+NO_DRAW = pytest.mark.parametrize(
     "argv,code",
     [
         (("defaults",), 0),
@@ -82,10 +94,25 @@ def test_importing_the_package_does_not_load_scipy():
     ids=["defaults", "price-ln", "price-sln", "greeks-ln", "price-ln-P0=1e155", "greeks-ln-P0=1e155",
          "config-error"],
 )
+
+
+@NO_DRAW
 def test_commands_that_do_not_draw_do_not_load_scipy(argv, code):
     r = fresh(RUN_CLI, *argv)
     assert r.returncode == code, r.stderr
     assert r.stderr.endswith("scipy=False\n"), r.stderr
+
+
+@NO_DRAW
+def test_commands_that_do_not_draw_do_not_load_numpy_random(argv, code):
+    r = fresh(RUN_CLI_RANDOM, *argv)
+    assert r.returncode == code, r.stderr
+    assert r.stderr.endswith("numpy.random=False\n"), r.stderr
+
+
+def test_importing_the_harness_does_not_load_numpy_random():
+    r = fresh("import sys, mtgopt.harness, mtgopt.cli; print('numpy.random' in sys.modules)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
 
 
 def test_a_draw_in_a_fresh_interpreter_prints_the_in_process_bytes(capsys, monkeypatch):

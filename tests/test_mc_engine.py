@@ -1,6 +1,9 @@
 """Monte Carlo engine: determinism, golden streams, estimator contracts."""
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -305,6 +308,107 @@ def test_sorted_normals_are_the_draw_sorted_once_and_kept_apart(monkeypatch):
     z = draws.normals(5, 100)
     assert drawn == [(5, 100)] * 2 and not np.shares_memory(z, up)
     assert up.tobytes() == np.sort(z).tobytes()
+
+
+def shard_formula(seed: int, n: int) -> np.ndarray:
+    """The draw written out: shard j is the inverse CDF of ((raw >> 11) + 0.5) 2^-53
+    on the raw words of a Philox stream keyed (seed, j), started at counter 0."""
+    from scipy.special import ndtri
+
+    shards = []
+    for j, lo in enumerate(range(0, n, SHARD_SIZE)):
+        raw = np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(min(SHARD_SIZE, n - lo))
+        shards.append(ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53))
+    return np.concatenate(shards)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, SHARD_SIZE - 1, SHARD_SIZE, SHARD_SIZE + 1, 70000])
+@pytest.mark.parametrize("seed", [0, 1, DEFAULT_SEED, 2**64 - 1])
+def test_a_draw_is_the_shard_formula_bit_for_bit(seed, n, workers):
+    want = shard_formula(seed, n)
+    draws = Draws(workers)
+    assert draws.normals(seed, n).tobytes() == want.tobytes()
+    assert draws.sorted_normals(seed, n).tobytes() == np.sort(want).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_empty_draw_is_empty(workers):
+    draws = Draws(workers)
+    assert draws.normals(1, 0).size == draws.sorted_normals(1, 0).size == 0
+
+
+def test_a_warm_draw_seeds_no_generator_from_entropy(monkeypatch):
+    # each thread re-keys one Philox generator per shard; a new Philox(key=...)
+    # per shard would build a SeedSequence from OS entropy that the key then
+    # overrides. SeedSequence is an extension type that cannot be patched, so
+    # the entropy source an unseeded one reads is made to raise instead
+    from numpy.random import bit_generator
+
+    def no_entropy(*args):
+        raise AssertionError("drew OS entropy")
+
+    def draw_twice():
+        Draws().normals(1, 70000)
+        monkeypatch.setattr(bit_generator, "randbits", no_entropy)
+        with pytest.raises(AssertionError, match="OS entropy"):
+            np.random.Philox(key=np.array([1, 0], dtype=np.uint64))
+        return Draws().normals(2, 70000).tobytes(), Draws().sorted_normals(3, 70000).tobytes()
+
+    # on a new thread, whose generator its first draw makes
+    with ThreadPoolExecutor(1) as pool:
+        warm = pool.submit(draw_twice).result()
+    monkeypatch.undo()
+    assert warm == (shard_formula(2, 70000).tobytes(), np.sort(shard_formula(3, 70000)).tobytes())
+
+
+def test_threads_that_draw_at_once_each_get_their_own_stream():
+    # each thread re-keys a generator of its own between shards; a shared one
+    # would hand a shard the stream another thread just keyed
+    seeds = [(11, 12), (21, 22), (31, 32), (41, 42)]
+    alone = [[Draws().normals(s, 70000).tobytes() for s in pair] for pair in seeds]
+    all_started = threading.Barrier(len(seeds), timeout=60)
+
+    def run(pair):
+        all_started.wait()
+        return [Draws().normals(s, 70000).tobytes() for _ in range(3) for s in pair]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(seeds)) as pool:
+            got = [f.result(timeout=120) for f in [pool.submit(run, pair) for pair in seeds]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [a * 3 for a in alone]
+
+
+def test_a_fill_that_raises_gives_its_slots_back():
+    draws = Draws()
+    handed = []
+
+    def fails(out):
+        handed.append(out)
+        raise RuntimeError("fill failed")
+
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="fill failed"):
+            draws.reuse(("bad",), 1, 100, fails)
+    z = draws.normals(5, 100)
+    assert len(draws._slots) == 1 and all(np.shares_memory(z, a) for a in handed)
+
+    # what a failing fill kept in the slots after its own goes back with them
+    def keeps_then_fails(out):
+        draws.normals(6, 100)
+        raise RuntimeError("fill failed")
+
+    with pytest.raises(RuntimeError, match="fill failed"):
+        draws.reuse(("bad",), 1, 100, keeps_then_fails)
+    assert list(draws._kept) == [("z", 5, 100)] and draws._held == 1
+    for w in draws.work(2, 100):
+        assert not np.shares_memory(w, z)
+        w.fill(np.nan)
+    assert z.tobytes() == Draws().normals(5, 100).tobytes()
 
 
 def test_a_change_of_n_drops_the_slots():
