@@ -1,8 +1,9 @@
 """Experiment harness: parameter bundle, sensitivity sweeps, skew table, QQ export.
 
 BaseParams holds every parameter leaf; materialize builds from it the BLOCKS
-dataclasses, which validate them. A sweep cell is the base bundle with its
-two axis leaves replaced.
+dataclasses, which validate them. A sweep cell reads its two axis leaves over
+the base bundle's leaf values, block by block, and builds no bundle of its
+own.
 
 Sweeps evaluate a two-axis grid of cells. Per-cell seeds derive from the base
 seed and the axis indices through a 64-bit mix, so cells are independent yet
@@ -16,12 +17,20 @@ A sweep validates every cell before it draws, building each distinct block
 and calibration once, then prices the cells one seed group at a time (the
 cells that share a cell seed) on the thread's sample provider,
 mc_engine.thread_draws(), which every engine reads and in whose slots every
-n-sized stage of a cell runs. Within a group each (seed, n) is
-drawn once, and the MC delta cells on one rate law and duration curve share
-one kept sample of P/P0 and its moments; the provider releases them before
-the next group draws, and once more when the sweep ends, raised or not. A
-skew table is one group: every row reads one kept sample. The slots stay
-allocated for the thread's next sweep at the same n.
+n-sized stage runs. Each stage runs once per input it depends on:
+- within a group each (seed, n) is drawn once;
+- the MC delta cells on one duration curve and rate law share one kept
+  ascending sample of P/P0 and its skew, whatever their spot, and each spot
+  reads its delta off it with two binary searches; an MC price cell maps and
+  reduces a price sample of its own, which nothing keeps;
+- the SLN fit of the quadrature moments and the LN law, which no strike or
+  spot enters, run once per curve and rate law in the sweep, and a cell forms
+  only its kernel inputs. A sweep keeps only the LN price, so it runs no
+  regime check.
+The provider releases what a group kept before the next group draws, and
+once more when the sweep ends, raised or not. A skew table is one group:
+every row reads one kept sample. The slots stay allocated for the thread's
+next sweep at the same n.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -43,14 +52,16 @@ from .mc_engine import (
     MAX_FLOATS,
     Draws,
     McConfig,
-    crn_delta,
+    crn_sample,
+    delta_on_sample,
     mix64,
     price_mc,
     simulate_terminal_prices,
     thread_draws,
 )
 from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
-from .pricer_closed import delta_ln, price_ln, price_sln, quadrature_moments
+from .pricer_closed import BsKernelInputs, bs_call, delta_from_kernel, ln_kernel, price_from_fit
+from .pricer_closed import quadrature_moments
 
 # sub-seed tag of a cell's MC reference sample
 _REF_TAG = 2
@@ -103,6 +114,9 @@ BLOCKS: dict[str, type] = {
 BLOCK_LEAVES: dict[str, tuple[str, ...]] = {
     block: tuple(f.name for f in fields(cls)) for block, cls in BLOCKS.items()
 }
+
+# leaf name -> its block and its place among the block's leaves
+_LEAF_AT = {leaf: (block, i) for block, leaves in BLOCK_LEAVES.items() for i, leaf in enumerate(leaves)}
 
 
 @dataclass(frozen=True)
@@ -189,6 +203,31 @@ class SkewTableRow:
     fit: ShiftedLognormalFit
 
 
+def _leaf_values(bundle: BaseParams) -> dict[str, tuple]:
+    """The bundle's leaf values, one tuple per block of BLOCK_LEAVES."""
+    return {block: tuple(getattr(bundle, leaf) for leaf in leaves) for block, leaves in BLOCK_LEAVES.items()}
+
+
+def _once(made: dict, key: tuple, make):
+    """What make() returns, made the first time key is asked for in made."""
+    if key not in made:
+        made[key] = make()
+    return made[key]
+
+
+def _build(values: dict[str, tuple], made: dict) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
+    """The BLOCKS objects of per-block leaf tuples and their calibration, each
+    distinct one looked up in made and built there the first time."""
+    block, pos = _LEAF_AT["C"]
+    if values[block][pos] is None:
+        raise ValidationError("curvature C must be set (by config or sweep axis)")
+    dur, market, dyn, contract, cfg = (
+        _once(made, (block, leaves), lambda: BLOCKS[block](*leaves)) for block, leaves in values.items()
+    )
+    spec = _once(made, ("spec", id(dur), id(market)), lambda: ModelSpec.calibrate(dur, market))
+    return spec, dyn, contract, cfg
+
+
 def materialize(
     bundle: BaseParams, made: dict | None = None
 ) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
@@ -199,21 +238,7 @@ def materialize(
     distinct one is built and validated once, in the order of the first
     call that needs it.
     """
-    if bundle.C is None:
-        raise ValidationError("curvature C must be set (by config or sweep axis)")
-    made = {} if made is None else made
-    blocks = []
-    for block, leaves in BLOCK_LEAVES.items():
-        values = tuple(getattr(bundle, leaf) for leaf in leaves)
-        key = (block, values)
-        if key not in made:
-            made[key] = BLOCKS[block](*values)
-        blocks.append(made[key])
-    dur, market, dyn, contract, cfg = blocks
-    key = ("spec", id(dur), id(market))
-    if key not in made:
-        made[key] = ModelSpec.calibrate(dur, market)
-    return made[key], dyn, contract, cfg
+    return _build(_leaf_values(bundle), {} if made is None else made)
 
 
 def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
@@ -225,38 +250,52 @@ def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
 
 
 def _mc_fields(
-    spec: SweepSpec, model: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig, draws: Draws
+    spec: SweepSpec, curve: tuple, model: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig,
+    draws: Draws,
 ) -> dict[str, float | None]:
     """The MC engine's fields; skew describes the sample MC priced.
 
-    For a delta that is P/P0, whose moments crn_delta keeps for the group and
-    hands back; a price sample dies on return.
+    For a delta that is P/P0, which the provider keeps ascending, with its
+    skew, for the seed group's cells on the same curve and rate law, whatever
+    their spot; each spot reads its delta off it. A price sample dies on
+    return.
     """
     if spec.greek == "delta":
-        check_moment_count(cfg.n)
-        delta, moments = crn_delta(model, dyn, c, cfg, draws)
-        out = {"price_mc": delta}
-    else:
-        res = price_mc(model, dyn, c, cfg, draws)
-        out = {"price_mc": res.price, "se_mc": res.std_error}
-        moments = central_moments(res.diagnostics, draws.work(2, cfg.n))
-    out["skew"] = skewness(moments)
-    return out
+
+        def sample() -> tuple[np.ndarray, float]:
+            check_moment_count(cfg.n)
+            f, moments = crn_sample(model, dyn, c.T, cfg, draws)
+            return f, skewness(moments)
+
+        f, skew = draws.keep(("delta", *curve), sample)
+        return {"price_mc": delta_on_sample(f, c, model.market.P0, cfg.bump), "skew": skew}
+    res = price_mc(model, dyn, c, cfg, draws)
+    moments = central_moments(res.diagnostics, draws.work(2, cfg.n))
+    return {"price_mc": res.price, "se_mc": res.std_error, "skew": skewness(moments)}
 
 
-def _price_cell(spec: SweepSpec, built: tuple, ref: McConfig, draws: Draws) -> dict[str, float | None]:
+def _price_cell(
+    spec: SweepSpec, built: tuple, ref: McConfig, draws: Draws, made: dict
+) -> dict[str, float | None]:
     """One cell's fields from its materialized (model, dyn, contract) and the
-    config of its group's MC reference sample."""
+    config of its group's MC reference sample. made, the sweep's memo of
+    blocks, also keeps the closed forms that no strike or spot enters, the
+    SLN fit and the LN law, by curve and rate law."""
     model, dyn, c, _ = built
+    P0 = model.market.P0
+    # blocks are built once per sweep, so ids tell the duration curves and
+    # rate laws apart; r0 and T complete the law of P/P0
+    curve = (id(model.duration), model.market.r0, id(dyn), c.T)
     out: dict[str, float | None] = {}
     if ENGINE_MC in spec.engines:
-        out.update(_mc_fields(spec, model, dyn, c, ref, draws))
+        out.update(_mc_fields(spec, curve, model, dyn, c, ref, draws))
     if ENGINE_SLN in spec.engines and spec.greek is None:
-        out["price_sln"] = price_sln(quadrature_moments(model, dyn, c.T), c, model.market.P0).price
+        fit = _once(made, ("SLN", *curve), lambda: fit_shifted_lognormal(quadrature_moments(model, dyn, c.T)))
+        out["price_sln"] = P0 * price_from_fit(fit, c, P0)
     if ENGINE_LN in spec.engines:
-        out["price_ln"] = (
-            delta_ln(model, dyn, c) if spec.greek == "delta" else price_ln(model, dyn, c).price
-        )
+        kernel = _once(made, ("LN", *curve), lambda: ln_kernel(model, dyn, c))
+        inp = BsKernelInputs(kernel.M1, kernel.W, c.K / P0, c.df)
+        out["price_ln"] = delta_from_kernel(inp) if spec.greek == "delta" else P0 * bs_call(inp)
     mc = out.get("price_mc")
     if mc is not None and mc > REL_DIFF_FLOOR:
         if out.get("price_sln") is not None:
@@ -272,12 +311,22 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     Every cell is validated before anything is drawn, each distinct block and
     calibration once per sweep. The cells that share a cell seed are priced
     together on one MC reference config, and the thread's provider releases
-    what they kept before the next group draws and when the sweep ends.
+    what they kept before the next group draws and when the sweep ends. The
+    closed forms run once per curve and rate law in the sweep, kept in the
+    same memo as the blocks.
     """
     a1, a2 = spec.axis1, spec.axis2
+    base = _leaf_values(spec.base)
+    at = [_LEAF_AT[a1.name], _LEAF_AT[a2.name]]
     points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
     made: dict = {}
-    built = [materialize(replace(spec.base, **{a1.name: v1, a2.name: v2}), made) for _, _, v1, v2 in points]
+    built = []
+    for _, _, v1, v2 in points:
+        values = dict(base)
+        for (block, pos), v in zip(at, (v1, v2)):
+            leaves = values[block]
+            values[block] = (*leaves[:pos], v, *leaves[pos + 1 :])
+        built.append(_build(values, made))
     groups: dict[int, list[int]] = {}
     for k, (i, j, _, _) in enumerate(points):
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
@@ -290,7 +339,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
         for seed, group in groups.items():
             draws.release()
             for k in group:
-                vals[k] = _price_cell(spec, built[k], refs[seed], draws)
+                vals[k] = _price_cell(spec, built[k], refs[seed], draws, made)
     finally:
         draws.release()
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]

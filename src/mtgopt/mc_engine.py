@@ -8,17 +8,18 @@ Each filling thread keeps one Philox generator and re-keys it per shard
 bits, and u = k 2^-53 + 2^-54, one rounding of (2k + 1) 2^-54, is
 ((raw >> 11) + 0.5) 2^-53 bit for bit. A sorted draw sorts the uniforms and
 inverts them in order: ndtri is monotone, so that is the same multiset as
-the sorted normals, and one comparison pass checks the order. Workers fill
-disjoint shard slices of one preallocated array, so every value is
-bit-identical regardless of worker count or scheduling, and all reductions run
-on the assembled array afterwards. Inverse-CDF sampling also preserves the
+the sorted normals, and one comparison pass over what the caller maps from
+them checks the order. Workers fill disjoint shard slices of one
+preallocated array, so every value is bit-identical regardless of worker
+count or scheduling, and all reductions run on the assembled array
+afterwards. Inverse-CDF sampling also preserves the
 monotone rate/price coupling that common-random-number finite differences
 rely on.
 
 Draws is the one sample provider and the one owner of n-sized arrays: it
 maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
-z * law.std + law.mean. It draws each (seed, n) once and keeps it, with the
-delta's ascending z and sample of P/P0 and its moments, until release().
+z * law.std + law.mean. It draws each (seed, n) once and keeps it, with a
+delta's sample of P/P0 and its moments, until release().
 thread_draws() gives each thread one provider, which the thread's CLI
 commands, skew tables and sweeps share. Each of them releases it when it
 ends, raised or not (a sweep also after each seed group, the cells that share
@@ -28,11 +29,13 @@ and the thread's next call at that n faults in no new pages.
 
 Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
 standard error and the moments) runs in place on the provider's slots. A
-warm delta reads only the kept ascending P/P0, with two binary searches and
-two slice sums, and allocates only the terms of its band. No array a
-call hands back lives in them: callers own what they get, and a later call
-never overwrites it. A delta hands back no array, only the moments of P/P0.
-A provider serves one thread.
+CRN delta sorts its uniforms in a work slot and keeps the descending z and
+its sample of P/P0. A warm delta reads only the kept ascending P/P0, with
+two binary searches and two slice sums, and allocates only the terms of its
+band. No array a call hands back lives in the slots: callers own what they
+get, and a later call never overwrites it. price_mc hands back a price
+sample of its own, and a delta no array, only the moments of P/P0. A
+provider serves one thread.
 """
 from __future__ import annotations
 
@@ -107,11 +110,15 @@ class McConfig:
 _thread = threading.local()
 
 
-def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray, ascending: bool = False) -> None:
-    """Write the n normals of seed into out, in shard order or ascending.
+def _standard_normals(
+    seed: int, n: int, workers: int, out: np.ndarray, sorted_out: np.ndarray | None = None
+) -> None:
+    """Write the n normals of seed into out in shard order or, given sorted_out,
+    into sorted_out in ascending order, with out holding the uniforms.
 
-    Ascending, the uniforms are sorted and then inverted; ndtri is monotone,
-    so the caller only checks the order that its rounding could break.
+    Sorted, the uniforms are sorted and then inverted; ndtri is monotone, so
+    the caller only checks the order that its rounding could break. A
+    reversed sorted_out gets the normals descending.
     """
     # scipy.special (about 0.25 s, and it loads numpy.random) is imported at
     # the first draw, not with the package: the LN closed form and the CLI's
@@ -134,16 +141,17 @@ def _standard_normals(seed: int, n: int, workers: int, out: np.ndarray, ascendin
         u = shards[j]
         # k 2^-53 + 2^-54 rounds once, to ((raw >> 11) + 0.5) 2^-53
         np.add(gen.random(out=u), 2.0**-54, out=u)
-        if not ascending:
+        if sorted_out is None:
             ndtri(u, out=u)
 
     def run(each) -> None:
         list(each(fill, range(len(shards))))
-        if ascending:
+        if sorted_out is not None:
             out.sort()
             # one piece per worker: a task per shard costs more than it spreads
             step = max(1, -(-n // workers))
-            list(each(lambda u: ndtri(u, out=u), [out[lo : lo + step] for lo in range(0, n, step)]))
+            pieces = range(0, n, step)
+            list(each(lambda lo: ndtri(out[lo : lo + step], out=sorted_out[lo : lo + step]), pieces))
 
     if workers > 1 and len(shards) > 1:
         # a few ms to import, so loaded only where a draw uses threads
@@ -166,8 +174,8 @@ class Draws:
     """The one owner of n-sized float arrays: standard normals z by (seed, n),
     drawn by `workers` threads, and the work arrays of the calls that read them.
 
-    Its arrays are slots of n floats. Each z, in draw order or ascending, and
-    each array made from it that a later call asks for again (the delta's
+    Its arrays are slots of n floats. Each z, in draw order or descending,
+    and each array made from it that a later call asks for again (a delta's
     sample of P/P0), is kept in slots of its own until release() and handed
     out as a read-only view; keep() holds what is made from them (a sample's
     moments) as long. Work arrays come from the slots after those. release()
@@ -231,21 +239,20 @@ class Draws:
         """z for (seed, n), drawn once until release(); read-only."""
         return self.reuse(("z", seed, n), 1, n, lambda out: _standard_normals(seed, n, self.workers, out))[0]
 
-    def sorted_normals(self, seed: int, n: int) -> np.ndarray:
-        """The z of (seed, n) in ascending order, drawn and sorted once until
-        release(), apart from the draw-order z; read-only.
+    def descending_normals(self, seed: int, n: int) -> np.ndarray:
+        """The z of (seed, n) in descending order, apart from the draw-order z:
+        drawn once and kept until release(); read-only.
 
-        The draw inverts sorted uniforms; one comparison pass checks that no
-        rounding step of ndtri broke the order, and a sort mends it if one did.
+        The uniforms are sorted in a work slot and inverted into z from its
+        end. ndtri is monotone up to its rounding, so a caller that needs the
+        order checks what it makes from z, as crn_sample checks f.
         """
 
-        def fill(out: np.ndarray) -> None:
-            _standard_normals(seed, n, self.workers, out, True)
-            (work,) = self.work(1, n)
-            if not np.greater_equal(out[1:], out[:-1], out=work.view(bool)[: n - 1]).all():
-                out.sort()
+        def fill(z: np.ndarray) -> None:
+            (uniforms,) = self.work(1, n)
+            _standard_normals(seed, n, self.workers, uniforms, z[::-1])
 
-        return self.reuse(("sorted z", seed, n), 1, n, fill)[0]
+        return self.reuse(("descending z", seed, n), 1, n, fill)[0]
 
 
 def thread_draws(workers: int = 1) -> Draws:
@@ -270,13 +277,13 @@ def simulate_terminal_rates(
 ) -> np.ndarray:
     """n draws of the terminal rate move r_T - r0 ~ N(mu T, sigma^2 T), fully
     determined by cfg.seed, written into out (a new array by default); in
-    draw order, or descending off the provider's ascending z."""
+    draw order, or descending off the provider's descending z."""
     law = terminal_rate_law(dyn, T)
     # allocated before z: allocated after it, a call on a new provider (no
     # draws given) makes glibc trim and refault the heap
     out = np.empty(cfg.n, dtype=float) if out is None else out
     draws = draws or Draws()
-    z = draws.sorted_normals(cfg.seed, cfg.n)[::-1] if descending else draws.normals(cfg.seed, cfg.n)
+    z = draws.descending_normals(cfg.seed, cfg.n) if descending else draws.normals(cfg.seed, cfg.n)
     return np.add(np.multiply(z, law.std, out=out), law.mean, out=out)
 
 
@@ -303,54 +310,54 @@ def price_mc(
     the diagnostics are the price sample P(r_T) it averaged over.
 
     The standard error is np.std(payoff, ddof=1) / sqrt(n), worked in place:
-    sqrt(sum((payoff - mean)^2) / (n - 1)) with the mean np.std takes.
+    sqrt(sum((payoff - mean)^2) / (n - 1)) with the mean np.std takes. The
+    discounted payoffs are scaled by 2^-e, with e the binary exponent of df
+    times that of P0 (kept in the normal range, so the scaled df is a normal
+    double), which brings them near the size of the payoffs of a unit spot:
+    their squares neither underflow nor overflow at any spot. A power of two
+    scales exactly, so the mean and the SD scale back bit for bit.
     """
     if cfg.n < 2:
         raise ValidationError(f"an MC price needs n >= 2 for its standard error, got n={cfg.n}")
     draws = draws or Draws()
     prices = simulate_terminal_prices(spec, dyn, c.T, cfg, draws)
+    e = min(max(math.frexp(spec.market.P0)[1], -1022), 1021) + math.frexp(c.df)[1]
     (disc,) = draws.work(1, cfg.n)
-    np.multiply(np.maximum(np.subtract(prices, c.K, out=disc), 0.0, out=disc), c.df, out=disc)
+    np.multiply(np.maximum(np.subtract(prices, c.K, out=disc), 0.0, out=disc), math.ldexp(c.df, -e), out=disc)
     mean = np.mean(disc)
     np.subtract(disc, mean, out=disc)
     sd = math.sqrt(np.add.reduce(np.multiply(disc, disc, out=disc)) / (cfg.n - 1))
     return PriceResult(
-        price=float(mean), method="MC", std_error=sd / math.sqrt(cfg.n), diagnostics=prices
+        price=math.ldexp(float(mean), e),
+        method="MC",
+        std_error=math.ldexp(sd, e) / math.sqrt(cfg.n),
+        diagnostics=prices,
     )
 
 
-def crn_delta(
-    spec: ModelSpec,
-    dyn: RateDynamics,
-    c: OptionContract,
-    cfg: McConfig,
-    draws: Draws | None = None,
-) -> tuple[float, SampleMoments | None]:
-    """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump on one rate
-    sample (CRN), and the moments of the sample f = P/P0 that both legs price
-    (None below the n = 3 that a third moment needs).
+def crn_sample(
+    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws
+) -> tuple[np.ndarray, SampleMoments | None]:
+    """The ascending sample f = P/P0 that crn_delta prices, read-only, and its
+    moments (None below the n = 3 that a third moment needs), both made once
+    and kept until release() for every call on the same sample, rate law and
+    duration curve.
 
     f = exp(-A - B) for the P0-free terms (A, B) of model.log_shape, the price
     map at a unit spot, falls as the rate move rises, so the moves in
-    descending order give an ascending f; one comparison pass checks that no
-    rounding step broke the order, and a sort mends it if one did. f and its
-    moments, summed in that order, are kept by the provider for every call on
-    the same sample, rate law and duration curve until release(). The legs
-    are (P0 + h) f and P0 f, so with k = K/P0 the difference is read off f
-    without cancelling: df/n [sum of f over f > k + sum over the band
-    K/(P0 + h) < f <= k, where only the bumped leg pays, of f + (P0 f - K)/h].
-    On the ascending f both sets are slices that two binary searches find;
-    k = inf leaves both empty.
+    descending order give an ascending f. The descending z is kept, so a
+    caller that maps the same draw on other curves or rate laws draws it
+    once. One comparison pass over f checks that no rounding step, of ndtri
+    or of the map, broke the order, and a sort mends it if one did: the
+    sorted f is the same, as its multiset is. The moments are summed in that
+    order.
     """
-    h = cfg.bump
-    m = spec.market
-    draws = draws or Draws()
     # r0 stays in the key: the far branch reads the spec's softplus pair of
     # b = C (r0 - x0), which q = expit(b) no longer tells apart once it saturates
-    key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, c.T), spec.duration, m.r0, spec.q)
+    key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, T), spec.duration, spec.market.r0, spec.q)
 
     def fill(f: np.ndarray) -> None:
-        moves = simulate_terminal_rates(dyn, c.T, cfg, draws, f, descending=True)
+        moves = simulate_terminal_rates(dyn, T, cfg, draws, f, descending=True)
         (work,) = draws.work(1, cfg.n)
         A, B = log_shape(spec, moves, (f, work))
         np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
@@ -362,7 +369,34 @@ def crn_delta(
     moments = draws.keep(
         ("moments", *key), lambda: central_moments(f, draws.work(2, cfg.n)) if cfg.n >= 3 else None
     )
-    i_k = np.searchsorted(f, c.K / m.P0, "right")
-    band = f[np.searchsorted(f, c.K / (m.P0 + h), "right") : i_k]
-    total = float(np.add.reduce(f[i_k:])) + float(np.add.reduce(band + (m.P0 * band - c.K) / h))
-    return c.df * total / cfg.n, moments
+    return f, moments
+
+
+def delta_on_sample(f: np.ndarray, c: OptionContract, P0: float, bump: float) -> float:
+    """The finite-difference delta (C_MC(P0 + h) - C_MC(P0)) / h, h = bump, on
+    the ascending sample f = P/P0 of crn_sample.
+
+    The legs are (P0 + h) f and P0 f, so with k = K/P0 the difference is read
+    off f without cancelling: df/n [sum of f over f > k + sum over the band
+    K/(P0 + h) < f <= k, where only the bumped leg pays, of f + (P0 f - K)/h].
+    On the ascending f both sets are slices that two binary searches find;
+    k = inf leaves both empty.
+    """
+    i_k = f.searchsorted(c.K / P0, "right")
+    band = f[f.searchsorted(c.K / (P0 + bump), "right") : i_k]
+    total = float(np.add.reduce(f[i_k:])) + float(np.add.reduce(band + (P0 * band - c.K) / bump))
+    return c.df * total / f.size
+
+
+def crn_delta(
+    spec: ModelSpec,
+    dyn: RateDynamics,
+    c: OptionContract,
+    cfg: McConfig,
+    draws: Draws | None = None,
+) -> tuple[float, SampleMoments | None]:
+    """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump on one rate
+    sample (CRN), and the moments of the sample f = P/P0 that both legs price:
+    delta_on_sample on crn_sample's kept f."""
+    f, moments = crn_sample(spec, dyn, c.T, cfg, draws or Draws())
+    return delta_on_sample(f, c, spec.market.P0, cfg.bump), moments

@@ -465,7 +465,46 @@ def test_overflow_messages_name_their_parameters(capsys):
     assert err == "error: non-finite result: C (r0 - x0) overflows at C=3.0, r0=1e+308, x0=0.055\n"
     code, out, err = run_cli(capsys, "price", "--method", "ln", "--set", "C=3", "--set", "sigma=1e150")
     assert (code, out) == (3, "")
-    assert err == "error: non-finite result: matched lognormal overflows at C=3.0, sigma=1e+150, T=0.25\n"
+    assert err == (
+        "error: non-finite result: matched lognormal overflows at L=1.0, U=9.0, C=3.0, mu=0.0, "
+        "sigma=1e+150, T=0.25\n"
+    )
+
+
+@pytest.mark.parametrize("argv, leaf", [
+    (("price", "--method", "ln", "--set", "L=1e8"), "L=100000000.0"),
+    (("price", "--method", "sln", "--set", "L=1e8"), "L=100000000.0"),
+    (("greeks", "--method", "ln", "--set", "L=1e8"), "L=100000000.0"),
+    (("price", "--method", "ln", "--set", "sigma=1e200"), "sigma=1e+200"),
+    (("price", "--method", "sln", "--set", "sigma=1e200"), "sigma=1e+200"),
+], ids=["ln-L", "sln-L", "greeks-L", "ln-sigma", "sln-sigma"])
+def test_closed_form_overflows_name_the_leaves_of_the_law(capsys, argv, leaf):
+    # the matched law and the quadrature moments name every leaf that scales
+    # the law of P/P0, the one at fault among them
+    code, out, err = run_cli(capsys, *argv, "--set", "C=3")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: non-finite result: ") and err.count("\n") == 1, err
+    assert leaf in err and all(name in err for name in ("L=", "U=", "C=", "mu=", "sigma=", "T=")), err
+
+
+@pytest.mark.parametrize("spot", ["1e-300", "1e-200", "1e300"])
+def test_mc_price_and_standard_error_at_an_extreme_spot_scale_with_it(capsys, spot):
+    # the SE underflowed to 0.0 at P0 = K = 1e-200 and overflowed at 1e300
+    at = ("price", "--method", "mc", "--set", "C=3", "--set", "n=20000")
+    one = run_json(capsys, *at)
+    doc = run_json(capsys, *at, "--set", f"P0={spot}", "--set", f"K={spot}")
+    scale = float(spot) / 100.0
+    assert doc["price"] / scale == pytest.approx(one["price"], rel=1e-10)
+    assert doc["std_error"] / scale == pytest.approx(one["std_error"], rel=1e-10)
+
+
+def test_mc_standard_error_at_a_subnormal_spot_is_its_subnormal_multiple(capsys):
+    # the payoffs' scale exponent is clamped so that the scaled discount
+    # factor stays finite; P and the SE keep only subnormal precision
+    at = ("price", "--method", "mc", "--set", "C=3", "--set", "n=20000")
+    one = run_json(capsys, *at)
+    doc = run_json(capsys, *at, "--set", "P0=1e-315", "--set", "K=1e-315")
+    assert doc["std_error"] / 1e-317 == pytest.approx(one["std_error"], rel=1e-4)
 
 
 @pytest.mark.parametrize("r_f, T", [("-3000", "0.25"), ("-1", "1e308")])
@@ -490,11 +529,11 @@ def test_discount_factor_that_overflows_exits_2_naming_r_f_and_t(capsys, tmp_pat
 def test_ln_mean_that_overflows_exits_3_naming_its_parameters(capsys, leaves):
     # the matched mean M1/P0 = e^(mu + sigma_P^2 / 2) past double range
     argv = [arg for leaf in leaves for arg in ("--set", leaf)]
-    bundle = dict(C="3", mu="0.0", sigma="0.02", T="0.25")
+    bundle = dict(L="1.0", U="9.0", C="3", mu="0.0", sigma="0.02", T="0.25")
     bundle.update(leaf.split("=") for leaf in leaves)
-    C, mu, sigma, T = (float(bundle[k]) for k in ("C", "mu", "sigma", "T"))
-    want = (f"error: non-finite result: matched lognormal mean overflows at C={C}, mu={mu}, "
-            f"sigma={sigma}, T={T}\n")
+    L, U, C, mu, sigma, T = (float(bundle[k]) for k in ("L", "U", "C", "mu", "sigma", "T"))
+    want = (f"error: non-finite result: matched lognormal mean overflows at L={L}, U={U}, C={C}, "
+            f"mu={mu}, sigma={sigma}, T={T}\n")
     for command in ("price", "greeks"):
         assert run_cli(capsys, command, "--method", "ln", *argv) == (3, "", want), command
 

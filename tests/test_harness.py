@@ -38,7 +38,7 @@ from mtgopt.harness import (
     sweep_csv_lines,
     write_csv,
 )
-from mtgopt import mc_engine, model as model_module
+from mtgopt import mc_engine, model as model_module, pricer_closed
 from mtgopt.mc_engine import crn_delta, mix64, price_mc, simulate_terminal_prices
 
 PACKAGE_ROOT = str(Path(harness.__file__).resolve().parents[1])
@@ -134,10 +134,13 @@ def test_sweep_worker_count_invariance():
     assert lines1 == lines3
 
 
+STRIKES_13 = SweepAxis("K", tuple(97.0 + 0.5 * i for i in range(13)))
+
 # the sweeps of the sample-reuse test: a CRN delta sweep along P0 (every cell
 # of a column shares one kept sample of P/P0), CRN delta sweeps along C and
-# sigma (one draw, a new duration curve or rate law per row), a CRN price
-# sweep along sigma and a sweep without a CRN axis, which keeps nothing
+# sigma (one draw, a new duration curve or rate law per row), CRN price
+# sweeps along sigma, along 13 strikes and along C (one draw mapped per
+# cell), and a sweep without a CRN axis, which shares nothing
 REUSE_SWEEPS = {
     "crn_delta_P0": small_spec(
         axis1=SweepAxis("P0", (98.0, 100.0, 102.0)), greek="delta", engines=("LN", "MC"), crn_axis=1
@@ -162,6 +165,10 @@ REUSE_SWEEPS = {
         axis2=SweepAxis("K", (99.0, 101.0)),
         base=BaseParams(seed=12345, n=4000, C=3.0),
         crn_axis=1,
+    ),
+    "crn_price_K": small_spec(axis1=STRIKES_13, axis2=SweepAxis("C", (3.0,)), crn_axis=1),
+    "crn_price_C": small_spec(
+        axis1=SweepAxis("C", (0.5, 3.0, 30.0)), axis2=SweepAxis("K", (99.0, 100.0, 101.0)), crn_axis=1
     ),
     "free_K": small_spec(),
 }
@@ -327,9 +334,10 @@ def test_crn_delta_sweep_maps_and_reduces_its_sample_once_per_group(monkeypatch)
 
 def test_a_crn_delta_group_sorts_z_once_and_reads_each_spot_off_two_binary_searches(monkeypatch):
     # every provider slot logs the ufunc passes, sorts and binary searches
-    # over it. A group sorts its z once; after its first spot has mapped and
-    # reduced the sample, each spot makes two binary searches and two slice
-    # sums, the suffix over f > K/P0 and the band's terms, and no pass over n
+    # over it, and each cell's MC fields log where they start. A group sorts
+    # its z once; after its first spot has mapped and reduced the sample,
+    # each spot makes two binary searches and two slice sums, the suffix over
+    # f > K/P0 and the band's terms, and no pass over n
     log = []
 
     def plain(a):
@@ -363,12 +371,14 @@ def test_a_crn_delta_group_sorts_z_once_and_reads_each_spot_off_two_binary_searc
         def __getattr__(self, name):
             return getattr(np, name)
 
+    mc_fields = harness._mc_fields
+
     def spot(*args):
         log.append(("spot", 0))
-        return crn_delta(*args)
+        return mc_fields(*args)
 
     monkeypatch.setattr(mc_engine, "np", SlotNumpy())
-    monkeypatch.setattr(harness, "crn_delta", spot)
+    monkeypatch.setattr(harness, "_mc_fields", spot)
     n = 2000
     # on a new thread, whose provider makes its slots afresh and dies with it
     with ThreadPoolExecutor(1) as pool:
@@ -414,6 +424,72 @@ def test_price_sweep_draws_maps_and_reduces_only_its_mc_sample(monkeypatch):
     sln = run_sweep(replace(spec, engines=("SLN",)))
     assert [c.price_sln for c in sln] == [c.price_sln for c in cells]
     assert all(c.price_mc is None and c.skew is None for c in sln)
+
+
+def test_a_crn_price_sweep_holds_a_few_arrays_of_n():
+    # the column's z stays in a slot of its own for the group; each strike's
+    # price sample is its own array, and its map, payoff and moments run in
+    # the work slots after z
+    n = 20000
+    spec = small_spec(base=BaseParams(seed=12345, n=n), axis1=STRIKES_13, axis2=SweepAxis("C", (3.0,)), crn_axis=1)
+    cold_provider()
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * n * 8, peak / (n * 8)
+
+
+def test_a_crn_price_group_across_curves_keeps_no_sample_per_curve():
+    # along C every cell prices a sample of its own, so the group keeps only
+    # its z, and the peak does not grow with the curvatures in the group
+    def peak(curvatures):
+        spec = small_spec(
+            base=BaseParams(seed=12345, n=20000),
+            axis1=SweepAxis("C", curvatures),
+            axis2=SweepAxis("K", (100.0,)),
+            engines=("MC",),
+            crn_axis=1,
+        )
+        cold_provider()
+        tracemalloc.start()
+        try:
+            run_sweep(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((0.5, 1.0, 2.0, 3.0, 4.0, 6.0)) <= 1.2 * peak((0.5, 1.0))
+
+
+def test_a_sweep_runs_each_closed_form_once_per_curve(monkeypatch):
+    # the quadrature moments, the SLN fit and the LN law depend on neither
+    # the strike nor the spot: a 13-strike sweep runs each once, and a
+    # 12-spot delta sweep runs the LN law once per curvature
+    calls = {"quadrature_moments": 0, "fit_shifted_lognormal": 0, "ln_law": 0}
+    for name in ("quadrature_moments", "fit_shifted_lognormal"):
+        monkeypatch.setattr(harness, name, counting(calls, name, getattr(harness, name)))
+    monkeypatch.setattr(pricer_closed, "_matched_law", counting(calls, "ln_law", pricer_closed._matched_law))
+    cells = run_sweep(small_spec(base=BaseParams(seed=5, n=200), axis1=STRIKES_13, axis2=SweepAxis("C", (3.0,))))
+    assert len(cells) == 13
+    assert calls == {"quadrature_moments": 1, "fit_shifted_lognormal": 1, "ln_law": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    cells = run_sweep(crn_delta_sweep(200, (0.5, 3.0)))
+    assert len(cells) == 24
+    assert calls == {"quadrature_moments": 0, "fit_shifted_lognormal": 0, "ln_law": 2}
+
+
+def test_a_sweep_builds_no_bundle_per_cell(monkeypatch):
+    # a cell's blocks come from the base's leaf values with the two axis
+    # leaves read over them, not from a bundle of its own
+    specs = [crn_delta_sweep(200, (0.5, 3.0)), small_spec(base=BaseParams(seed=5, n=200))]
+    calls = {"BaseParams": 0}
+    monkeypatch.setattr(BaseParams, "__init__", counting(calls, "BaseParams", BaseParams.__init__))
+    for spec in specs:
+        assert len(run_sweep(spec)) == len(spec.axis1.values) * len(spec.axis2.values)
+    assert calls == {"BaseParams": 0}
 
 
 def test_a_sweep_builds_each_distinct_block_and_calibration_once(monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     DEFAULT_CONTRACT,
     DEFAULT_DYNAMICS,
     DEFAULT_MARKET,
+    default_duration,
     default_spec,
     moment_bits,
     unit_spot,
@@ -119,6 +120,41 @@ def test_price_mc_equals_the_allocating_formula_bit_for_bit(C, K):
         res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws)
         assert (res.price.hex(), res.std_error.hex()) == tuple(v.hex() for v in want)
         assert res.diagnostics.tobytes() == prices.tobytes()
+
+
+@pytest.mark.parametrize("P0", [1e-3, 0.5, 1234.5, 1e6, 1e50])
+def test_price_mc_keeps_the_allocating_formula_s_bits_at_any_normal_spot(P0):
+    # the payoffs are scaled by a power of two before they are squared; where
+    # nothing under- or overflows, that changes no bit of the price or the SE
+    spec = ModelSpec.calibrate(default_duration(3.0), MarketState(P0, 0.01))
+    cfg = McConfig(n=5000, seed=23)
+    prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg)
+    for ratio in (0.97, 1.0, 1.03):
+        c = OptionContract(K=ratio * P0, T=0.25, r_f=0.0209)
+        disc = c.df * np.maximum(prices - c.K, 0.0)
+        want = (float(np.mean(disc)), float(np.std(disc, ddof=1)) / math.sqrt(cfg.n))
+        res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg)
+        assert (res.price.hex(), res.std_error.hex()) == tuple(v.hex() for v in want), ratio
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 30.0])
+def test_price_mc_and_its_standard_error_scale_with_the_spot(C):
+    # at P0 = K = 100 lambda the price and the SE are lambda times their
+    # lambda = 1 values: the squared payoff deviations neither underflow (the
+    # SE was 0.0 at lambda = 1e-200 and 1 % high at 1e-160) nor overflow (the
+    # SE raised at 1e300)
+    cfg = McConfig(n=20000, seed=7)
+
+    def at(lam: float, ratio: float):
+        spec = ModelSpec.calibrate(default_duration(C), MarketState(100.0 * lam, 0.01))
+        return price_mc(spec, DEFAULT_DYNAMICS, OptionContract(100.0 * ratio * lam, 0.25, 0.0209), cfg)
+
+    for ratio in (0.97, 1.0, 1.03):
+        one = at(1.0, ratio)
+        for lam in (1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e300):
+            res = at(lam, ratio)
+            assert res.price / lam == pytest.approx(one.price, rel=1e-10), (ratio, lam)
+            assert res.std_error / lam == pytest.approx(one.std_error, rel=1e-10), (ratio, lam)
 
 
 @pytest.mark.parametrize("where", ["none", "one provider", "sweep"])
@@ -301,13 +337,13 @@ def test_sorted_normals_are_the_draw_sorted_once_and_kept_apart(monkeypatch):
     draw = mc_engine._standard_normals
     monkeypatch.setattr(mc_engine, "_standard_normals", lambda *args: (drawn.append(args[:2]), draw(*args)))
     draws = Draws()
-    up = draws.sorted_normals(5, 100)
-    assert draws.sorted_normals(5, 100) is up and not up.flags.writeable
+    down = draws.descending_normals(5, 100)
+    assert draws.descending_normals(5, 100) is down and not down.flags.writeable
     assert drawn == [(5, 100)]
     # the draw-order z was not kept with it: asked for, it is drawn again
     z = draws.normals(5, 100)
-    assert drawn == [(5, 100)] * 2 and not np.shares_memory(z, up)
-    assert up.tobytes() == np.sort(z).tobytes()
+    assert drawn == [(5, 100)] * 2 and not np.shares_memory(z, down)
+    assert down.tobytes() == np.sort(z)[::-1].tobytes()
 
 
 def shard_formula(seed: int, n: int) -> np.ndarray:
@@ -329,13 +365,13 @@ def test_a_draw_is_the_shard_formula_bit_for_bit(seed, n, workers):
     want = shard_formula(seed, n)
     draws = Draws(workers)
     assert draws.normals(seed, n).tobytes() == want.tobytes()
-    assert draws.sorted_normals(seed, n).tobytes() == np.sort(want).tobytes()
+    assert draws.descending_normals(seed, n).tobytes() == np.sort(want)[::-1].tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_empty_draw_is_empty(workers):
     draws = Draws(workers)
-    assert draws.normals(1, 0).size == draws.sorted_normals(1, 0).size == 0
+    assert draws.normals(1, 0).size == draws.descending_normals(1, 0).size == 0
 
 
 def test_a_warm_draw_seeds_no_generator_from_entropy(monkeypatch):
@@ -353,13 +389,13 @@ def test_a_warm_draw_seeds_no_generator_from_entropy(monkeypatch):
         monkeypatch.setattr(bit_generator, "randbits", no_entropy)
         with pytest.raises(AssertionError, match="OS entropy"):
             np.random.Philox(key=np.array([1, 0], dtype=np.uint64))
-        return Draws().normals(2, 70000).tobytes(), Draws().sorted_normals(3, 70000).tobytes()
+        return Draws().normals(2, 70000).tobytes(), Draws().descending_normals(3, 70000).tobytes()
 
     # on a new thread, whose generator its first draw makes
     with ThreadPoolExecutor(1) as pool:
         warm = pool.submit(draw_twice).result()
     monkeypatch.undo()
-    assert warm == (shard_formula(2, 70000).tobytes(), np.sort(shard_formula(3, 70000)).tobytes())
+    assert warm == (shard_formula(2, 70000).tobytes(), np.sort(shard_formula(3, 70000))[::-1].tobytes())
 
 
 def test_threads_that_draw_at_once_each_get_their_own_stream():

@@ -490,7 +490,9 @@ def test_ln_kernel_matches_50_digits_on_the_matched_law(record_property):
 def test_regime_warning_that_overflows_names_its_parameters(sigma):
     with pytest.raises(NonFiniteResultError) as exc:
         regime_warning(default_spec(3.0), RateDynamics(0.0, sigma), 0.25)
-    assert str(exc.value) == f"regime proxy is not finite at C=3.0, sigma={sigma}, T=0.25"
+    assert str(exc.value) == (
+        f"quadrature moments of P/P0 are not finite at L=1.0, U=9.0, C=3.0, mu=0.0, sigma={sigma}, T=0.25"
+    )
 
 
 def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
