@@ -55,6 +55,7 @@ from .mc_engine import (
     crn_sample,
     delta_on_sample,
     mix64,
+    ndtri,
     price_mc,
     simulate_terminal_prices,
     thread_draws,
@@ -263,7 +264,6 @@ def _mc_fields(
     if spec.greek == "delta":
 
         def sample() -> tuple[np.ndarray, float]:
-            check_moment_count(cfg.n)
             f, moments = crn_sample(model, dyn, c.T, cfg, draws)
             return f, skewness(moments)
 
@@ -272,6 +272,13 @@ def _mc_fields(
     res = price_mc(model, dyn, c, cfg, draws)
     moments = central_moments(res.diagnostics, draws.work(2, cfg.n))
     return {"price_mc": res.price, "se_mc": res.std_error, "skew": skewness(moments)}
+
+
+def _curve(built: tuple) -> tuple:
+    """The key of a cell's law of P/P0. Blocks are built once per sweep, so
+    ids tell the duration curves and rate laws apart; r0 and T complete it."""
+    model, dyn, c, _ = built
+    return (id(model.duration), model.market.r0, id(dyn), c.T)
 
 
 def _price_cell(
@@ -283,9 +290,7 @@ def _price_cell(
     SLN fit and the LN law, by curve and rate law."""
     model, dyn, c, _ = built
     P0 = model.market.P0
-    # blocks are built once per sweep, so ids tell the duration curves and
-    # rate laws apart; r0 and T complete the law of P/P0
-    curve = (id(model.duration), model.market.r0, id(dyn), c.T)
+    curve = _curve(built)
     out: dict[str, float | None] = {}
     if ENGINE_MC in spec.engines:
         out.update(_mc_fields(spec, curve, model, dyn, c, ref, draws))
@@ -311,9 +316,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     Every cell is validated before anything is drawn, each distinct block and
     calibration once per sweep. The cells that share a cell seed are priced
     together on one MC reference config, and the thread's provider releases
-    what they kept before the next group draws and when the sweep ends. The
-    closed forms run once per curve and rate law in the sweep, kept in the
-    same memo as the blocks.
+    what they kept before the next group draws and when the sweep ends. A
+    delta group draws its z first and gives each curve's f back once the last
+    cell on that curve is priced. The closed forms run once per curve and rate
+    law in the sweep, kept in the same memo as the blocks.
     """
     a1, a2 = spec.axis1, spec.axis2
     base = _leaf_values(spec.base)
@@ -332,14 +338,25 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
         groups.setdefault(_cell_seed(spec, i, j), []).append(k)
     # no axis is an mc leaf, so every cell shares one config
     cfg = built[0][3]
+    keeps_f = spec.greek == "delta" and ENGINE_MC in spec.engines
+    if keeps_f:
+        check_moment_count(cfg.n)
     refs = {seed: replace(cfg, seed=mix64(seed, _REF_TAG)) for seed in groups}
     vals: dict[int, dict[str, float | None]] = {}
     draws = thread_draws(workers)
     try:
         for seed, group in groups.items():
             draws.release()
+            if keeps_f:
+                # z first, so each curve's f lies in the slots above it
+                draws.descending_normals(refs[seed].seed, cfg.n)
+            above_z = draws.mark()
+            last = {_curve(built[k]): k for k in group}
             for k in group:
                 vals[k] = _price_cell(spec, built[k], refs[seed], draws, made)
+                if keeps_f and last[_curve(built[k])] == k:
+                    # no later cell of the group reads this curve's f
+                    draws.release(above_z)
     finally:
         draws.release()
     return [GridCell(a1.name, v1, a2.name, v2, **vals[k]) for k, (_, _, v1, v2) in enumerate(points)]
@@ -385,14 +402,10 @@ def qq_export(
 
     Empirical quantiles interpolate order statistics at plotting positions
     (i-0.5)/n; fitted quantiles are analytic: theta + o exp(mu_X + sigma_X
-    ndtri(q)) with q = p for orientation o = +1 and q = 1-p for o = -1.
-
-    ndtri is imported here, as in mc_engine's draw, so that importing the
-    package does not load scipy.special (about 0.25 s).
+    ndtri(q)) with q = p for orientation o = +1 and q = 1-p for o = -1, with
+    the draw's ndtri.
     """
     check_quantile_count(quantile_count)
-    from scipy.special import ndtri
-
     a = np.asarray(sample, dtype=float)
     ps = (np.arange(1, quantile_count + 1) - 0.5) / quantile_count
     emp = np.quantile(a, ps, method="hazen")

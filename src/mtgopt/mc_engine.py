@@ -6,15 +6,20 @@ SHARD_SIZE; shard j draws from an independent Philox stream keyed by
 Each filling thread keeps one Philox generator and re-keys it per shard
 (counter 0, key (seed, j)); its doubles k 2^-53 are the raw words' top 53
 bits, and u = k 2^-53 + 2^-54, one rounding of (2k + 1) 2^-54, is
-((raw >> 11) + 0.5) 2^-53 bit for bit. A sorted draw sorts the uniforms and
-inverts them in order: ndtri is monotone, so that is the same multiset as
-the sorted normals, and one comparison pass over what the caller maps from
-them checks the order. Workers fill disjoint shard slices of one
-preallocated array, so every value is bit-identical regardless of worker
-count or scheduling, and all reductions run on the assembled array
-afterwards. Inverse-CDF sampling also preserves the
-monotone rate/price coupling that common-random-number finite differences
-rely on.
+((raw >> 11) + 0.5) 2^-53 bit for bit, held to at most 1 - 2^-53: the top
+word alone would round to 1.0. z is the package's ndtri of u, Cephes'
+rational approximations (the ones scipy.special.ndtri runs) in numpy: its
+centre, e^-2 < u <= 1 - e^-2, is scipy's bit for bit, and its tail bits
+follow numpy's log, as the price map's already follow numpy's exp, expm1 and
+log1p. A sorted draw sorts the uniforms and inverts them in order: ndtri is
+monotone, so that is the same multiset as the sorted normals, and one
+comparison pass over what the caller maps from them checks the order.
+Workers fill disjoint shard slices of one preallocated array and invert
+disjoint pieces of it, and every value depends on its own uniform alone, so
+every value is bit-identical regardless of worker count or scheduling, and
+all reductions run on the assembled array afterwards. Inverse-CDF sampling
+also preserves the monotone rate/price coupling that common-random-number
+finite differences rely on.
 
 Draws is the one sample provider and the one owner of n-sized arrays: it
 maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
@@ -24,15 +29,17 @@ thread_draws() gives each thread one provider, which the thread's CLI
 commands, skew tables and sweeps share. Each of them releases it when it
 ends, raised or not (a sweep also after each seed group, the cells that share
 a cell seed), so nothing kept outlives a call. The slots do: k arrays of n
-floats stay allocated per thread (4 x 560 KB after a sweep at n = 70 000),
-and the thread's next call at that n faults in no new pages.
+floats stay allocated per thread (at n = 70 000, 5 x 560 KB after a price
+sweep, 4 after a CRN delta sweep), and the thread's next call at that n
+faults in no new pages.
 
 Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
-standard error and the moments) runs in place on the provider's slots. A
-CRN delta sorts its uniforms in a work slot and keeps the descending z and
-its sample of P/P0. A warm delta reads only the kept ascending P/P0, with
-two binary searches and two slice sums, and allocates only the terms of its
-band. No array a call hands back lives in the slots: callers own what they
+standard error and the moments) runs in place on the provider's slots. The
+inversion works in four work slots in draw order, and in one sorted, where
+z's own slot serves too until z is written. A CRN delta sorts its uniforms
+in a work slot and keeps the descending z and its sample of P/P0. A warm
+delta reads only the kept ascending P/P0, with two binary searches and two
+slice sums, and allocates only the terms of its band. No array a call hands back lives in the slots: callers own what they
 get, and a later call never overwrites it. price_mc hands back a price
 sample of its own, and a delta no array, only the moments of P/P0. A
 provider serves one thread.
@@ -42,15 +49,16 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distfit import SampleMoments, central_moments
-from .errors import ValidationError
+from .errors import NonFiniteResultError, ValidationError
 from .model import ModelSpec, OptionContract, RateDynamics, log_shape, terminal_rate_law
 from .model import price as model_price
-from .pricer_closed import PriceResult
+from .pricer_closed import PriceResult, law_leaves
 
 SHARD_SIZE = 16384
 
@@ -109,23 +117,155 @@ class McConfig:
 # each thread's sample provider (thread_draws) and Philox generator (_standard_normals)
 _thread = threading.local()
 
+# the largest uniform a draw hands on: k 2^-53 + 2^-54 rounds to 1.0 at the
+# top word k = 2^53 - 1, whose inverse CDF is +inf
+_U_MAX = 1.0 - 2.0**-53
+
+# Cephes' ndtri, the one scipy.special.ndtri runs: a rational approximation in
+# (u - 1/2)^2 on the centre e^-2 < u <= 1 - e^-2, and one in z = 1/x, with
+# x = sqrt(-2 log y) at y = min(u, 1 - u), on the tails (P1/Q1 below x = 8,
+# P2/Q2 from there on); Q0 to Q2 omit their leading 1
+_E2 = 0.13533528323661269189  # e^-2
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: np.ndarray, coefs: tuple, acc: np.ndarray, monic: bool) -> np.ndarray:
+    """The polynomial of coefs at x into acc, in the order of Cephes' polevl
+    (a = c0) or, monic, p1evl (a = x + c0): then a = a x + c_i."""
+    if monic:
+        np.add(x, coefs[0], out=acc)
+    else:
+        np.add(np.multiply(x, coefs[0], out=acc), coefs[1], out=acc)
+    for c in coefs[1 if monic else 2 :]:
+        np.add(np.multiply(acc, x, out=acc), c, out=acc)
+    return acc
+
+
+def _centre(u: np.ndarray, y2: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    """Cephes' centre branch over u in place, y2, num and den as long as u:
+    (y + y (y2 P0(y2) / Q0(y2))) sqrt(2 pi) at y = u - 1/2."""
+    y = np.subtract(u, 0.5, out=u)
+    np.multiply(y, y, out=y2)
+    np.multiply(y2, _horner(y2, _P0, num, False), out=num)
+    np.divide(num, _horner(y2, _Q0, den, True), out=num)
+    np.add(y, np.multiply(y, num, out=num), out=num)
+    np.multiply(num, _S2PI, out=u)
+
+
+def _tail(y: np.ndarray, x0: np.ndarray, num: np.ndarray, den: np.ndarray) -> None:
+    """Cephes' tail branch over y = min(u, 1 - u) <= e^-2 in place, x0, num and
+    den as long as y: x0 - z P(z) / Q(z) at x = sqrt(-2 log y), x0 = x - log(x) / x
+    and z = 1/x; positive, so the lower tail negates it."""
+    x = np.sqrt(np.multiply(np.log(y, out=y), -2.0, out=y), out=y)
+    np.subtract(x, np.divide(np.log(x, out=x0), x, out=x0), out=x0)
+    # x >= 8 only below y = e^-32, which a draw reaches once in about 4 x 10^13
+    far = np.flatnonzero(x >= 8.0) if x.size and x.max() >= 8.0 else None
+    z = np.divide(1.0, x, out=x)
+    x1 = np.divide(np.multiply(z, _horner(z, _P1, num, False), out=num), _horner(z, _Q1, den, True), out=num)
+    if far is not None:
+        zf = z[far]
+        x1[far] = zf * _horner(zf, _P2, np.empty_like(zf), False) / _horner(zf, _Q2, np.empty_like(zf), True)
+    np.subtract(x0, x1, out=y)
+
+
+def _invert(u: np.ndarray, work) -> None:
+    """The normals of the uniforms u over u in place, in any order; work holds
+    four arrays at least as long as u.
+
+    The centre branch runs over every u, and the tails, gathered once by one
+    index of the draws below e^-2 or above 1 - e^-2, run as one call on
+    min(u, 1 - u) and are written back over it. That index is the one
+    allocation: about a quarter of u's length in integers.
+    """
+    m = u.size
+    w1, w2, w3, w4 = (w[:m] for w in work)
+    # in the tails the two tests agree: u <= e^-2 implies u <= 1 - e^-2
+    below, inside = w1.view(bool)[:m], w1.view(bool)[m : 2 * m]
+    np.equal(np.less_equal(u, _E2, out=below), np.less_equal(u, 1.0 - _E2, out=inside), out=below)
+    at = np.flatnonzero(below)
+    k = at.size
+    # at is in range: "clip" skips the bounds check, and the buffer that
+    # "raise" copies out= through
+    y = np.take(u, at, out=w4[:k], mode="clip")
+    np.minimum(y, np.subtract(1.0, y, out=w1[:k]), out=y)
+    _tail(y, w1[:k], w2[:k], w3[:k])
+    np.copysign(y, np.subtract(np.take(u, at, out=w1[:k], mode="clip"), 0.5, out=w1[:k]), out=y)
+    _centre(u, w1, w2, w3)
+    u[at] = y
+
+
+def _invert_ascending(u: np.ndarray, spare: tuple[np.ndarray, np.ndarray]) -> None:
+    """The normals of the ascending uniforms u over u in place; spare holds two
+    arrays as long as u.
+
+    One binary search per bound splits u into the lower tail, the centre and
+    the upper tail, and each slice is inverted in place, in pieces of at most
+    half of u, each working in three pieces of spare.
+    """
+    m = u.size
+    if m < 2:
+        # no half of u to work in
+        _invert(u, np.empty((4, m)))
+        return
+    i, j = u.searchsorted((_E2, 1.0 - _E2), "right")
+    half = m // 2
+    a, b = spare
+    lower, upper = u[:i], u[j:]
+    np.subtract(1.0, upper, out=upper)
+    for branch, part in ((_tail, lower), (_centre, u[i:j]), (_tail, upper)):
+        for lo in range(0, part.size, half):
+            piece = part[lo : lo + half]
+            k = piece.size
+            branch(piece, a[:k], a[half : half + k], b[:k])
+    np.negative(lower, out=lower)
+
+
+def ndtri(p) -> np.ndarray:
+    """The standard normal quantile at each p strictly inside (0, 1), as a new
+    array: Cephes' ndtri, which scipy.special.ndtri runs, in numpy.
+
+    Each polynomial is evaluated in Cephes' order, so the centre
+    e^-2 < p <= 1 - e^-2 is scipy's bit for bit; the tails take numpy's log,
+    so their bits follow it where it differs from the C library's (by a few
+    ulp). Every value depends on its p alone, not on its neighbours or on
+    how the array is split.
+    """
+    z = np.array(p, dtype=float)
+    _invert(z.reshape(-1), np.empty((4, z.size)))
+    return z
+
 
 def _standard_normals(
-    seed: int, n: int, workers: int, out: np.ndarray, sorted_out: np.ndarray | None = None
+    seed: int, n: int, workers: int, out: np.ndarray, sorted_out: np.ndarray | None, work
 ) -> None:
     """Write the n normals of seed into out in shard order or, given sorted_out,
     into sorted_out in ascending order, with out holding the uniforms.
 
-    Sorted, the uniforms are sorted and then inverted; ndtri is monotone, so
-    the caller only checks the order that its rounding could break. A
-    reversed sorted_out gets the normals descending.
+    work is the scratch of n floats: four arrays in shard order, one sorted,
+    where sorted_out's own memory serves too until the normals are copied
+    into it. The shards are filled, then each worker's piece is inverted in
+    one call. Sorted, the uniforms are sorted and then inverted; the inverse
+    is monotone, so the caller only checks the order that its rounding could
+    break. A reversed sorted_out gets the normals descending.
     """
-    # scipy.special (about 0.25 s, and it loads numpy.random) is imported at
-    # the first draw, not with the package: the LN closed form and the CLI's
-    # config and defaults paths never draw. Loaded here, before any worker
-    # starts, so no two threads run the import.
     from numpy.random import Generator, Philox
-    from scipy.special import ndtri
 
     shards = [out[lo : lo + SHARD_SIZE] for lo in range(0, n, SHARD_SIZE)]
 
@@ -140,18 +280,25 @@ def _standard_normals(
                                    "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         u = shards[j]
         # k 2^-53 + 2^-54 rounds once, to ((raw >> 11) + 0.5) 2^-53
-        np.add(gen.random(out=u), 2.0**-54, out=u)
+        np.minimum(np.add(gen.random(out=u), 2.0**-54, out=u), _U_MAX, out=u)
+
+    # one piece per worker: a task per shard costs more than it spreads
+    step = max(1, -(-n // workers))
+
+    def invert(lo: int) -> None:
+        part = slice(lo, lo + step)
         if sorted_out is None:
-            ndtri(u, out=u)
+            _invert(out[part], [w[part] for w in work])
+        else:
+            dest = sorted_out[part]
+            _invert_ascending(out[part], (dest[::-1], work[0][part]))
+            np.copyto(dest, out[part])
 
     def run(each) -> None:
         list(each(fill, range(len(shards))))
         if sorted_out is not None:
             out.sort()
-            # one piece per worker: a task per shard costs more than it spreads
-            step = max(1, -(-n // workers))
-            pieces = range(0, n, step)
-            list(each(lambda lo: ndtri(out[lo : lo + step], out=sorted_out[lo : lo + step]), pieces))
+        list(each(invert, range(0, n, step)))
 
     if workers > 1 and len(shards) > 1:
         # a few ms to import, so loaded only where a draw uses threads
@@ -188,10 +335,17 @@ class Draws:
         self._kept: dict[tuple, object] = {}
         self._held = 0
 
-    def release(self) -> None:
-        """Forget everything kept; the kept arrays' slots become work arrays again."""
-        self._kept.clear()
-        self._held = 0
+    def mark(self) -> tuple[int, int]:
+        """The point release() can go back to: what is kept now stays kept."""
+        return self._held, len(self._kept)
+
+    def release(self, mark: tuple[int, int] = (0, 0)) -> None:
+        """Forget everything kept since mark, by default everything; the kept
+        arrays' slots become work arrays again."""
+        held, kept = mark
+        for key in list(self._kept)[kept:]:
+            del self._kept[key]
+        self._held = held
 
     def work(self, k: int, n: int) -> list[np.ndarray]:
         """k work arrays of n floats, overwritten by the next call that asks."""
@@ -218,15 +372,13 @@ class Draws:
 
         def make() -> tuple[np.ndarray, ...]:
             slots = self.work(k, n)
-            held, kept = self._held, len(self._kept)
+            mark = self.mark()
             self._held += k
             try:
                 fill(*slots)
             except BaseException:
                 # give the slots back, with what fill kept in the slots after them
-                for later in list(self._kept)[kept:]:
-                    del self._kept[later]
-                self._held = held
+                self.release(mark)
                 raise
             arrays = tuple(a.view() for a in slots)
             for a in arrays:
@@ -237,20 +389,24 @@ class Draws:
 
     def normals(self, seed: int, n: int) -> np.ndarray:
         """z for (seed, n), drawn once until release(); read-only."""
-        return self.reuse(("z", seed, n), 1, n, lambda out: _standard_normals(seed, n, self.workers, out))[0]
+        def fill(z: np.ndarray) -> None:
+            _standard_normals(seed, n, self.workers, z, None, self.work(4, n))
+
+        return self.reuse(("z", seed, n), 1, n, fill)[0]
 
     def descending_normals(self, seed: int, n: int) -> np.ndarray:
         """The z of (seed, n) in descending order, apart from the draw-order z:
         drawn once and kept until release(); read-only.
 
-        The uniforms are sorted in a work slot and inverted into z from its
-        end. ndtri is monotone up to its rounding, so a caller that needs the
-        order checks what it makes from z, as crn_sample checks f.
+        The uniforms are sorted in a work slot and inverted there, with one
+        more work slot and z's own memory as scratch, then copied into z from
+        its end. ndtri is monotone up to its rounding, so a caller that needs
+        the order checks what it makes from z, as crn_sample checks f.
         """
 
         def fill(z: np.ndarray) -> None:
-            (uniforms,) = self.work(1, n)
-            _standard_normals(seed, n, self.workers, uniforms, z[::-1])
+            uniforms, spare = self.work(2, n)
+            _standard_normals(seed, n, self.workers, uniforms, z[::-1], (spare,))
 
         return self.reuse(("descending z", seed, n), 1, n, fill)[0]
 
@@ -265,6 +421,17 @@ def thread_draws(workers: int = 1) -> Draws:
         _thread.draws = Draws()
     _thread.draws.workers = workers
     return _thread.draws
+
+
+@contextmanager
+def _overflow_names(message: str):
+    """A float overflow inside raises NonFiniteResultError(message), which
+    names the leaves that scale what overflowed."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NonFiniteResultError(message) from None
 
 
 def simulate_terminal_rates(
@@ -293,10 +460,13 @@ def simulate_terminal_prices(
 ) -> np.ndarray:
     """Terminal prices P at the simulated rate moves, in a new array; given
     out, a pair of n-float arrays, over out[0] with out[1] as scratch. Work
-    slots passed as out must be taken after z is drawn, or z's is one of them."""
+    slots passed as out must be taken after z is drawn, or z's is one of them.
+    A price past the largest float raises NonFiniteResultError naming P0 and
+    the leaves of the law of P/P0."""
     draws = draws or Draws()
     moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])
-    return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0] if out is None else out[1]))
+    with _overflow_names(f"price map overflows at P0={spec.market.P0}, {law_leaves(spec, dyn, T)}"):
+        return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0] if out is None else out[1]))
 
 
 def price_mc(
@@ -359,8 +529,9 @@ def crn_sample(
     def fill(f: np.ndarray) -> None:
         moves = simulate_terminal_rates(dyn, T, cfg, draws, f, descending=True)
         (work,) = draws.work(1, cfg.n)
-        A, B = log_shape(spec, moves, (f, work))
-        np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
+        with _overflow_names(f"sample of P/P0 overflows at {law_leaves(spec, dyn, T)}"):
+            A, B = log_shape(spec, moves, (f, work))
+            np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
         # a NaN fails the check too, and the sort puts it last, in every suffix
         if not np.greater_equal(f[1:], f[:-1], out=work.view(bool)[: cfg.n - 1]).all():
             f.sort()

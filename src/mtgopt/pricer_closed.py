@@ -153,7 +153,7 @@ def price_sln(moments: SampleMoments, c: OptionContract, P0: float = 1.0) -> Pri
     return PriceResult(price=P0 * price_from_fit(fit, c, P0), method="SLN", diagnostics=of_p)
 
 
-def _law_leaves(spec: ModelSpec, dyn: RateDynamics, T: float) -> str:
+def law_leaves(spec: ModelSpec, dyn: RateDynamics, T: float) -> str:
     """The leaves that scale the law of P/P0, as a message that it overflows names them."""
     p = spec.duration
     return f"L={p.L}, U={p.U}, C={p.C}, mu={dyn.mu}, sigma={dyn.sigma}, T={T}"
@@ -181,11 +181,11 @@ def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -
         e11, e12, e22 = math.expm1(a1s * a1s), math.expm1(a1s * a2s), math.expm1(a2s * a2s)
         var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
     except OverflowError:
-        raise NonFiniteResultError(f"matched lognormal overflows at {_law_leaves(spec, dyn, T)}") from None
+        raise NonFiniteResultError(f"matched lognormal overflows at {law_leaves(spec, dyn, T)}") from None
     log_m1 = a1 * d + 0.5 * a1s * a1s + step
     if not (math.isfinite(log_m1) and math.isfinite(var_x)):
         raise NonFiniteResultError(
-            f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x} at {_law_leaves(spec, dyn, T)}"
+            f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x} at {law_leaves(spec, dyn, T)}"
         )
     scale = p.U / C
     return -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
@@ -214,7 +214,7 @@ def _quadrature(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) ->
         m3 += wc2 * c
     if not (math.isfinite(mean) and math.isfinite(m2) and math.isfinite(m3)):
         raise NonFiniteResultError(
-            f"quadrature moments of P/P0 are not finite at {_law_leaves(spec, dyn, T)}"
+            f"quadrature moments of P/P0 are not finite at {law_leaves(spec, dyn, T)}"
         )
     return mean, m2, m3
 
@@ -249,7 +249,7 @@ def _kernel_inputs(
     mu, sigma_P = _matched_law(spec, dyn, c.T, law)
     log_mean = mu + 0.5 * sigma_P * sigma_P
     if not log_mean <= MAX_EXP_ARG:
-        raise NonFiniteResultError(f"matched lognormal mean overflows at {_law_leaves(spec, dyn, c.T)}")
+        raise NonFiniteResultError(f"matched lognormal mean overflows at {law_leaves(spec, dyn, c.T)}")
     return mu, sigma_P, BsKernelInputs(math.exp(log_mean), sigma_P, c.K / spec.market.P0, c.df)
 
 

@@ -487,6 +487,19 @@ def test_closed_form_overflows_name_the_leaves_of_the_law(capsys, argv, leaf):
     assert leaf in err and all(name in err for name in ("L=", "U=", "C=", "mu=", "sigma=", "T=")), err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("price", "--method", "mc", "--set", "n=20000", "--set", "P0=1.7e308", "--set", "K=1.7e308"),
+     "price map overflows at P0=1.7e+308, L=1.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"),
+    (("fit", "--set", "L=1e8"),
+     "price map overflows at P0=100.0, L=100000000.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"),
+    (("greeks", "--method", "mc", "--set", "L=1e8"),
+     "sample of P/P0 overflows at L=100000000.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"),
+], ids=["price-mc-P0", "fit-L", "greeks-mc-L"])
+def test_a_sample_map_that_overflows_names_the_leaves_of_its_law(capsys, argv, err):
+    # "overflow encountered in exp" named no parameter
+    assert run_cli(capsys, *argv, "--set", "C=3") == (3, "", f"error: non-finite result: {err}\n")
+
+
 @pytest.mark.parametrize("spot", ["1e-300", "1e-200", "1e300"])
 def test_mc_price_and_standard_error_at_an_extreme_spot_scale_with_it(capsys, spot):
     # the SE underflowed to 0.0 at P0 = K = 1e-200 and overflowed at 1e300

@@ -250,6 +250,39 @@ def test_crn_sweep_memory_does_not_grow_with_the_group_count():
     assert peak((97.0, 98.0, 99.0, 100.0, 101.0, 102.0)) <= 1.2 * peak((99.0, 101.0))
 
 
+def test_a_crn_delta_group_along_c_gives_each_curve_s_f_back():
+    # along C each cell of a group has a curve of its own, whose f = P/P0 no
+    # later cell reads: once given back, neither the provider's slots nor the
+    # peak grow with the curvatures (5, 9 and 13 slots of n after 2, 6 and 10
+    # curvatures while every f stayed to the group's end)
+    n = 20000
+
+    def run(curvatures):
+        spec = small_spec(
+            base=BaseParams(seed=12345, n=n),
+            axis1=SweepAxis("C", curvatures),
+            axis2=SweepAxis("P0", (100.0,)),
+            engines=("MC",),
+            greek="delta",
+            crn_axis=1,
+        )
+        cold_provider()
+        tracemalloc.start()
+        try:
+            cells = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return len(mc_engine.thread_draws()._slots), peak, [c.price_mc for c in cells]
+
+    runs = [run(tuple(0.5 + 0.5 * i for i in range(count))) for count in (2, 6, 10)]
+    assert [slots for slots, _, _ in runs] == [runs[0][0]] * 3
+    peaks = [peak for _, peak, _ in runs]
+    assert max(peaks) - min(peaks) < n * 8 / 2, [p / (n * 8) for p in peaks]
+    # each cell still prices its own curve's f
+    assert runs[2][2][:6] == runs[1][2]
+
+
 def test_sweep_without_a_crn_axis_holds_a_few_arrays_of_n():
     # the provider keeps a cell's two samples in slots of its own and works in
     # a few more; every slot is reused by the next cell, so the peak does not
@@ -372,25 +405,34 @@ def test_a_crn_delta_group_sorts_z_once_and_reads_each_spot_off_two_binary_searc
             return getattr(np, name)
 
     mc_fields = harness._mc_fields
+    draw = mc_engine._standard_normals
 
     def spot(*args):
         log.append(("spot", 0))
         return mc_fields(*args)
 
+    def drawing(*args):
+        log.append(("draw", 0))
+        return draw(*args)
+
     monkeypatch.setattr(mc_engine, "np", SlotNumpy())
     monkeypatch.setattr(harness, "_mc_fields", spot)
+    monkeypatch.setattr(mc_engine, "_standard_normals", drawing)
     n = 2000
     # on a new thread, whose provider makes its slots afresh and dies with it
     with ThreadPoolExecutor(1) as pool:
         cells = pool.submit(run_sweep, crn_delta_sweep(n, (0.5, 3.0))).result()
     assert len(cells) == 24 and log.count(("sort", n)) == 2
-    spots = [[]]
-    for entry in log[log.index(("spot", 0)) + 1 :]:
-        if entry == ("spot", 0):
-            spots.append([])
+    # each group draws its z once, before its first spot: what the draw
+    # logs, up to the next spot, is set apart
+    spots, drawn, current = [], [], []
+    for entry in log:
+        if entry in (("spot", 0), ("draw", 0)):
+            current = []
+            (spots if entry == ("spot", 0) else drawn).append(current)
         else:
-            spots[-1].append(entry)
-    assert len(spots) == 24
+            current.append(entry)
+    assert len(spots) == 24 and len(drawn) == 2
     # the groups run one after the other, and the first spot of each reads
     # its sample after mapping it
     for k, entries in enumerate(spots):

@@ -1,11 +1,13 @@
-"""Import contract: only a draw loads scipy and numpy.random, and only a
-threaded draw a pool.
+"""Import contract: no command loads scipy, only a draw loads numpy.random,
+and only a threaded draw a pool.
 
 scipy.special takes about a quarter second to import and numpy.random about
-a tenth, so the package, the SLN and LN closed forms, `defaults` and config
-errors must run without them; each case runs in a fresh interpreter. The SLN moments and the LN regime
-check use constant quadrature nodes, so the closed forms do not load
-numpy.polynomial either.
+a tenth. The draw inverts its uniforms with the package's own Cephes ndtri,
+so no command, drawing or not, loads scipy, and no module of the package
+imports it. The package, the SLN and LN closed forms, `defaults` and config
+errors run without numpy.random too; each case runs in a fresh interpreter.
+The SLN moments and the LN regime check use constant quadrature nodes, so the
+closed forms do not load numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
 and more than one shard, not by the package. No module of the package imports
 another's private (underscore) names.
@@ -103,6 +105,35 @@ def test_commands_that_do_not_draw_do_not_load_scipy(argv, code):
     assert r.stderr.endswith("scipy=False\n"), r.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("price", "--method", "mc", "--set", "C=3", "--set", "n=2000"),
+        ("greeks", "--method", "mc", "--set", "C=3", "--set", "n=2000"),
+        ("fit", "--set", "C=3", "--set", "n=2000"),
+        ("qq", "--set", "C=3", "--set", "n=2000", "--quantiles", "9"),
+        ("sweep", "--set", "n=2000", "--axis1", "K=99,101", "--axis2", "C=3", "--engines", "mc", "--workers", "2"),
+    ],
+    ids=["price-mc", "greeks-mc", "fit", "qq", "sweep-mc"],
+)
+def test_commands_that_draw_do_not_load_scipy(argv, tmp_path):
+    out = ("--out", str(tmp_path / "out.csv")) if argv[0] in ("qq", "sweep") else ()
+    r = fresh(RUN_CLI, *argv, *out)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "scipy=False\n"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    imports = []
+    for path in sorted(Path(mtgopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                imports.append((path.name, node.module))
+    assert imports == []
+
+
 @NO_DRAW
 def test_commands_that_do_not_draw_do_not_load_numpy_random(argv, code):
     r = fresh(RUN_CLI_RANDOM, *argv)
@@ -116,11 +147,11 @@ def test_importing_the_harness_does_not_load_numpy_random():
 
 
 def test_a_draw_in_a_fresh_interpreter_prints_the_in_process_bytes(capsys, monkeypatch):
-    # the fresh interpreter first imports scipy inside main's np.errstate
+    # the fresh interpreter first imports numpy.random inside main's np.errstate
     monkeypatch.delenv("MTGOPT_SEED", raising=False)
     argv = ("price", "--method", "mc", "--set", "C=3", "--set", "n=2000")
     r = fresh(RUN_CLI, *argv)
-    assert (r.returncode, r.stderr) == (0, "scipy=True\n")
+    assert (r.returncode, r.stderr) == (0, "scipy=False\n")
     assert main(list(argv)) == 0
     assert r.stdout == capsys.readouterr().out
     assert json.loads(r.stdout)["n"] == 2000

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     unit_spot,
 )
 from mtgopt.distfit import central_moments
-from mtgopt.errors import ValidationError
+from mtgopt.errors import NonFiniteResultError, ValidationError
 from mtgopt import mc_engine
 from mtgopt.harness import BaseParams, materialize
 from mtgopt.mc_engine import (
@@ -347,14 +348,13 @@ def test_sorted_normals_are_the_draw_sorted_once_and_kept_apart(monkeypatch):
 
 
 def shard_formula(seed: int, n: int) -> np.ndarray:
-    """The draw written out: shard j is the inverse CDF of ((raw >> 11) + 0.5) 2^-53
-    on the raw words of a Philox stream keyed (seed, j), started at counter 0."""
-    from scipy.special import ndtri
-
+    """The draw written out: shard j is the package's inverse CDF of
+    ((raw >> 11) + 0.5) 2^-53, at most 1 - 2^-53, on the raw words of a Philox
+    stream keyed (seed, j), started at counter 0."""
     shards = []
     for j, lo in enumerate(range(0, n, SHARD_SIZE)):
         raw = np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(min(SHARD_SIZE, n - lo))
-        shards.append(ndtri(((raw >> np.uint64(11)) + 0.5) * 2.0**-53))
+        shards.append(mc_engine.ndtri(np.minimum(((raw >> np.uint64(11)) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)))
     return np.concatenate(shards)
 
 
@@ -430,8 +430,9 @@ def test_a_fill_that_raises_gives_its_slots_back():
     for _ in range(3):
         with pytest.raises(RuntimeError, match="fill failed"):
             draws.reuse(("bad",), 1, 100, fails)
+    assert len(draws._slots) == 1
     z = draws.normals(5, 100)
-    assert len(draws._slots) == 1 and all(np.shares_memory(z, a) for a in handed)
+    assert all(np.shares_memory(z, a) for a in handed)
 
     # what a failing fill kept in the slots after its own goes back with them
     def keeps_then_fails(out):
@@ -445,6 +446,105 @@ def test_a_fill_that_raises_gives_its_slots_back():
         assert not np.shares_memory(w, z)
         w.fill(np.nan)
     assert z.tobytes() == Draws().normals(5, 100).tobytes()
+
+
+# the largest distance of the tails from scipy.special.ndtri over 2e7 draws:
+# numpy's SIMD log differs from the C library's there
+NDTRI_TAIL_ULP = 6
+
+
+def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How many doubles apart a and b are, for values of one sign."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def ndtri_reference_points() -> np.ndarray:
+    """10^6 uniforms of the draw's form (k + 1/2) 2^-53, 10^5 deep in the
+    tails, and the edges: the smallest and largest uniforms a draw makes, the
+    neighbours of e^-32, where the tail switches to P2/Q2, and of the centre's
+    bounds e^-2 and 1 - e^-2."""
+    rng = np.random.default_rng(27)
+    e2, e32 = mc_engine._E2, math.exp(-32.0)
+    edges = [2.0**-54, 1.0 - 2.0**-53, 0.5]
+    for x in (e32, e2, 1.0 - e2):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    deep = np.exp(rng.uniform(math.log(2.0**-54), math.log(e2), 100_000))
+    return np.concatenate([(rng.integers(0, 2**53, 1_000_000) + 0.5) * 2.0**-53, deep, 1.0 - deep, edges])
+
+
+def test_ndtri_is_scipy_s_bit_for_bit_in_the_centre_and_within_a_few_ulp_in_the_tails():
+    from scipy.special import ndtri as scipy_ndtri
+
+    u = ndtri_reference_points()
+    got, want = mc_engine.ndtri(u), scipy_ndtri(u)
+    centre = (u > mc_engine._E2) & (u <= 1.0 - mc_engine._E2)
+    assert centre.sum() > 700_000 and (~centre).sum() > 400_000
+    assert got[centre].tobytes() == want[centre].tobytes()
+    assert np.isfinite(got).all() and np.array_equal(np.sign(got), np.sign(want))
+    assert ulp_distance(got[~centre], want[~centre]).max() <= NDTRI_TAIL_ULP
+    # the edges, one by one: each branch, and P2/Q2 past x = 8
+    for p, z in zip(u[-12:], got[-12:]):
+        assert ulp_distance(np.array([z]), scipy_ndtri(np.array([p]))).max() <= NDTRI_TAIL_ULP, p
+
+
+@pytest.mark.parametrize("cuts", [(1,), (7,), (8,), (13, 100_003), (4096, 65_537, 500_001), (1_000_000,)])
+def test_ndtri_of_any_split_is_the_ndtri_of_the_whole(cuts):
+    # each worker inverts its own piece of a draw, so no value may depend on
+    # where its piece starts or ends, sorted or not
+    u = ndtri_reference_points()
+    whole = mc_engine.ndtri(u)
+    assert np.concatenate([mc_engine.ndtri(p) for p in np.split(u, cuts)]).tobytes() == whole.tobytes()
+    up = np.sort(u)
+    pieces = []
+    for p in np.split(up, cuts):
+        p = p.copy()
+        mc_engine._invert_ascending(p, (np.empty(p.size), np.empty(p.size)))
+        pieces.append(p)
+    assert np.concatenate(pieces).tobytes() == mc_engine.ndtri(up).tobytes()
+
+
+def test_ndtri_keeps_its_shape_and_leaves_its_argument_alone():
+    p = np.array([[0.25, 0.5], [1e-20, 0.975]])
+    before = p.tobytes()
+    z = mc_engine.ndtri(p)
+    assert z.shape == (2, 2) and p.tobytes() == before
+    assert z[0, 1] == 0.0 and z.ravel().tolist() == mc_engine.ndtri(p.ravel()).tolist()
+    assert mc_engine.ndtri(np.empty(0)).size == 0
+
+
+class TopWord:
+    """A stand-in generator whose every double is the top word's, (2^53 - 1) 2^-53."""
+
+    def __init__(self):
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def random(self, out):
+        out.fill((2**53 - 1) * 2.0**-53)
+        return out
+
+
+def test_the_top_philox_word_draws_the_largest_uniform_below_one(monkeypatch):
+    # k 2^-53 + 2^-54 rounds half to even to 1.0 at k = 2^53 - 1, whose
+    # inverse CDF is +inf: with L = 0 the map's A = inf * 0 was NaN
+    assert (2**53 - 1) * 2.0**-53 + 2.0**-54 == 1.0
+    monkeypatch.setattr(mc_engine._thread, "philox", TopWord(), raising=False)
+    top = mc_engine.ndtri(np.array([1.0 - 2.0**-53]))[0]
+    assert 8.2 < top < 8.21
+    draws = Draws()
+    assert draws.normals(1, 5).tolist() == [top] * 5
+    assert draws.descending_normals(1, 5).tolist() == [top] * 5
+    spec = ModelSpec.calibrate(DurationParams(L=0.0, U=9.0, C=3.0, x0=0.055), DEFAULT_MARKET)
+    prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=5, seed=1), Draws())
+    assert np.isfinite(prices).all()
+
+
+def test_a_price_past_the_largest_float_names_the_leaves_of_its_law():
+    spec = ModelSpec.calibrate(default_duration(3.0), MarketState(1.7e308, 0.01))
+    with pytest.raises(NonFiniteResultError) as err:
+        simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=20000), Draws())
+    assert str(err.value) == (
+        "price map overflows at P0=1.7e+308, L=1.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"
+    )
 
 
 def test_a_change_of_n_drops_the_slots():
