@@ -29,6 +29,7 @@ from .distfit import central_moments, fit_shifted_lognormal, skewness
 from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .harness import (
     BLOCK_LEAVES,
+    LEAF_AT,
     BaseParams,
     SweepAxis,
     SweepSpec,
@@ -40,7 +41,7 @@ from .harness import (
     sweep_csv_lines,
     write_csv,
 )
-from .mc_engine import check_workers, crn_delta, price_mc, simulate_terminal_prices, thread_draws
+from .mc_engine import check_workers, crn_delta, naming_leaves, price_mc, simulate_terminal_prices, thread_draws
 from .pricer_closed import (
     delta_from_kernel,
     gamma_from_kernel,
@@ -53,8 +54,6 @@ from .pricer_closed import (
 
 SCHEMA_VERSION = 1
 
-_SCHEMA = BLOCK_LEAVES
-_LEAF_BLOCK = {leaf: block for block, leaves in _SCHEMA.items() for leaf in leaves}
 _INT_LEAVES = frozenset(leaf for leaf, hint in typing.get_type_hints(BaseParams).items() if hint is int)
 # leaves a config may leave unset (null): those whose bundle default is None
 _NULLABLE_LEAVES = frozenset(f.name for f in fields(BaseParams) if f.default is None)
@@ -85,12 +84,12 @@ def _read_config_file(path: str) -> dict[str, float | int | None]:
         raise ValidationError("config root must be a JSON object")
     leaves: dict[str, float | int | None] = {}
     for block, payload in data.items():
-        if block not in _SCHEMA:
+        if block not in BLOCK_LEAVES:
             raise ValidationError(f"unknown config block {block!r}")
         if not isinstance(payload, dict):
             raise ValidationError(f"config block {block!r} must be an object")
         for leaf, value in payload.items():
-            if leaf not in _SCHEMA[block]:
+            if leaf not in BLOCK_LEAVES[block]:
                 raise ValidationError(f"unknown key {leaf!r} in block {block!r}")
             leaves[leaf] = _coerce(leaf, value)
     return leaves
@@ -102,8 +101,8 @@ def _parse_set(pairs: list[str]) -> dict[str, float | int]:
         key, sep, raw = pair.partition("=")
         if not sep or not key or not raw:
             raise ValidationError(f"--set expects leaf=value, got {pair!r}")
-        if key not in _LEAF_BLOCK:
-            raise ValidationError(f"unknown parameter {key!r} (valid: {sorted(_LEAF_BLOCK)})")
+        if key not in LEAF_AT:
+            raise ValidationError(f"unknown parameter {key!r} (valid: {sorted(LEAF_AT)})")
         try:
             value = int(raw) if key in _INT_LEAVES else float(raw)
         except ValueError as exc:
@@ -179,8 +178,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 def cmd_greeks(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
     if args.method == "mc":
-        delta = crn_delta(model, dyn, contract, cfg, draws)[0]
-        _emit({"method": "mc", "delta": delta, "bump": cfg.bump})
+        _emit({"method": "mc", "delta": crn_delta(model, dyn, contract, cfg, draws), "bump": cfg.bump})
         return 0
     inp = ln_kernel(model, dyn, contract)
     _warn(regime_warning(model, dyn, contract.T))
@@ -198,8 +196,9 @@ def cmd_greeks(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
     prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
-    m = central_moments(prices)
-    fit = fit_shifted_lognormal(m)
+    with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
+        m = central_moments(prices)
+        fit = fit_shifted_lognormal(m)
     _emit(
         {
             "moments": {"mean": m.mean, "m2": m.m2, "m3": m.m3, "n": m.n},
@@ -258,7 +257,8 @@ def cmd_qq(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
     check_quantile_count(args.quantiles)
     prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
-    fit = fit_shifted_lognormal(central_moments(prices))
+    with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
+        fit = fit_shifted_lognormal(central_moments(prices))
     points = qq_export(prices, fit, args.quantiles)
     write_csv(qq_csv_lines(points), args.out)
     gap = max(abs(emp - fitted) for _, emp, fitted in points)
@@ -268,8 +268,7 @@ def cmd_qq(args: argparse.Namespace) -> int:
 
 def cmd_defaults(args: argparse.Namespace) -> int:
     p = BaseParams()
-    _emit({block: {leaf: getattr(p, leaf) for leaf in leaves}
-           for block, leaves in _SCHEMA.items()})
+    _emit({block: {leaf: getattr(p, leaf) for leaf in leaves} for block, leaves in BLOCK_LEAVES.items()})
     return 0
 
 

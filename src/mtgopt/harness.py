@@ -13,24 +13,7 @@ reference mixes its cell seed once more. Only MC draws: SLN prices exact
 quadrature moments of P/P0 and LN its matched law, so neither depends on n
 or the seed, and no engine is graded against a draw of its own.
 
-A sweep validates every cell before it draws, building each distinct block
-and calibration once, then prices the cells one seed group at a time (the
-cells that share a cell seed) on the thread's sample provider,
-mc_engine.thread_draws(), which every engine reads and in whose slots every
-n-sized stage runs. Each stage runs once per input it depends on:
-- within a group each (seed, n) is drawn once;
-- the MC delta cells on one duration curve and rate law share one kept
-  ascending sample of P/P0 and its skew, whatever their spot, and each spot
-  reads its delta off it with two binary searches; an MC price cell maps and
-  reduces a price sample of its own, which nothing keeps;
-- the SLN fit of the quadrature moments and the LN law, which no strike or
-  spot enters, run once per curve and rate law in the sweep, and a cell forms
-  only its kernel inputs. A sweep keeps only the LN price, so it runs no
-  regime check.
-The provider releases what a group kept before the next group draws, and
-once more when the sweep ends, raised or not. A skew table is one group:
-every row reads one kept sample. The slots stay allocated for the thread's
-next sweep at the same n.
+run_sweep states the stages a sweep runs and how often each runs.
 
 CSV output is UTF-8 with LF line endings, '.' decimals, a mandatory header,
 and 10 significant digits; blank fields mean "engine not requested" (or, for
@@ -55,6 +38,7 @@ from .mc_engine import (
     crn_sample,
     delta_on_sample,
     mix64,
+    naming_leaves,
     ndtri,
     price_mc,
     simulate_terminal_prices,
@@ -117,7 +101,7 @@ BLOCK_LEAVES: dict[str, tuple[str, ...]] = {
 }
 
 # leaf name -> its block and its place among the block's leaves
-_LEAF_AT = {leaf: (block, i) for block, leaves in BLOCK_LEAVES.items() for i, leaf in enumerate(leaves)}
+LEAF_AT = {leaf: (block, i) for block, leaves in BLOCK_LEAVES.items() for i, leaf in enumerate(leaves)}
 
 
 @dataclass(frozen=True)
@@ -219,7 +203,7 @@ def _once(made: dict, key: tuple, make):
 def _build(values: dict[str, tuple], made: dict) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
     """The BLOCKS objects of per-block leaf tuples and their calibration, each
     distinct one looked up in made and built there the first time."""
-    block, pos = _LEAF_AT["C"]
+    block, pos = LEAF_AT["C"]
     if values[block][pos] is None:
         raise ValidationError("curvature C must be set (by config or sweep axis)")
     dur, market, dyn, contract, cfg = (
@@ -229,17 +213,9 @@ def _build(values: dict[str, tuple], made: dict) -> tuple[ModelSpec, RateDynamic
     return spec, dyn, contract, cfg
 
 
-def materialize(
-    bundle: BaseParams, made: dict | None = None
-) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
-    """Build and validate every BLOCKS object from the bundle's leaves.
-
-    made, a dict shared by the calls of one sweep, keeps each block by its
-    leaf values and each calibration by its curve and market, so each
-    distinct one is built and validated once, in the order of the first
-    call that needs it.
-    """
-    return _build(_leaf_values(bundle), {} if made is None else made)
+def materialize(bundle: BaseParams) -> tuple[ModelSpec, RateDynamics, OptionContract, McConfig]:
+    """Build and validate every BLOCKS object from the bundle's leaves."""
+    return _build(_leaf_values(bundle), {})
 
 
 def _cell_seed(spec: SweepSpec, i: int, j: int) -> int:
@@ -254,24 +230,21 @@ def _mc_fields(
     spec: SweepSpec, curve: tuple, model: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig,
     draws: Draws,
 ) -> dict[str, float | None]:
-    """The MC engine's fields; skew describes the sample MC priced.
-
-    For a delta that is P/P0, which the provider keeps ascending, with its
-    skew, for the seed group's cells on the same curve and rate law, whatever
-    their spot; each spot reads its delta off it. A price sample dies on
-    return.
-    """
+    """The MC engine's fields; skew describes the sample MC priced: for a
+    delta P/P0, kept with its skew for the group's cells on the curve."""
     if spec.greek == "delta":
 
         def sample() -> tuple[np.ndarray, float]:
-            f, moments = crn_sample(model, dyn, c.T, cfg, draws)
-            return f, skewness(moments)
+            f = crn_sample(model, dyn, c.T, cfg, draws)
+            with naming_leaves("a moment of P/P0", model, dyn, c.T, cfg.n, spot=False):
+                return f, skewness(central_moments(f, draws.work(2, cfg.n)))
 
         f, skew = draws.keep(("delta", *curve), sample)
         return {"price_mc": delta_on_sample(f, c, model.market.P0, cfg.bump), "skew": skew}
     res = price_mc(model, dyn, c, cfg, draws)
-    moments = central_moments(res.diagnostics, draws.work(2, cfg.n))
-    return {"price_mc": res.price, "se_mc": res.std_error, "skew": skewness(moments)}
+    with naming_leaves("a moment of P", model, dyn, c.T, cfg.n):
+        skew = skewness(central_moments(res.diagnostics, draws.work(2, cfg.n)))
+    return {"price_mc": res.price, "se_mc": res.std_error, "skew": skew}
 
 
 def _curve(built: tuple) -> tuple:
@@ -314,16 +287,26 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[GridCell]:
     """Evaluate the grid over axis1 x axis2, returned row-major; deterministic in seeds.
 
     Every cell is validated before anything is drawn, each distinct block and
-    calibration once per sweep. The cells that share a cell seed are priced
-    together on one MC reference config, and the thread's provider releases
-    what they kept before the next group draws and when the sweep ends. A
-    delta group draws its z first and gives each curve's f back once the last
-    cell on that curve is priced. The closed forms run once per curve and rate
-    law in the sweep, kept in the same memo as the blocks.
+    calibration once per sweep. The cells that share a cell seed (a seed
+    group) are then priced together on one MC reference config and the
+    thread's provider, and each stage runs once per input it depends on:
+    - within a group each (seed, n) is drawn once;
+    - the MC delta cells on one duration curve and rate law share one kept
+      ascending sample of P/P0 and its skew, whatever their spot, and each
+      spot reads its delta off it with two binary searches. A delta group
+      draws its z first and gives each curve's f back once the last cell on
+      that curve is priced. An MC price cell maps and reduces a price sample
+      of its own, which nothing keeps;
+    - the SLN fit of the quadrature moments and the LN law, which no strike
+      or spot enters, run once per curve and rate law in the sweep, kept in
+      the same memo as the blocks, and a cell forms only its kernel inputs.
+      A sweep keeps only the LN price, so it runs no regime check.
+    The provider releases what a group kept before the next group draws, and
+    once more when the sweep ends, raised or not.
     """
     a1, a2 = spec.axis1, spec.axis2
     base = _leaf_values(spec.base)
-    at = [_LEAF_AT[a1.name], _LEAF_AT[a2.name]]
+    at = [LEAF_AT[a1.name], LEAF_AT[a2.name]]
     points = [(i, j, v1, v2) for i, v1 in enumerate(a1.values) for j, v2 in enumerate(a2.values)]
     made: dict = {}
     built = []
@@ -367,8 +350,6 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
 
     The terminal rate law does not depend on C, so a single seeded sample maps
     through every curvature's price curve; rows are directly comparable.
-    Each row maps and reduces in two work slots of the thread's provider, so a
-    table at the n of the thread's last call allocates no array of n.
     """
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
@@ -381,9 +362,9 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
             draws.normals(cfg.seed, cfg.n)
             prices, work = draws.work(2, cfg.n)
             simulate_terminal_prices(model, dyn, contract.T, cfg, draws, (prices, work))
-            fit_input = central_moments(prices, (work, prices))
-            fit = fit_shifted_lognormal(fit_input)
-            rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit))
+            with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
+                fit_input = central_moments(prices, (work, prices))
+                rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit_shifted_lognormal(fit_input)))
     finally:
         draws.release()
     return rows

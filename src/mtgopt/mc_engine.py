@@ -21,28 +21,8 @@ all reductions run on the assembled array afterwards. Inverse-CDF sampling
 also preserves the monotone rate/price coupling that common-random-number
 finite differences rely on.
 
-Draws is the one sample provider and the one owner of n-sized arrays: it
-maps (seed, n) to z, and every engine reads its rate moves r_T - r0 as
-z * law.std + law.mean. It draws each (seed, n) once and keeps it, with a
-delta's sample of P/P0 and its moments, until release().
-thread_draws() gives each thread one provider, which the thread's CLI
-commands, skew tables and sweeps share. Each of them releases it when it
-ends, raised or not (a sweep also after each seed group, the cells that share
-a cell seed), so nothing kept outlives a call. The slots do: k arrays of n
-floats stay allocated per thread (at n = 70 000, 5 x 560 KB after a price
-sweep, 4 after a CRN delta sweep), and the thread's next call at that n
-faults in no new pages.
-
-Array lifetime: every n-sized stage (draw, rate moves, price map, payoff,
-standard error and the moments) runs in place on the provider's slots. The
-inversion works in four work slots in draw order, and in one sorted, where
-z's own slot serves too until z is written. A CRN delta sorts its uniforms
-in a work slot and keeps the descending z and its sample of P/P0. A warm
-delta reads only the kept ascending P/P0, with two binary searches and two
-slice sums, and allocates only the terms of its band. No array a call hands back lives in the slots: callers own what they
-get, and a later call never overwrites it. price_mc hands back a price
-sample of its own, and a delta no array, only the moments of P/P0. A
-provider serves one thread.
+Draws, each thread's sample provider, states which arrays it keeps and for
+how long.
 """
 from __future__ import annotations
 
@@ -54,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distfit import SampleMoments, central_moments
-from .errors import NonFiniteResultError, ValidationError
+from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .model import ModelSpec, OptionContract, RateDynamics, log_shape, terminal_rate_law
 from .model import price as model_price
 from .pricer_closed import PriceResult, law_leaves
@@ -318,15 +297,27 @@ def check_workers(workers: int) -> int:
 
 
 class Draws:
-    """The one owner of n-sized float arrays: standard normals z by (seed, n),
-    drawn by `workers` threads, and the work arrays of the calls that read them.
+    """The sample provider and the one owner of n-sized float arrays: standard
+    normals z by (seed, n), drawn by `workers` threads, and the work arrays of
+    the calls that read them. Every engine reads its rate moves r_T - r0 as
+    z * law.std + law.mean.
 
     Its arrays are slots of n floats. Each z, in draw order or descending,
     and each array made from it that a later call asks for again (a delta's
     sample of P/P0), is kept in slots of its own until release() and handed
-    out as a read-only view; keep() holds what is made from them (a sample's
-    moments) as long. Work arrays come from the slots after those. release()
-    keeps the slots themselves, and a change of n drops every slot.
+    out as a read-only view; keep() holds what is made from them (a sweep's
+    skew of that sample) as long. Work arrays come from the slots after
+    those, and every n-sized stage (rate moves, price map, payoff, standard
+    error, moments) runs in them in place. No array a call hands back lives
+    in a slot: the caller owns it, and no later call overwrites it.
+
+    thread_draws() gives each thread one provider, which serves that thread
+    alone. Each CLI command, skew table and sweep releases it when it ends,
+    raised or not (a sweep also after each seed group), so nothing kept
+    outlives a call. release() keeps the slots themselves, so the thread's
+    next call at the same n faults in no new pages (at n = 70 000, 5 slots
+    after a price sweep and 4 after a CRN delta sweep); a change of n drops
+    every slot.
     """
 
     def __init__(self, workers: int = 1):
@@ -412,10 +403,7 @@ class Draws:
 
 
 def thread_draws(workers: int = 1) -> Draws:
-    """The calling thread's provider, drawing with `workers` threads.
-
-    The caller releases it when done; its slots stay for the thread's next call.
-    """
+    """The calling thread's provider, drawing with `workers` threads."""
     check_workers(workers)
     if not hasattr(_thread, "draws"):
         _thread.draws = Draws()
@@ -424,14 +412,19 @@ def thread_draws(workers: int = 1) -> Draws:
 
 
 @contextmanager
-def _overflow_names(message: str):
-    """A float overflow inside raises NonFiniteResultError(message), which
-    names the leaves that scale what overflowed."""
+def naming_leaves(what: str, spec: ModelSpec, dyn: RateDynamics, T: float, n: int, spot: bool = True):
+    """Name the leaves of a sample that fails inside: a float overflow raises
+    NonFiniteResultError("{what} overflows at ...") naming P0 and the leaves
+    of the law of P/P0, and a DegenerateSampleError is raised again naming P0,
+    sigma, T and n. A sample of P/P0 (spot=False) names no P0."""
+    at = f"P0={spec.market.P0}, " if spot else ""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError:
-        raise NonFiniteResultError(message) from None
+        raise NonFiniteResultError(f"{what} overflows at {at}{law_leaves(spec, dyn, T)}") from None
+    except DegenerateSampleError as exc:
+        raise DegenerateSampleError(f"{exc} at {at}sigma={dyn.sigma}, T={T}, n={n}") from None
 
 
 def simulate_terminal_rates(
@@ -465,7 +458,7 @@ def simulate_terminal_prices(
     the leaves of the law of P/P0."""
     draws = draws or Draws()
     moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])
-    with _overflow_names(f"price map overflows at P0={spec.market.P0}, {law_leaves(spec, dyn, T)}"):
+    with naming_leaves("price map", spec, dyn, T, cfg.n):
         return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0] if out is None else out[1]))
 
 
@@ -505,13 +498,10 @@ def price_mc(
     )
 
 
-def crn_sample(
-    spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws
-) -> tuple[np.ndarray, SampleMoments | None]:
-    """The ascending sample f = P/P0 that crn_delta prices, read-only, and its
-    moments (None below the n = 3 that a third moment needs), both made once
-    and kept until release() for every call on the same sample, rate law and
-    duration curve.
+def crn_sample(spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draws: Draws) -> np.ndarray:
+    """The ascending sample f = P/P0 that crn_delta prices, read-only, made
+    once and kept until release() for every call on the same sample, rate law
+    and duration curve.
 
     f = exp(-A - B) for the P0-free terms (A, B) of model.log_shape, the price
     map at a unit spot, falls as the rate move rises, so the moves in
@@ -519,8 +509,7 @@ def crn_sample(
     caller that maps the same draw on other curves or rate laws draws it
     once. One comparison pass over f checks that no rounding step, of ndtri
     or of the map, broke the order, and a sort mends it if one did: the
-    sorted f is the same, as its multiset is. The moments are summed in that
-    order.
+    sorted f is the same, as its multiset is.
     """
     # r0 stays in the key: the far branch reads the spec's softplus pair of
     # b = C (r0 - x0), which q = expit(b) no longer tells apart once it saturates
@@ -529,18 +518,14 @@ def crn_sample(
     def fill(f: np.ndarray) -> None:
         moves = simulate_terminal_rates(dyn, T, cfg, draws, f, descending=True)
         (work,) = draws.work(1, cfg.n)
-        with _overflow_names(f"sample of P/P0 overflows at {law_leaves(spec, dyn, T)}"):
+        with naming_leaves("sample of P/P0", spec, dyn, T, cfg.n, spot=False):
             A, B = log_shape(spec, moves, (f, work))
             np.exp(np.negative(np.add(A, B, out=f), out=f), out=f)
         # a NaN fails the check too, and the sort puts it last, in every suffix
         if not np.greater_equal(f[1:], f[:-1], out=work.view(bool)[: cfg.n - 1]).all():
             f.sort()
 
-    (f,) = draws.reuse(key, 1, cfg.n, fill)
-    moments = draws.keep(
-        ("moments", *key), lambda: central_moments(f, draws.work(2, cfg.n)) if cfg.n >= 3 else None
-    )
-    return f, moments
+    return draws.reuse(key, 1, cfg.n, fill)[0]
 
 
 def delta_on_sample(f: np.ndarray, c: OptionContract, P0: float, bump: float) -> float:
@@ -560,14 +545,9 @@ def delta_on_sample(f: np.ndarray, c: OptionContract, P0: float, bump: float) ->
 
 
 def crn_delta(
-    spec: ModelSpec,
-    dyn: RateDynamics,
-    c: OptionContract,
-    cfg: McConfig,
-    draws: Draws | None = None,
-) -> tuple[float, SampleMoments | None]:
+    spec: ModelSpec, dyn: RateDynamics, c: OptionContract, cfg: McConfig, draws: Draws | None = None
+) -> float:
     """Finite-difference delta (C_MC(P0 + bump) - C_MC(P0)) / bump on one rate
-    sample (CRN), and the moments of the sample f = P/P0 that both legs price:
-    delta_on_sample on crn_sample's kept f."""
-    f, moments = crn_sample(spec, dyn, c.T, cfg, draws or Draws())
-    return delta_on_sample(f, c, spec.market.P0, cfg.bump), moments
+    sample (CRN): delta_on_sample on crn_sample's kept f."""
+    f = crn_sample(spec, dyn, c.T, cfg, draws or Draws())
+    return delta_on_sample(f, c, spec.market.P0, cfg.bump)

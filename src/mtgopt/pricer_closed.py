@@ -13,13 +13,6 @@ Gauss-Hermite quadrature over the rate law, which is also the regime proxy.
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an
 error. The warning signs the third moment of the same quadrature.
-
-Each LN entry point computes the law of the rate move r_T - r0 once per call
-and hands it to the matched law and, in price_ln and regime_warning, to the
-regime proxy; both read log q and log(1 - q) off the calibrated spec.
-Only what a call returns is built: price_ln the law record it reports,
-ln_kernel, delta_ln and gamma_ln no law record, just the kernel inputs on
-(mu, sigma_P).
 """
 from __future__ import annotations
 
@@ -273,8 +266,8 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     assumes positive skew. The moments are those of P/P0 = e^{-A - B} (the
     terms of model.log_shape): the test is homogeneous of degree 3 in the
     price, so the spot changes no decision and cannot overflow it. The check
-    costs about twice a delta_ln (7.5 against 3.3 us at C = 3 on a 2-core
-    Xeon), so delta_ln and gamma_ln leave it to their callers.
+    costs about twice a delta_ln, so delta_ln and gamma_ln leave it to their
+    callers.
     """
     return _proxy_warning(spec, dyn, T, terminal_rate_law(dyn, T))
 

@@ -13,6 +13,7 @@ after a declared byte move.
 """
 import hashlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -75,6 +76,22 @@ FINGERPRINT_SHA256 = {
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_first_ops_keep_their_recorded_fingerprints(name):
     assert _fingerprint_hashes(name) == FINGERPRINT_SHA256[name]
+
+
+def test_what_perfbench_reads_of_the_package_still_exists():
+    # perfbench's own tests, which run outside the tier-1 suite, read these:
+    # the tracer rebinds the first two and ModelSpec.calibrate, and the
+    # oracle test prices through the last two
+    from mtgopt import harness, mc_engine, model, pricer_closed
+
+    assert callable(mc_engine.model_price) and callable(harness.price_mc)
+    assert "calibrate" in model.ModelSpec.__dict__
+    spec = model.ModelSpec.calibrate(model.DurationParams(1.0, 9.0, 3.0, 0.055), model.MarketState(100.0, 0.01))
+    dyn = model.RateDynamics(0.0, 0.02)
+    mc = mc_engine.price_mc(spec, dyn, model.OptionContract(100.0, 0.25, 0.0209), mc_engine.McConfig(2000, 99))
+    assert mc.price > 0.0 and mc.std_error > 0.0
+    law = pricer_closed.ln_terminal_params(spec, dyn, 0.25)
+    assert math.isfinite(law.mu_P) and law.sigma_P > 0.0
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import cold_provider, unit_spot
 from mtgopt import mc_engine, pricer_closed
-from mtgopt.cli import _SCHEMA, main
-from mtgopt.harness import BaseParams, SweepAxis, SweepSpec, materialize, run_sweep
+from mtgopt.cli import main
+from mtgopt.harness import BLOCK_LEAVES, BaseParams, SweepAxis, SweepSpec, materialize, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +34,7 @@ def run_json(capsys, *argv):
 
 
 def test_schema_leaves_are_base_params_fields():
-    leaves = [leaf for block in _SCHEMA.values() for leaf in block]
+    leaves = [leaf for block in BLOCK_LEAVES.values() for leaf in block]
     assert leaves == [f.name for f in fields(BaseParams)]
     assert len(set(leaves)) == len(leaves)
 
@@ -132,9 +132,30 @@ def test_greeks_ln_vs_mc(capsys):
     assert abs(mc["delta"] - ln["delta"]) / ln["delta"] < 0.03
 
 
+def test_greeks_mc_reduces_no_moments(capsys, monkeypatch):
+    # a delta prints no skew, so nothing takes the moments of its sample
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mtgopt") and hasattr(module, "central_moments"):
+            monkeypatch.setattr(module, "central_moments", counted(module.central_moments))
+    assert run_json(capsys, "greeks", "--method", "mc", "--set", "C=3", "--set", "n=2000")["delta"] > 0.0
+    assert calls == []
+    # the patch counts: a fit reduces its sample once
+    run_json(capsys, "fit", "--set", "C=3", "--set", "n=2000")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_greeks_mc_below_three_draws_needs_no_third_moment(capsys, n):
-    # below three draws crn_delta takes no moments; only a sweep's skew column needs them
+    # a delta takes no moments; only a sweep's skew column needs them
     got = run_json(capsys, "greeks", "--method", "mc", "--set", "C=3", "--set", f"n={n}")
     assert got == {"bump": 0.0001, "delta": 0.0, "method": "mc", "schema_version": 1}
 
@@ -498,6 +519,36 @@ def test_closed_form_overflows_name_the_leaves_of_the_law(capsys, argv, leaf):
 def test_a_sample_map_that_overflows_names_the_leaves_of_its_law(capsys, argv, err):
     # "overflow encountered in exp" named no parameter
     assert run_cli(capsys, *argv, "--set", "C=3") == (3, "", f"error: non-finite result: {err}\n")
+
+
+LAW_AT_C3 = "L=1.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"
+HUGE_SPOT = ("--set", "P0=1e120", "--set", "K=1e120")
+FLAT = ("--set", "sigma=1e-160", "--set", "n=200")
+SWEEP_K = ("sweep", "--axis1", "K=99,100", "--axis2", "C=3")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("fit", *HUGE_SPOT), f"non-finite result: a moment of P overflows at P0=1e+120, {LAW_AT_C3}"),
+    (("qq", *HUGE_SPOT), f"non-finite result: a moment of P overflows at P0=1e+120, {LAW_AT_C3}"),
+    ((*SWEEP_K, *HUGE_SPOT), f"non-finite result: a moment of P overflows at P0=1e+120, {LAW_AT_C3}"),
+    (("fit", "--set", "P0=1e300", "--set", "K=1e300"),
+     f"non-finite result: a moment of P overflows at P0=1e+300, {LAW_AT_C3}"),
+    (("fit", *FLAT),
+     "degenerate sample: cannot fit a constant sample (m2 = 0) at P0=100.0, sigma=1e-160, T=0.25, n=200"),
+    (("qq", *FLAT),
+     "degenerate sample: cannot fit a constant sample (m2 = 0) at P0=100.0, sigma=1e-160, T=0.25, n=200"),
+    ((*SWEEP_K, "--engines", "mc", "--set", "sigma=1e-200", "--set", "n=200"),
+     "degenerate sample: skewness undefined: sample has zero variance at P0=100.0, sigma=1e-200, T=0.25, n=200"),
+    (("sweep", "--axis1", "P0=99,100", "--axis2", "C=3", "--engines", "mc", "--greek", "delta", "--crn-axis",
+      "1", "--set", "sigma=1e-200", "--set", "n=200"),
+     "degenerate sample: skewness undefined: sample has zero variance at sigma=1e-200, T=0.25, n=200"),
+], ids=["fit-P0", "qq-P0", "sweep-P0", "fit-P0-1e300", "fit-sigma", "qq-sigma", "sweep-sigma", "delta-sweep-sigma"])
+def test_a_sample_s_moments_that_fail_name_its_leaves(capsys, tmp_path, argv, err):
+    # "overflow encountered in multiply", "cannot fit a constant sample
+    # (m2 = 0)" and "sample has zero variance" named no parameter
+    out = ("--out", str(tmp_path / "out.csv")) if argv[0] in ("qq", "sweep") else ()
+    assert run_cli(capsys, *argv, *out, "--set", "C=3") == (3, "", f"error: {err}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("spot", ["1e-300", "1e-200", "1e300"])

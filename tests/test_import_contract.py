@@ -10,7 +10,8 @@ The SLN moments and the LN regime check use constant quadrature nodes, so the
 closed forms do not load numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
 and more than one shard, not by the package. No module of the package imports
-another's private (underscore) names.
+another's private (underscore) names, or a name it never uses unless the
+import is marked `# noqa: F401` (a re-export).
 """
 import ast
 import json
@@ -177,3 +178,21 @@ def test_no_module_imports_a_private_name_from_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mtgopt")):
                 private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(mtgopt.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                # "import a.b" binds a
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((path.name, name))
+    assert unused == []

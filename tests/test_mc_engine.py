@@ -29,6 +29,8 @@ from mtgopt.mc_engine import (
     Draws,
     McConfig,
     crn_delta,
+    crn_sample,
+    delta_on_sample,
     mix64,
     price_mc,
     simulate_terminal_prices,
@@ -162,8 +164,8 @@ def test_price_mc_and_its_standard_error_scale_with_the_spot(C):
 def test_later_calls_never_overwrite_earlier_results(where):
     # no provider, one provider that every call shares, or one that a sweep
     # releases after each group: the second crn_delta and price sample of a
-    # group read what the first kept, and each delta's moments are those of
-    # a fresh sample of P/P0, summed in ascending order
+    # group read what the first kept, and each delta's sample of P/P0 has the
+    # moments of a fresh one, summed in ascending order
     draws = None if where == "none" else Draws()
     c = DEFAULT_CONTRACT
 
@@ -173,7 +175,10 @@ def test_later_calls_never_overwrite_earlier_results(where):
         fresh = moment_bits(central_moments(np.sort(f)))
         out = [price_mc(spec, DEFAULT_DYNAMICS, c, cfg, draws).diagnostics]
         for _ in range(2):
-            assert moment_bits(crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[1]) == fresh
+            delta = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)
+            f_kept = crn_sample(spec, DEFAULT_DYNAMICS, c.T, cfg, draws or Draws())
+            assert moment_bits(central_moments(f_kept)) == fresh
+            assert delta == delta_on_sample(f_kept, c, spec.market.P0, cfg.bump)
         out += [
             simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
             simulate_terminal_prices(spec, DEFAULT_DYNAMICS, c.T, cfg, draws),
@@ -203,12 +208,26 @@ def test_crn_delta_with_a_path_in_the_band_is_the_two_leg_difference(C, bump):
     P0 = spec.market.P0
     c = OptionContract(K=(P0 + 0.5 * bump) * float(np.sort(f)[cfg.n // 2]), T=0.25, r_f=0.0209)
     assert np.count_nonzero((P0 * f < c.K) & ((P0 + bump) * f > c.K)) >= 1
-    delta, moments = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)
-    assert moment_bits(moments) == moment_bits(central_moments(np.sort(f)))
+    delta = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)
+    sample = crn_sample(spec, DEFAULT_DYNAMICS, c.T, cfg, Draws())
+    assert moment_bits(central_moments(sample)) == moment_bits(central_moments(np.sort(f)))
     up, base = (c.df * float(np.mean(np.maximum(s * f - c.K, 0.0))) for s in (P0 + bump, P0))
     eps = np.finfo(float).eps
     assert abs(delta - (up - base) / bump) <= 8.0 * eps * P0 / bump
-    assert delta == crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)[0]
+    assert delta == crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)
+
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 40.0])
+def test_crn_delta_is_delta_on_sample_of_crn_sample_bit_for_bit(C):
+    # on a fresh provider and on one that already keeps the sample
+    cfg = McConfig(n=3000, seed=24)
+    draws = Draws()
+    for P0, K in ((95.0, 100.0), (100.0, 100.0), (106.0, 100.0), (100.0, 1e-300)):
+        spec = ModelSpec.calibrate(default_duration(C), MarketState(P0, 0.01))
+        c = OptionContract(K=K, T=0.25, r_f=0.0209)
+        want = delta_on_sample(crn_sample(spec, DEFAULT_DYNAMICS, c.T, cfg, draws), c, P0, cfg.bump)
+        for got in (crn_delta(spec, DEFAULT_DYNAMICS, c, cfg), crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)):
+            assert isinstance(got, float) and got.hex() == want.hex(), (P0, K)
 
 
 def draw_order_delta(f: np.ndarray, P0: float, c: OptionContract, h: float) -> float:
@@ -242,7 +261,7 @@ def test_crn_delta_is_within_4_eps_of_the_draw_order_sum(C, record_property):
         for P0, K in DELTA_POINTS:
             spec = ModelSpec.calibrate(default_spec(C).duration, MarketState(P0, 0.01))
             c = OptionContract(K=K, T=0.25, r_f=0.0209)
-            got, want = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws)[0], draw_order_delta(f, P0, c, bump)
+            got, want = crn_delta(spec, DEFAULT_DYNAMICS, c, cfg, draws), draw_order_delta(f, P0, c, bump)
             assert abs(got - want) <= 4.0 * eps * abs(want), (bump, P0, K, got, want)
             if want:
                 worst = max(worst, abs(got - want) / want / eps)
@@ -274,10 +293,11 @@ def test_crn_delta_sorts_a_sample_whose_map_is_not_monotone(monkeypatch, C):
     for P0, K in DELTA_POINTS:
         at = ModelSpec.calibrate(spec.duration, MarketState(P0, 0.01))
         c = OptionContract(K=K, T=0.25, r_f=0.0209)
-        got, moments = crn_delta(at, DEFAULT_DYNAMICS, c, cfg, draws)
+        got = crn_delta(at, DEFAULT_DYNAMICS, c, cfg, draws)
         want = draw_order_delta(f, P0, c, cfg.bump)
         assert abs(got - want) <= 4.0 * eps * abs(want), (P0, K, got, want)
-        assert moment_bits(moments) == moment_bits(central_moments(np.sort(f)))
+        sample = crn_sample(at, DEFAULT_DYNAMICS, c.T, cfg, draws)
+        assert moment_bits(central_moments(sample)) == moment_bits(central_moments(np.sort(f)))
 
 
 def test_kept_log_shape_is_keyed_by_what_it_depends_on():
@@ -292,9 +312,9 @@ def test_kept_log_shape_is_keyed_by_what_it_depends_on():
     spot = ModelSpec.calibrate(DurationParams(1.0, 8.0, 3.0, 0.055), MarketState(104.0, 0.01))
     cases.append((spot, DEFAULT_DYNAMICS))
     for spec, dyn in cases:
-        kept = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws)
-        fresh = crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg)
-        assert kept[0] == fresh[0] and moment_bits(kept[1]) == moment_bits(fresh[1])
+        assert crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg, draws) == crn_delta(spec, dyn, DEFAULT_CONTRACT, cfg)
+        kept, fresh = (crn_sample(spec, dyn, DEFAULT_CONTRACT.T, cfg, d) for d in (draws, Draws()))
+        assert moment_bits(central_moments(kept)) == moment_bits(central_moments(fresh))
 
 
 def test_kept_arrays_are_read_only_and_drawn_once():
@@ -618,7 +638,7 @@ def test_delta_deterministic_payoff_limit():
     spec = default_spec(3.0)
     c = OptionContract(K=50.0, T=0.25, r_f=0.0209)
     want = math.exp(-0.0209 * 0.25) * float(price(spec, 0.0)) / 100.0
-    got = crn_delta(spec, dyn, c, McConfig(n=100, seed=3))[0]
+    got = crn_delta(spec, dyn, c, McConfig(n=100, seed=3))
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -640,7 +660,7 @@ def test_delta_crn_beats_independent_sampling():
     crn, indep = [], []
     for seed in range(50):
         cfg = McConfig(n=2000, seed=seed)
-        crn.append(crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0])
+        crn.append(crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg))
         up_cfg = McConfig(n=2000, seed=mix64(seed, 1))
         indep.append((mc_price(up, up_cfg) - mc_price(spec, cfg)) / h)
     assert np.var(crn) < np.var(indep)
@@ -650,7 +670,7 @@ def test_delta_central_close_to_forward():
     spec = default_spec(3.0)
     cfg = McConfig(n=20000, seed=8)
     h = cfg.bump
-    fwd = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)[0]
+    fwd = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, cfg)
     ctr = (mc_price(bumped_spec(spec, h), cfg) - mc_price(bumped_spec(spec, -h), cfg)) / (2.0 * h)
     assert ctr == pytest.approx(fwd, rel=1e-2)
 
@@ -660,17 +680,17 @@ def test_delta_smallest_accepted_bump_matches_default(C):
     # at n = 2000 no path crosses the strike between the two bumps (at
     # n = 70000 one does, which moves the delta by about 1.1e-5)
     spec = default_spec(C)
-    small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))[0]
-    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))[0]
+    small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=1e-7))
+    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
     assert abs(small - default) < 1e-6
 
 
 def test_delta_at_small_curvature_is_not_quantized():
     # both legs share one curve shape, so a small bump still moves the price
     spec = default_spec(1e-6)
-    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))[0]
+    default = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000))
     for bump in (1e-6, 1e-7):
-        small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=bump))[0]
+        small = crn_delta(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=2000, bump=bump))
         assert abs(small - default) <= 1e-6
 
 

@@ -107,7 +107,7 @@ def test_mc_price_and_crn_delta_across_seeds(C, K):
         cfg = McConfig(n=N_DRAWS, seed=seed)
         res = price_mc(spec, DEFAULT_DYNAMICS, c, cfg)
         z_price.append((res.price - exact_price) / res.std_error)
-        z_delta.append((crn_delta(spec, DEFAULT_DYNAMICS, c, cfg)[0] - exact_delta) / delta_se)
+        z_delta.append((crn_delta(spec, DEFAULT_DYNAMICS, c, cfg) - exact_delta) / delta_se)
     assert_standard_normal(np.array(z_price))
     assert_standard_normal(np.array(z_delta))
 

@@ -373,7 +373,7 @@ def test_greek_bounds():
 
 
 def test_delta_ln_close_to_mc_delta():
-    mc = crn_delta(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=801))[0]
+    mc = crn_delta(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT, McConfig(n=70000, seed=801))
     ln = delta_ln(default_spec(3.0), DEFAULT_DYNAMICS, DEFAULT_CONTRACT)
     assert abs(ln - mc) / abs(mc) < 0.03
 
