@@ -180,14 +180,15 @@ def cmd_greeks(args: argparse.Namespace) -> int:
     if args.method == "mc":
         _emit({"method": "mc", "delta": crn_delta(model, dyn, contract, cfg, draws), "bump": cfg.bump})
         return 0
-    inp = ln_kernel(model, dyn, contract)
+    m1, w = ln_kernel(model, dyn, contract.T)
+    P0, k, df = model.market.P0, contract.K / model.market.P0, contract.df
     _warn(regime_warning(model, dyn, contract.T))
     _emit(
         {
             "method": "ln",
-            "delta": delta_from_kernel(inp),
-            "gamma": gamma_from_kernel(inp, model.market.P0),
-            "sanity": {"delta_upper_bound": inp.df * inp.M1},
+            "delta": delta_from_kernel(m1, w, k, df),
+            "gamma": gamma_from_kernel(m1, w, k, df, P0),
+            "sanity": {"delta_upper_bound": df * m1},
         }
     )
     return 0

@@ -45,8 +45,7 @@ from .mc_engine import (
     thread_draws,
 )
 from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
-from .pricer_closed import BsKernelInputs, bs_call, delta_from_kernel, ln_kernel, price_from_fit
-from .pricer_closed import quadrature_moments
+from .pricer_closed import bs_call, delta_from_kernel, ln_kernel, price_from_fit, quadrature_moments
 
 # sub-seed tag of a cell's MC reference sample
 _REF_TAG = 2
@@ -271,9 +270,9 @@ def _price_cell(
         fit = _once(made, ("SLN", *curve), lambda: fit_shifted_lognormal(quadrature_moments(model, dyn, c.T)))
         out["price_sln"] = P0 * price_from_fit(fit, c, P0)
     if ENGINE_LN in spec.engines:
-        kernel = _once(made, ("LN", *curve), lambda: ln_kernel(model, dyn, c))
-        inp = BsKernelInputs(kernel.M1, kernel.W, c.K / P0, c.df)
-        out["price_ln"] = delta_from_kernel(inp) if spec.greek == "delta" else P0 * bs_call(inp)
+        m1, w = _once(made, ("LN", *curve), lambda: ln_kernel(model, dyn, c.T))
+        k = c.K / P0
+        out["price_ln"] = delta_from_kernel(m1, w, k, c.df) if spec.greek == "delta" else P0 * bs_call(m1, w, k, c.df)
     mc = out.get("price_mc")
     if mc is not None and mc > REL_DIFF_FLOOR:
         if out.get("price_sln") is not None:

@@ -454,10 +454,11 @@ def simulate_terminal_prices(
     """Terminal prices P at the simulated rate moves, in a new array; given
     out, a pair of n-float arrays, over out[0] with out[1] as scratch. Work
     slots passed as out must be taken after z is drawn, or z's is one of them.
-    A price past the largest float raises NonFiniteResultError naming P0 and
-    the leaves of the law of P/P0."""
+    A rate move or a price past the largest float raises NonFiniteResultError
+    naming the leaves of the law of P/P0, and P0 for a price."""
     draws = draws or Draws()
-    moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])
+    with naming_leaves("rate move", spec, dyn, T, cfg.n, spot=False):
+        moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])
     with naming_leaves("price map", spec, dyn, T, cfg.n):
         return model_price(spec, moves, (moves, draws.work(1, cfg.n)[0] if out is None else out[1]))
 
@@ -516,7 +517,8 @@ def crn_sample(spec: ModelSpec, dyn: RateDynamics, T: float, cfg: McConfig, draw
     key = ("f", cfg.seed, cfg.n, terminal_rate_law(dyn, T), spec.duration, spec.market.r0, spec.q)
 
     def fill(f: np.ndarray) -> None:
-        moves = simulate_terminal_rates(dyn, T, cfg, draws, f, descending=True)
+        with naming_leaves("rate move", spec, dyn, T, cfg.n, spot=False):
+            moves = simulate_terminal_rates(dyn, T, cfg, draws, f, descending=True)
         (work,) = draws.work(1, cfg.n)
         with naming_leaves("sample of P/P0", spec, dyn, T, cfg.n, spot=False):
             A, B = log_shape(spec, moves, (f, work))

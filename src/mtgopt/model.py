@@ -209,7 +209,10 @@ def price(spec: ModelSpec, r, out=None):
 
 
 def terminal_rate_law(dyn: RateDynamics, T: float) -> NormalLaw:
-    """Law of the terminal rate move r_T - r0: N(mu T, sigma^2 T)."""
+    """Law of the terminal rate move r_T - r0: N(mu T, sigma^2 T), whose overflow names mu, sigma, T."""
     if not T > 0.0:
         raise ValidationError(f"expiry T must be > 0, got {T}")
-    return NormalLaw(mean=dyn.mu * T, std=dyn.sigma * math.sqrt(T))
+    mean, std = dyn.mu * T, dyn.sigma * math.sqrt(T)
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NonFiniteResultError(f"terminal rate law overflows at mu={dyn.mu}, sigma={dyn.sigma}, T={T}")
+    return NormalLaw(mean=mean, std=std)

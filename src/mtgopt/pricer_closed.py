@@ -1,14 +1,16 @@
 """Closed-form pricing engines.
 
-Three pieces: a shifted Black-Scholes kernel over a lognormal underlier with
-an effective strike, in orientation o = +-1 (a call on Z or a put on Z);
+Three pieces: a shifted Black-Scholes kernel and its Greeks on four floats,
+the mean M1 and log-std W of a lognormal Z, an effective strike K_eff and a
+discount factor df, in orientation o = +-1 (a call on Z or a put on Z);
 shifted-lognormal pricing, which fits theta + o Z to the moments of P/P0 and
 prices P0 times the kernel with K_eff = o (K/P0 - theta); and the parametric
 lognormal, which matches P/P0 in closed form by writing (P/P0)^{-1/scale} as
-a sum of two perfectly correlated lognormals and prices the kernel on
-(M1/P0, K/P0). Both prices, and the LN Greeks, are multiples of the spot and
-need no sample at all: the SLN's moments come from quadrature_moments, 21-node
-Gauss-Hermite quadrature over the rate law, which is also the regime proxy.
+a sum of two perfectly correlated lognormals, once per call, and prices the
+kernel on (M1/P0, sigma_P, K/P0). Both prices, and the LN Greeks, are
+multiples of the spot and need no sample at all: the SLN's moments come from
+quadrature_moments, 21-node Gauss-Hermite quadrature over the rate law, which
+is also the regime proxy.
 
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an
@@ -59,16 +61,6 @@ _UNRESOLVED_M3 = 100.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
-class BsKernelInputs:
-    """Lognormal forward mean M1, log-std W, effective strike, discount factor."""
-
-    M1: float
-    W: float
-    K_eff: float
-    df: float
-
-
-@dataclass(frozen=True)
 class PriceResult:
     """Price with its method tag, MC standard error, fit or law diagnostics,
     and regime warning."""
@@ -100,18 +92,18 @@ def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
-def _d1(inp: BsKernelInputs) -> float:
+def _d1(M1: float, W: float, K_eff: float) -> float:
     """d1; its limit +inf where K_eff underflowed to 0 (a call that cannot miss)
     and -inf where M1 / K_eff underflows to 0 (a worthless call)."""
-    if inp.K_eff == 0.0:
+    if K_eff == 0.0:
         return math.inf
-    ratio = inp.M1 / inp.K_eff
+    ratio = M1 / K_eff
     if ratio == 0.0:
         return -math.inf
-    return (math.log(ratio) + 0.5 * inp.W * inp.W) / inp.W
+    return (math.log(ratio) + 0.5 * W * W) / W
 
 
-def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
+def bs_call(M1: float, W: float, K_eff: float, df: float, orientation: int = 1) -> float:
     """df E[(o (Z - K_eff))+] for o = orientation: a call for o = +1,
     df (M1 N(d1) - K_eff N(d2)), a put for o = -1, df (K_eff N(-d2) - M1 N(-d1)).
 
@@ -121,11 +113,11 @@ def bs_call(inp: BsKernelInputs, orientation: int = 1) -> float:
     o = -1, M1 = K_eff into +0.0. Negation is exact, so o = -1 gives the put's bits.
     """
     o = orientation
-    if inp.K_eff <= 0.0 or inp.W <= 0.0 or inp.K_eff == math.inf:
-        return inp.df * (max(o * (inp.M1 - inp.K_eff), 0.0) + 0.0)
-    d1 = _d1(inp)
-    d2 = d1 - inp.W
-    return inp.df * (o * inp.M1 * _ndtr(o * d1) - o * inp.K_eff * _ndtr(o * d2))
+    if K_eff <= 0.0 or W <= 0.0 or K_eff == math.inf:
+        return df * (max(o * (M1 - K_eff), 0.0) + 0.0)
+    d1 = _d1(M1, W, K_eff)
+    d2 = d1 - W
+    return df * (o * M1 * _ndtr(o * d1) - o * K_eff * _ndtr(o * d2))
 
 
 def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract, P0: float = 1.0) -> float:
@@ -134,7 +126,7 @@ def price_from_fit(fit: ShiftedLognormalFit, c: OptionContract, P0: float = 1.0)
     or inf. P0 = 1 prices a fit of P itself."""
     o = fit.orientation
     lp = fit.log_params
-    return bs_call(BsKernelInputs(lognormal_mean(lp), lp.sigma_X, o * (c.K / P0 - fit.theta), c.df), o)
+    return bs_call(lognormal_mean(lp), lp.sigma_X, o * (c.K / P0 - fit.theta), c.df, o)
 
 
 def price_sln(moments: SampleMoments, c: OptionContract, P0: float = 1.0) -> PriceResult:
@@ -160,8 +152,8 @@ def _log_bracket(spec: ModelSpec, x: float) -> float:
     return max(u, v) + math.log1p(math.exp(-abs(u - v)))
 
 
-def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float]:
-    """(mu, sigma_P) of the matched lognormal law of P/P0 on the rate law N(d, s^2)."""
+def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float, float]:
+    """(mu, sigma_P, M1/P0) of the matched lognormal law of P/P0 on the rate law N(d, s^2)."""
     p = spec.duration
     C = p.C
     d, s = law
@@ -181,7 +173,11 @@ def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -
             f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x} at {law_leaves(spec, dyn, T)}"
         )
     scale = p.U / C
-    return -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
+    mu, sigma_P = -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
+    log_mean = mu + 0.5 * sigma_P * sigma_P
+    if not log_mean <= MAX_EXP_ARG:
+        raise NonFiniteResultError(f"matched lognormal mean overflows at {law_leaves(spec, dyn, T)}")
+    return mu, sigma_P, math.exp(log_mean)
 
 
 def _quadrature(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float, float]:
@@ -235,17 +231,6 @@ def _proxy_warning(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw)
     return None
 
 
-def _kernel_inputs(
-    spec: ModelSpec, dyn: RateDynamics, c: OptionContract, law: NormalLaw
-) -> tuple[float, float, BsKernelInputs]:
-    """(mu, sigma_P) of the matched law on the rate law and the kernel inputs on it."""
-    mu, sigma_P = _matched_law(spec, dyn, c.T, law)
-    log_mean = mu + 0.5 * sigma_P * sigma_P
-    if not log_mean <= MAX_EXP_ARG:
-        raise NonFiniteResultError(f"matched lognormal mean overflows at {law_leaves(spec, dyn, c.T)}")
-    return mu, sigma_P, BsKernelInputs(math.exp(log_mean), sigma_P, c.K / spec.market.P0, c.df)
-
-
 def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> TerminalLognormalLaw:
     """Matched lognormal law of P/P0 at expiry T.
 
@@ -254,7 +239,7 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
     two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
     means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
     """
-    mu, sigma_P = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
+    mu, sigma_P, _ = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
     return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0)
 
 
@@ -272,39 +257,40 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     return _proxy_warning(spec, dyn, T, terminal_rate_law(dyn, T))
 
 
-def ln_kernel(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> BsKernelInputs:
-    """Kernel inputs of the matched law of P/P0: the mean M1/P0 = e^{mu + sigma_P^2/2},
-    W = sigma_P, and the strike K/P0. Prices on them are multiples of P0."""
-    return _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2]
+def ln_kernel(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[float, float]:
+    """(M1/P0, sigma_P) of the matched law of P/P0 at expiry T: with K/P0 the
+    kernel's inputs, on which prices are multiples of P0."""
+    _, sigma_P, m1 = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
+    return m1, sigma_P
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
     """Closed-form call under the matched lognormal terminal law."""
     law = terminal_rate_law(dyn, c.T)
-    mu, sigma_P, inp = _kernel_inputs(spec, dyn, c, law)
+    mu, sigma_P, m1 = _matched_law(spec, dyn, c.T, law)
     P0 = spec.market.P0
     return PriceResult(
-        price=P0 * bs_call(inp),
+        price=P0 * bs_call(m1, sigma_P, c.K / P0, c.df),
         method="LN",
         diagnostics=TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=P0),
         warning=_proxy_warning(spec, dyn, c.T, law),
     )
 
 
-def delta_from_kernel(inp: BsKernelInputs) -> float:
-    """df (M1/P0) N(d1) on the kernel inputs of ln_kernel."""
-    if inp.W == 0.0:
-        return inp.df * inp.M1 if inp.M1 > inp.K_eff else 0.0
-    return inp.df * inp.M1 * _ndtr(_d1(inp))
+def delta_from_kernel(M1: float, W: float, K_eff: float, df: float) -> float:
+    """df (M1/P0) N(d1) on M1 = M1/P0, W = sigma_P and K_eff = K/P0."""
+    if W == 0.0:
+        return df * M1 if M1 > K_eff else 0.0
+    return df * M1 * _ndtr(_d1(M1, W, K_eff))
 
 
-def gamma_from_kernel(inp: BsKernelInputs, P0: float) -> float:
-    """df (M1/P0) phi(d1) / (W P0) on the kernel inputs of ln_kernel at spot P0."""
-    if inp.W == 0.0:
+def gamma_from_kernel(M1: float, W: float, K_eff: float, df: float, P0: float) -> float:
+    """df (M1/P0) phi(d1) / (W P0) on M1 = M1/P0, W = sigma_P, K_eff = K/P0 at spot P0."""
+    if W == 0.0:
         return 0.0
-    d1 = _d1(inp)
+    d1 = _d1(M1, W, K_eff)
     phi = math.exp(-0.5 * d1 * d1) / _SQRT_TWO_PI
-    gamma = inp.df * inp.M1 * phi / inp.W / P0
+    gamma = df * M1 * phi / W / P0
     if not math.isfinite(gamma):
         raise NonFiniteResultError(f"gamma is {gamma} at P0={P0}")
     return gamma
@@ -316,10 +302,11 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     Exact because C_LN is P0 times a function of K/P0, and the law of P/P0
     does not depend on P0 at all.
     """
-    return delta_from_kernel(_kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2])
+    _, sigma_P, m1 = _matched_law(spec, dyn, c.T, terminal_rate_law(dyn, c.T))
+    return delta_from_kernel(m1, sigma_P, c.K / spec.market.P0, c.df)
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu + sigma_P^2/2} phi(d1) / (sigma_P P0)."""
-    inp = _kernel_inputs(spec, dyn, c, terminal_rate_law(dyn, c.T))[2]
-    return gamma_from_kernel(inp, spec.market.P0)
+    _, sigma_P, m1 = _matched_law(spec, dyn, c.T, terminal_rate_law(dyn, c.T))
+    return gamma_from_kernel(m1, sigma_P, c.K / spec.market.P0, c.df, spec.market.P0)

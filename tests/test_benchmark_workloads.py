@@ -81,7 +81,10 @@ def test_first_ops_keep_their_recorded_fingerprints(name):
 def test_what_perfbench_reads_of_the_package_still_exists():
     # perfbench's own tests, which run outside the tier-1 suite, read these:
     # the tracer rebinds the first two and ModelSpec.calibrate, and the
-    # oracle test prices through the last two
+    # oracle test prices through the last two. The closed_form op calls the
+    # three LN entry points and reads the result's price, method and warning,
+    # and the tracer wraps bs_call by name: a renamed function would silently
+    # zero a traced group
     from mtgopt import harness, mc_engine, model, pricer_closed
 
     assert callable(mc_engine.model_price) and callable(harness.price_mc)
@@ -92,6 +95,12 @@ def test_what_perfbench_reads_of_the_package_still_exists():
     assert mc.price > 0.0 and mc.std_error > 0.0
     law = pricer_closed.ln_terminal_params(spec, dyn, 0.25)
     assert math.isfinite(law.mu_P) and law.sigma_P > 0.0
+    c = model.OptionContract(100.0, 0.25, 0.0209)
+    res = pricer_closed.price_ln(spec, dyn, c)
+    assert res.price > 0.0 and res.method == "LN" and res.warning is None
+    greeks = (pricer_closed.delta_ln(spec, dyn, c), pricer_closed.gamma_ln(spec, dyn, c))
+    assert all(type(g) is float and g > 0.0 for g in greeks)
+    assert callable(pricer_closed.bs_call)
 
 
 if __name__ == "__main__":

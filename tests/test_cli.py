@@ -515,10 +515,36 @@ def test_closed_form_overflows_name_the_leaves_of_the_law(capsys, argv, leaf):
      "price map overflows at P0=100.0, L=100000000.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"),
     (("greeks", "--method", "mc", "--set", "L=1e8"),
      "sample of P/P0 overflows at L=100000000.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"),
-], ids=["price-mc-P0", "fit-L", "greeks-mc-L"])
-def test_a_sample_map_that_overflows_names_the_leaves_of_its_law(capsys, argv, err):
-    # "overflow encountered in exp" named no parameter
-    assert run_cli(capsys, *argv, "--set", "C=3") == (3, "", f"error: non-finite result: {err}\n")
+    *(((*cmd, "--set", "sigma=1.7e308"),
+       "rate move overflows at L=1.0, U=9.0, C=3.0, mu=0.0, sigma=1.7e+308, T=0.25")
+      for cmd in (("price", "--method", "mc"), ("greeks", "--method", "mc"), ("fit",), ("qq",))),
+], ids=["price-mc-P0", "fit-L", "greeks-mc-L", "price-mc-sigma", "greeks-mc-sigma", "fit-sigma", "qq-sigma"])
+def test_a_sample_map_that_overflows_names_the_leaves_of_its_law(capsys, tmp_path, argv, err):
+    # "overflow encountered in exp", and in the rate move's "multiply", named
+    # no parameter
+    out = ("--out", str(tmp_path / "out.csv")) if argv[0] == "qq" else ()
+    assert run_cli(capsys, *argv, *out, "--set", "C=3") == (3, "", f"error: non-finite result: {err}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+MU_T = ("--set", "mu=-1.3e89", "--set", "T=1.1e257")
+SIGMA_T = ("--set", "sigma=1e200", "--set", "T=1e250")
+
+
+@pytest.mark.parametrize("argv, at", [
+    (("greeks", "--method", "mc", *MU_T), "mu=-1.3e+89, sigma=0.02, T=1.1e+257"),
+    (("greeks", "--method", "mc", *SIGMA_T), "mu=0.0, sigma=1e+200, T=1e+250"),
+    (("price", "--method", "mc", *SIGMA_T), "mu=0.0, sigma=1e+200, T=1e+250"),
+    (("price", "--method", "ln", *MU_T), "mu=-1.3e+89, sigma=0.02, T=1.1e+257"),
+    (("price", "--method", "sln", *MU_T), "mu=-1.3e+89, sigma=0.02, T=1.1e+257"),
+], ids=["greeks-mc-mu", "greeks-mc-sigma", "price-mc-sigma", "price-ln-mu", "price-sln-mu"])
+def test_a_rate_law_that_overflows_names_its_leaves(capsys, argv, at):
+    # a delta of NaN, "invalid value encountered in multiply" and the matched
+    # law's or the quadrature's message came from a rate law whose mean or SD
+    # was already infinite
+    assert run_cli(capsys, *argv, "--set", "C=3") == (
+        3, "", f"error: non-finite result: terminal rate law overflows at {at}\n"
+    )
 
 
 LAW_AT_C3 = "L=1.0, U=9.0, C=3.0, mu=0.0, sigma=0.02, T=0.25"

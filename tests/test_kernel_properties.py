@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mtgopt.distfit import LognormalParams, ShiftedLognormalFit, lognormal_mean
 from mtgopt.model import OptionContract
-from mtgopt.pricer_closed import BsKernelInputs, bs_call, price_from_fit
+from mtgopt.pricer_closed import bs_call, price_from_fit
 
 bounded = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -21,7 +21,8 @@ m1s = st.floats(1e-3, 1e3)
 ws = st.floats(0.0, 3.0)
 dfs = st.floats(0.5, 1.0)
 strikes = st.floats(1e-3, 1e3)
-kernel_inputs = st.builds(BsKernelInputs, M1=m1s, W=ws, K_eff=st.floats(-1e3, 1e3), df=dfs)
+# (M1, W, K_eff, df), the kernel's four arguments
+kernel_inputs = st.tuples(m1s, ws, st.floats(-1e3, 1e3), dfs)
 
 
 def _fit(theta: float, orientation: int, mu_X: float, sigma_X: float) -> ShiftedLognormalFit:
@@ -31,30 +32,31 @@ def _fit(theta: float, orientation: int, mu_X: float, sigma_X: float) -> Shifted
 fits = st.builds(_fit, st.floats(-200.0, 200.0), orientations, st.floats(-5.0, 6.0), st.floats(0.0, 2.0))
 
 
-def _scale(inp: BsKernelInputs) -> float:
-    return inp.df * (inp.M1 + abs(inp.K_eff))
+def _scale(inp: tuple) -> float:
+    m1, _, k_eff, df = inp
+    return df * (m1 + abs(k_eff))
 
 
 @bounded
 @given(kernel_inputs, orientations)
 def test_kernel_finite(inp, o):
-    assert math.isfinite(bs_call(inp, o))
+    assert math.isfinite(bs_call(*inp, o))
 
 
 @bounded
 @given(m1s, ws, st.floats(0.0, 1e3), dfs)
 def test_kernel_bounds(m1, w, k_eff, df):
     # 0 <= call <= df M1 and 0 <= put <= df K_eff for K_eff >= 0
-    inp = BsKernelInputs(m1, w, k_eff, df)
-    assert 0.0 <= bs_call(inp) <= df * m1
-    assert 0.0 <= bs_call(inp, -1) <= df * k_eff
+    assert 0.0 <= bs_call(m1, w, k_eff, df) <= df * m1
+    assert 0.0 <= bs_call(m1, w, k_eff, df, -1) <= df * k_eff
 
 
 @bounded
 @given(kernel_inputs)
 def test_kernel_put_call_parity(inp):
-    lhs = bs_call(inp) - bs_call(inp, -1)
-    assert abs(lhs - inp.df * (inp.M1 - inp.K_eff)) <= 1e-12 * _scale(inp)
+    m1, _, k_eff, df = inp
+    lhs = bs_call(*inp) - bs_call(*inp, -1)
+    assert abs(lhs - df * (m1 - k_eff)) <= 1e-12 * _scale(inp)
 
 
 @bounded
@@ -62,9 +64,9 @@ def test_kernel_put_call_parity(inp):
 def test_kernel_monotone_and_convex_in_strike(inp, o, h):
     # o * value is non-increasing in K_eff (a call falls, a put rises), and
     # both are convex
-    lo, mid, hi = (bs_call(BsKernelInputs(inp.M1, inp.W, k, inp.df), o) for k in
-                   (inp.K_eff - h, inp.K_eff, inp.K_eff + h))
-    tol = 1e-12 * (_scale(inp) + inp.df * h)
+    m1, w, k_eff, df = inp
+    lo, mid, hi = (bs_call(m1, w, k, df, o) for k in (k_eff - h, k_eff, k_eff + h))
+    tol = 1e-12 * (_scale(inp) + df * h)
     assert o * (hi - mid) <= tol and o * (mid - lo) <= tol
     assert lo + hi - 2.0 * mid >= -tol
 
@@ -72,14 +74,14 @@ def test_kernel_monotone_and_convex_in_strike(inp, o, h):
 @bounded
 @given(m1s, dfs)
 def test_kernel_degenerate_at_the_money_put_is_positive_zero(m1, df):
-    got = bs_call(BsKernelInputs(m1, 0.0, m1, df), -1)
+    got = bs_call(m1, 0.0, m1, df, -1)
     assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 @bounded
 @given(kernel_inputs, orientations)
 def test_kernel_rerun_bit_identical(inp, o):
-    assert bs_call(inp, o).hex() == bs_call(inp, o).hex()
+    assert bs_call(*inp, o).hex() == bs_call(*inp, o).hex()
 
 
 @bounded

@@ -36,13 +36,14 @@ from mtgopt.model import (
     price,
 )
 from mtgopt.pricer_closed import (
-    BsKernelInputs,
     _PROXY_NODES,
     _PROXY_WEIGHTS,
     _log_bracket,
     _ndtr,
     bs_call,
+    delta_from_kernel,
     delta_ln,
+    gamma_from_kernel,
     gamma_ln,
     ln_terminal_params,
     price_from_fit,
@@ -71,49 +72,49 @@ def test_ndtr_limits():
 
 
 def test_kernel_degenerate_at_the_money():
-    assert bs_call(BsKernelInputs(100.0, 0.0, 100.0, 1.0)) == 0.0
+    assert bs_call(100.0, 0.0, 100.0, 1.0) == 0.0
 
 
 def test_kernel_pinned_atm():
     # 100 (N(0.1) - N(-0.1)) with W = 0.2
-    got = bs_call(BsKernelInputs(100.0, 0.2, 100.0, 1.0))
+    got = bs_call(100.0, 0.2, 100.0, 1.0)
     assert got == pytest.approx(7.965567455405798, rel=1e-12)
 
 
 def test_kernel_certain_exercise():
-    assert bs_call(BsKernelInputs(100.0, 0.3, -5.0, 0.99)) == pytest.approx(103.95, rel=1e-15)
+    assert bs_call(100.0, 0.3, -5.0, 0.99) == pytest.approx(103.95, rel=1e-15)
 
 
 def test_put_kernel_negative_strike_worthless():
-    assert bs_call(BsKernelInputs(100.0, 0.3, -1.0, 0.99), -1) == 0.0
+    assert bs_call(100.0, 0.3, -1.0, 0.99, -1) == 0.0
 
 
 def test_put_equals_call_at_forward_strike():
     # parity at M1 = K_eff makes put and call coincide
-    call = bs_call(BsKernelInputs(100.0, 0.2, 100.0, 1.0))
-    put = bs_call(BsKernelInputs(100.0, 0.2, 100.0, 1.0), -1)
+    call = bs_call(100.0, 0.2, 100.0, 1.0)
+    put = bs_call(100.0, 0.2, 100.0, 1.0, -1)
     assert put == pytest.approx(call, rel=1e-12)
 
 
 def test_put_call_parity_randomized():
     rng = np.random.default_rng(61)
     for _ in range(300):
-        inp = BsKernelInputs(
-            M1=rng.uniform(1.0, 300.0),
-            W=rng.uniform(0.0, 1.5),
-            K_eff=rng.uniform(-50.0, 300.0),
-            df=rng.uniform(0.5, 1.0),
+        m1, w, k_eff, df = (
+            rng.uniform(1.0, 300.0),
+            rng.uniform(0.0, 1.5),
+            rng.uniform(-50.0, 300.0),
+            rng.uniform(0.5, 1.0),
         )
-        lhs = bs_call(inp) - bs_call(inp, -1)
-        rhs = inp.df * (inp.M1 - inp.K_eff)
-        assert abs(lhs - rhs) <= 1e-12 * (inp.M1 + abs(inp.K_eff))
+        lhs = bs_call(m1, w, k_eff, df) - bs_call(m1, w, k_eff, df, -1)
+        rhs = df * (m1 - k_eff)
+        assert abs(lhs - rhs) <= 1e-12 * (m1 + abs(k_eff))
 
 
 def test_kernel_discount_scaling():
-    base = BsKernelInputs(110.0, 0.4, 95.0, 1.0)
+    base = (110.0, 0.4, 95.0, 1.0)
     lam = 0.7
-    scaled = BsKernelInputs(110.0, 0.4, 95.0, lam)
-    assert bs_call(scaled) == pytest.approx(lam * bs_call(base), rel=1e-15)
+    scaled = (110.0, 0.4, 95.0, lam)
+    assert bs_call(*scaled) == pytest.approx(lam * bs_call(*base), rel=1e-15)
 
 
 def test_phi_identity_randomized():
@@ -216,7 +217,7 @@ def test_price_ln_is_kernel_on_matched_law():
     spec = default_spec(2.0)
     law = ln_terminal_params(spec, DEFAULT_DYNAMICS, 0.25)
     m1 = math.exp(law.mu + 0.5 * law.sigma_P**2)
-    want = 100.0 * bs_call(BsKernelInputs(m1, law.sigma_P, 100.0 / 100.0, math.exp(-0.0209 * 0.25)))
+    want = 100.0 * bs_call(m1, law.sigma_P, 100.0 / 100.0, math.exp(-0.0209 * 0.25))
     assert price_ln(spec, DEFAULT_DYNAMICS, DEFAULT_CONTRACT).price == want
 
 
@@ -510,6 +511,64 @@ def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
             got.append([C, K, res.price.hex(), delta_ln(spec, DEFAULT_DYNAMICS, c).hex(),
                         gamma_ln(spec, DEFAULT_DYNAMICS, c).hex(), res.warning is not None])
     assert got == doc["points"]
+
+
+LIMIT_PINS = Path(__file__).resolve().parent / "golden" / "kernel_limits_hex.json"
+# (M1, W, K_eff, df) on each limit branch of the kernel: K_eff < 0, K_eff = +-0,
+# K_eff = inf, W = 0 on either side of the money and at it, M1/K_eff
+# underflowing to 0 and overflowing to inf, the smallest K_eff, a W whose
+# gamma overflows at a tiny spot, and one interior point
+LIMIT_INPUTS = (
+    (100.0, 0.3, -5.0, 0.99), (100.0, 0.3, 0.0, 0.99), (100.0, 0.3, -0.0, 0.99), (100.0, 0.3, math.inf, 0.99),
+    (100.0, 0.0, 95.0, 0.99), (100.0, 0.0, 105.0, 0.99), (100.0, 0.0, 100.0, 0.99), (1e-300, 0.3, 1e300, 0.99),
+    (1e300, 0.3, 1e-300, 0.99), (1.0, 0.3, 5e-324, 0.99), (1.0, 1e-300, 1.0, 0.99), (1.0203, 0.0123, 0.97, 0.9948),
+)
+# (C, sigma, P0, K) off the default bundle, and one whose LN mean overflows
+LN_LIMIT_POINTS = tuple(
+    (C, sigma, P0, K) for C in (1e-6, 3.0, 45.0) for sigma in (1e-4, 0.3)
+    for P0, K in ((1e-300, 1e-300), (100.0, 97.0), (1e300, 1e300))
+) + ((1e-6, 20.0, 100.0, 97.0),)
+
+
+def _hex_or_error(f):
+    try:
+        value = f()
+    except NonFiniteResultError as exc:
+        return f"NonFiniteResultError: {exc}"
+    return value.hex()
+
+
+def test_kernel_limit_branches_are_pinned_bit_for_bit():
+    # recorded while the kernel still took a BsKernelInputs record
+    doc = json.loads(LIMIT_PINS.read_text())
+    got = {}
+    for inp in LIMIT_INPUTS:
+        row = {"call": bs_call(*inp).hex(), "put": bs_call(*inp, -1).hex()}
+        if not inp[2] < 0.0:
+            row["delta"] = delta_from_kernel(*inp).hex()
+            for P0 in (1.0, 1e-300):
+                row[f"gamma_{P0:g}"] = _hex_or_error(lambda: gamma_from_kernel(*inp, P0))
+        got[repr(inp)] = row
+    assert got == doc["kernel"]
+
+
+def test_ln_entry_points_off_the_default_bundle_are_pinned_bit_for_bit():
+    # price, mu, sigma_P, warning, delta and gamma at tiny and huge C, sigma
+    # and spot, recorded while the kernel still took a BsKernelInputs record
+    doc = json.loads(LIMIT_PINS.read_text())
+    got = {}
+    for C, sigma, P0, K in LN_LIMIT_POINTS:
+        spec = ModelSpec.calibrate(DurationParams(1.0, 9.0, C, 0.055), MarketState(P0, 0.01))
+        at = (spec, RateDynamics(0.0, sigma), OptionContract(K, 0.25, 0.0209))
+        try:
+            res = price_ln(*at)
+            price_ = [res.price.hex(), res.diagnostics.mu.hex(), res.diagnostics.sigma_P.hex(), res.warning]
+        except NonFiniteResultError as exc:
+            price_ = f"NonFiniteResultError: {exc}"
+        got[repr((C, sigma, P0, K))] = {
+            "price": price_, "delta": _hex_or_error(lambda: delta_ln(*at)), "gamma": _hex_or_error(lambda: gamma_ln(*at)),
+        }
+    assert got == doc["ln"]
 
 
 def _counting(monkeypatch, name: str, module=pricer_closed) -> list:
