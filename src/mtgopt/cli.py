@@ -21,11 +21,11 @@ import json
 import os
 import sys
 import typing
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .distfit import central_moments, fit_shifted_lognormal, skewness
+from .distfit import central_moments, fit_shifted_lognormal
 from .errors import DegenerateSampleError, NonFiniteResultError, ValidationError
 from .harness import (
     BLOCK_LEAVES,
@@ -38,6 +38,7 @@ from .harness import (
     qq_csv_lines,
     qq_export,
     run_sweep,
+    skew_table,
     sweep_csv_lines,
     write_csv,
 )
@@ -46,6 +47,7 @@ from .pricer_closed import (
     delta_from_kernel,
     gamma_from_kernel,
     ln_kernel,
+    naming_law,
     price_ln,
     price_sln,
     quadrature_moments,
@@ -165,7 +167,8 @@ def cmd_price(args: argparse.Namespace) -> int:
         res = price_mc(model, dyn, contract, cfg, draws)
         _emit({"method": "mc", "price": res.price, "std_error": res.std_error, "n": cfg.n})
     elif args.method == "sln":
-        res = price_sln(quadrature_moments(model, dyn, contract.T), contract, model.market.P0)
+        with naming_law(model, dyn, contract.T):
+            res = price_sln(quadrature_moments(model, dyn, contract.T), contract, model.market.P0)
         _emit({"method": "sln", "price": res.price, "fit": _fit_payload(res.diagnostics)})
     else:
         res = price_ln(model, dyn, contract)
@@ -195,18 +198,9 @@ def cmd_greeks(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    model, dyn, contract, cfg, draws = _materialize(args)
-    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
-    with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
-        m = central_moments(prices)
-        fit = fit_shifted_lognormal(m)
-    _emit(
-        {
-            "moments": {"mean": m.mean, "m2": m.m2, "m3": m.m3, "n": m.n},
-            "skew": skewness(m),
-            "fit": _fit_payload(fit),
-        }
-    )
+    bundle = _resolve_bundle(args)
+    (row,) = skew_table([bundle.C], bundle, args.workers)
+    _emit({"moments": asdict(row.moments), "skew": row.skew, "fit": _fit_payload(row.fit)})
     return 0
 
 

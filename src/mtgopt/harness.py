@@ -27,7 +27,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .distfit import ShiftedLognormalFit, central_moments, check_moment_count
+from .distfit import SampleMoments, ShiftedLognormalFit, central_moments, check_moment_count
 from .distfit import fit_shifted_lognormal, skewness
 from .errors import NonFiniteResultError, ValidationError
 from .mc_engine import (
@@ -45,7 +45,7 @@ from .mc_engine import (
     thread_draws,
 )
 from .model import DurationParams, MarketState, ModelSpec, OptionContract, RateDynamics
-from .pricer_closed import bs_call, delta_from_kernel, ln_kernel, price_from_fit, quadrature_moments
+from .pricer_closed import bs_call, delta_from_kernel, ln_kernel, naming_law, price_from_fit, quadrature_moments
 
 # sub-seed tag of a cell's MC reference sample
 _REF_TAG = 2
@@ -180,9 +180,10 @@ SWEEP_CSV_HEADER = ",".join(f.name for f in fields(GridCell))
 
 @dataclass(frozen=True)
 class SkewTableRow:
-    """One curvature row: sample skew and the fitted shifted lognormal."""
+    """One curvature row: sample moments and skew, and the fitted shifted lognormal."""
 
     C: float
+    moments: SampleMoments
     skew: float
     fit: ShiftedLognormalFit
 
@@ -267,7 +268,8 @@ def _price_cell(
     if ENGINE_MC in spec.engines:
         out.update(_mc_fields(spec, curve, model, dyn, c, ref, draws))
     if ENGINE_SLN in spec.engines and spec.greek is None:
-        fit = _once(made, ("SLN", *curve), lambda: fit_shifted_lognormal(quadrature_moments(model, dyn, c.T)))
+        with naming_law(model, dyn, c.T):
+            fit = _once(made, ("SLN", *curve), lambda: fit_shifted_lognormal(quadrature_moments(model, dyn, c.T)))
         out["price_sln"] = P0 * price_from_fit(fit, c, P0)
     if ENGINE_LN in spec.engines:
         m1, w = _once(made, ("LN", *curve), lambda: ln_kernel(model, dyn, c.T))
@@ -348,7 +350,8 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     """One row per curvature, all rows driven by ONE rate sample (base.n, base.seed).
 
     The terminal rate law does not depend on C, so a single seeded sample maps
-    through every curvature's price curve; rows are directly comparable.
+    through every curvature's price curve; rows are directly comparable. A
+    row fits before it takes the skew, so a constant sample raises the fit's error.
     """
     if not curvatures:
         raise ValidationError("curvatures must be non-empty")
@@ -357,13 +360,11 @@ def skew_table(curvatures: list[float], base: BaseParams, workers: int = 1) -> l
     rows = []
     try:
         for c_val, (model, dyn, contract, cfg) in zip(curvatures, built):
-            # z is drawn into its own slot before the row takes the two after it
-            draws.normals(cfg.seed, cfg.n)
             prices, work = draws.work(2, cfg.n)
             simulate_terminal_prices(model, dyn, contract.T, cfg, draws, (prices, work))
             with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
-                fit_input = central_moments(prices, (work, prices))
-                rows.append(SkewTableRow(C=c_val, skew=skewness(fit_input), fit=fit_shifted_lognormal(fit_input)))
+                m = central_moments(prices, (work, prices))
+                rows.append(SkewTableRow(C=c_val, moments=m, fit=fit_shifted_lognormal(m), skew=skewness(m)))
     finally:
         draws.release()
     return rows

@@ -302,14 +302,16 @@ class Draws:
     the calls that read them. Every engine reads its rate moves r_T - r0 as
     z * law.std + law.mean.
 
-    Its arrays are slots of n floats. Each z, in draw order or descending,
-    and each array made from it that a later call asks for again (a delta's
-    sample of P/P0), is kept in slots of its own until release() and handed
-    out as a read-only view; keep() holds what is made from them (a sweep's
-    skew of that sample) as long. Work arrays come from the slots after
-    those, and every n-sized stage (rate moves, price map, payoff, standard
-    error, moments) runs in them in place. No array a call hands back lives
-    in a slot: the caller owns it, and no later call overwrites it.
+    Its arrays are slots of n floats in two pools. Each z, in draw order or
+    descending, and each array made from it that a later call asks for again
+    (a delta's sample of P/P0), is kept in a kept slot until release() and
+    handed out as a read-only view; keep() holds what is made from them (a
+    sweep's skew of that sample) as long. Work arrays come from work slots,
+    which hold nothing kept, so a caller may take them before or after a draw
+    (whose scratch they are too); every n-sized stage (rate moves, price map,
+    payoff, standard error, moments) runs in them in place. No array a call
+    hands back lives in a slot: the caller owns it, and no later call
+    overwrites it.
 
     thread_draws() gives each thread one provider, which serves that thread
     alone. Each CLI command, skew table and sweep releases it when it ends,
@@ -317,12 +319,13 @@ class Draws:
     outlives a call. release() keeps the slots themselves, so the thread's
     next call at the same n faults in no new pages (at n = 70 000, 5 slots
     after a price sweep and 4 after a CRN delta sweep); a change of n drops
-    every slot.
+    every slot of both pools and everything kept.
     """
 
     def __init__(self, workers: int = 1):
         self.workers = check_workers(workers)
         self._slots: list[np.ndarray] = []
+        self._work: list[np.ndarray] = []
         self._kept: dict[tuple, object] = {}
         self._held = 0
 
@@ -332,20 +335,26 @@ class Draws:
 
     def release(self, mark: tuple[int, int] = (0, 0)) -> None:
         """Forget everything kept since mark, by default everything; the kept
-        arrays' slots become work arrays again."""
+        slots above mark take the next arrays kept."""
         held, kept = mark
         for key in list(self._kept)[kept:]:
             del self._kept[key]
         self._held = held
 
+    def _take(self, kept: bool, k: int, n: int) -> list[np.ndarray]:
+        """k slots of n floats: kept slots above those held, or work slots from
+        the first. A change of n first drops every slot and everything kept."""
+        if (self._slots and self._slots[0].size != n) or (self._work and self._work[0].size != n):
+            self._slots, self._work = [], []
+            self.release()
+        pool, lo = (self._slots, self._held) if kept else (self._work, 0)
+        while len(pool) < lo + k:
+            pool.append(np.empty(n, dtype=float))
+        return pool[lo : lo + k]
+
     def work(self, k: int, n: int) -> list[np.ndarray]:
         """k work arrays of n floats, overwritten by the next call that asks."""
-        if self._slots and self._slots[0].size != n:
-            self._slots = []
-            self.release()
-        while len(self._slots) < self._held + k:
-            self._slots.append(np.empty(n, dtype=float))
-        return self._slots[self._held : self._held + k]
+        return self._take(False, k, n)
 
     def keep(self, key: tuple, make):
         """What make() returns, made once and kept under key until release()."""
@@ -362,7 +371,7 @@ class Draws:
         """
 
         def make() -> tuple[np.ndarray, ...]:
-            slots = self.work(k, n)
+            slots = self._take(True, k, n)
             mark = self.mark()
             self._held += k
             try:
@@ -452,10 +461,9 @@ def simulate_terminal_prices(
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Terminal prices P at the simulated rate moves, in a new array; given
-    out, a pair of n-float arrays, over out[0] with out[1] as scratch. Work
-    slots passed as out must be taken after z is drawn, or z's is one of them.
-    A rate move or a price past the largest float raises NonFiniteResultError
-    naming the leaves of the law of P/P0, and P0 for a price."""
+    out, a pair of n-float arrays, over out[0] with out[1] as scratch. A rate
+    move or a price past the largest float raises NonFiniteResultError naming
+    the leaves of the law of P/P0, and P0 for a price."""
     draws = draws or Draws()
     with naming_leaves("rate move", spec, dyn, T, cfg.n, spot=False):
         moves = simulate_terminal_rates(dyn, T, cfg, draws, None if out is None else out[0])

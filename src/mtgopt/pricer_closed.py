@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .distfit import LognormalParams, SampleMoments, ShiftedLognormalFit
 from .distfit import fit_shifted_lognormal, lognormal_mean
-from .errors import NonFiniteResultError
+from .errors import DegenerateSampleError, NonFiniteResultError
 from .model import MAX_EXP_ARG, ModelSpec, NormalLaw, OptionContract, RateDynamics, terminal_rate_law
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -142,6 +143,15 @@ def law_leaves(spec: ModelSpec, dyn: RateDynamics, T: float) -> str:
     """The leaves that scale the law of P/P0, as a message that it overflows names them."""
     p = spec.duration
     return f"L={p.L}, U={p.U}, C={p.C}, mu={dyn.mu}, sigma={dyn.sigma}, T={T}"
+
+
+@contextmanager
+def naming_law(spec: ModelSpec, dyn: RateDynamics, T: float):
+    """Name the leaves of the law of P/P0 in a DegenerateSampleError from inside (a fit of its moments)."""
+    try:
+        yield
+    except DegenerateSampleError as exc:
+        raise DegenerateSampleError(f"{exc} at {law_leaves(spec, dyn, T)}") from None
 
 
 def _log_bracket(spec: ModelSpec, x: float) -> float:

@@ -53,6 +53,11 @@ def cold_provider() -> None:
     vars(mc_engine._thread).pop("draws", None)
 
 
+def provider_slots(draws: mc_engine.Draws) -> int:
+    """The n-float arrays a provider holds: its kept slots and its work slots."""
+    return len(draws._slots) + len(draws._work)
+
+
 def duration(p: DurationParams, r):
     """Duration D(r) = L + U/(1+e^{-C(r-x0)}); strictly increasing, range (L, L+U)."""
     return p.L + p.U * expit(p.C * (np.asarray(r, dtype=float) - p.x0))

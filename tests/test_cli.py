@@ -4,13 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import cold_provider, unit_spot
+from conftest import cold_provider, provider_slots, unit_spot
 from mtgopt import mc_engine, pricer_closed
 from mtgopt.cli import main
 from mtgopt.harness import BLOCK_LEAVES, BaseParams, SweepAxis, SweepSpec, materialize, run_sweep
@@ -362,11 +363,27 @@ def test_in_process_commands_keep_no_sample_between_calls(capsys):
     at = ("price", "--method", "mc", "--set", "C=3", "--set", "n=2000")
     run_json(capsys, *at, "--seed", "1")
     draws = mc_engine.thread_draws()
-    one_call = len(draws._slots)
+    one_call = provider_slots(draws)
     for seed in range(2, 21):
         run_json(capsys, *at, "--seed", str(seed))
     assert mc_engine.thread_draws() is draws
-    assert (len(draws._slots), draws._kept, draws._held) == (one_call, {}, 0)
+    assert (provider_slots(draws), draws._kept, draws._held) == (one_call, {}, 0)
+
+
+def test_a_warm_fit_allocates_no_array_of_n(capsys):
+    # fit is one row of the skew table: it maps and reduces in the provider's
+    # work slots, where its own draw, map and moments took about three new
+    # arrays of n
+    at = ("fit", "--set", "C=3", "--set", "n=70000")
+    first = run_json(capsys, *at)
+    tracemalloc.start()
+    try:
+        again = run_json(capsys, *at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 70000 * 8, peak / (70000 * 8)
+    assert again == first
 
 
 # 10**17 floats take 800 PB, past any 57-bit address space, so allocating
@@ -574,6 +591,19 @@ def test_a_sample_s_moments_that_fail_name_its_leaves(capsys, tmp_path, argv, er
     # (m2 = 0)" and "sample has zero variance" named no parameter
     out = ("--out", str(tmp_path / "out.csv")) if argv[0] in ("qq", "sweep") else ()
     assert run_cli(capsys, *argv, *out, "--set", "C=3") == (3, "", f"error: {err}\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [("price", "--method", "sln"), (*SWEEP_K, "--engines", "sln")],
+                         ids=["price-sln", "sweep-sln"])
+def test_an_sln_fit_of_moments_with_no_spread_names_the_leaves_of_their_law(capsys, tmp_path, argv):
+    # at mu = 2e177 every quadrature node prices P/P0 at 0.0, and the fit's
+    # "cannot fit a constant sample (m2 = 0)" named no parameter
+    out = ("--out", str(tmp_path / "out.csv")) if argv[0] == "sweep" else ()
+    assert run_cli(capsys, *argv, *out, "--set", "C=3", "--set", "mu=2e177") == (
+        3, "", "error: degenerate sample: cannot fit a constant sample (m2 = 0) at "
+        "L=1.0, U=9.0, C=3.0, mu=2e+177, sigma=0.02, T=0.25\n"
+    )
     assert not (tmp_path / "out.csv").exists()
 
 

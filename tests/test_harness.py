@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cold_provider, unit_spot
+from conftest import cold_provider, provider_slots, unit_spot
 from mtgopt import harness
 from mtgopt.distfit import (
     LognormalParams,
@@ -273,7 +273,7 @@ def test_a_crn_delta_group_along_c_gives_each_curve_s_f_back():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return len(mc_engine.thread_draws()._slots), peak, [c.price_mc for c in cells]
+        return provider_slots(mc_engine.thread_draws()), peak, [c.price_mc for c in cells]
 
     runs = [run(tuple(0.5 + 0.5 * i for i in range(count))) for count in (2, 6, 10)]
     assert [slots for slots, _, _ in runs] == [runs[0][0]] * 3

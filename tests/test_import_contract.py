@@ -11,7 +11,9 @@ closed forms do not load numpy.polynomial either.
 concurrent.futures (a few ms) is loaded by a draw on more than one worker
 and more than one shard, not by the package. No module of the package imports
 another's private (underscore) names, or a name it never uses unless the
-import is marked `# noqa: F401` (a re-export).
+import is marked `# noqa: F401` (a re-export). Where a sample provider keeps
+its arrays is mc_engine's alone: no other module reads a private attribute of
+a Draws.
 """
 import ast
 import json
@@ -196,3 +198,21 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((path.name, name))
     assert unused == []
+
+
+# the private attributes in which a Draws lays out its slots and what it keeps
+DRAWS_PRIVATE = {"_slots", "_work", "_held", "_kept"}
+
+
+def test_no_module_but_mc_engine_reads_a_provider_s_private_attributes():
+    reads = []
+    for path in sorted(Path(mtgopt.__file__).parent.glob("*.py")):
+        if path.name == "mc_engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # draws._slots, and the name in getattr(draws, "_slots")
+            if isinstance(node, ast.Attribute) and node.attr in DRAWS_PRIVATE:
+                reads.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) and node.value in DRAWS_PRIVATE:
+                reads.append((path.name, node.lineno, node.value))
+    assert reads == []

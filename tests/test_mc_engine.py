@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DEFAULT_CONTRACT,
@@ -16,6 +18,7 @@ from conftest import (
     default_duration,
     default_spec,
     moment_bits,
+    provider_slots,
     unit_spot,
 )
 from mtgopt.distfit import central_moments
@@ -328,7 +331,7 @@ def test_kept_arrays_are_read_only_and_drawn_once():
     for a in shape:
         with pytest.raises(ValueError, match="read-only"):
             a += 1.0
-    # work arrays come from the slots after the kept ones
+    # work arrays are never kept ones
     for w in draws.work(3, 100):
         assert not any(np.shares_memory(w, a) for a in (z, *shape))
         w.fill(np.nan)
@@ -450,7 +453,7 @@ def test_a_fill_that_raises_gives_its_slots_back():
     for _ in range(3):
         with pytest.raises(RuntimeError, match="fill failed"):
             draws.reuse(("bad",), 1, 100, fails)
-    assert len(draws._slots) == 1
+    assert provider_slots(draws) == 1
     z = draws.normals(5, 100)
     assert all(np.shares_memory(z, a) for a in handed)
 
@@ -556,6 +559,76 @@ def test_the_top_philox_word_draws_the_largest_uniform_below_one(monkeypatch):
     spec = ModelSpec.calibrate(DurationParams(L=0.0, U=9.0, C=3.0, x0=0.055), DEFAULT_MARKET)
     prices = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, McConfig(n=5, seed=1), Draws())
     assert np.isfinite(prices).all()
+
+
+def test_work_arrays_taken_before_a_draw_leave_its_sample_intact():
+    # the work pair was taken before z was drawn, so z was kept in the first
+    # of its slots: the first call mapped z over itself, and the next calls
+    # read that map as z, giving prices near 0.04 instead of 100
+    spec, cfg = default_spec(3.0), McConfig(n=1000, seed=5)
+    fresh = simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg, Draws()).tobytes()
+    draws = Draws()
+    for _ in range(3):
+        prices, work = draws.work(2, cfg.n)
+        simulate_terminal_prices(spec, DEFAULT_DYNAMICS, 0.25, cfg, draws, (prices, work))
+        assert prices.tobytes() == fresh
+
+
+PROVIDER_CALLS = st.lists(
+    st.tuples(st.sampled_from(["work", "normals", "descending", "twice", "const", "mark", "release"]),
+              st.integers(1, 3)),
+    max_size=24,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(PROVIDER_CALLS)
+def test_kept_arrays_survive_any_interleaving_of_work_draws_and_releases(calls):
+    # every work array the provider ever hands out is filled with NaN after
+    # each call; every array still kept must read back as a fresh provider's
+    n = 100
+    want = {}
+    for s in (1, 2, 3):
+        z = Draws().normals(s, n)
+        want[("z", s)] = (z.tobytes(),)
+        want[("descending", s)] = (Draws().descending_normals(s, n).tobytes(),)
+        want[("twice", s)] = ((2.0 * z).tobytes(),)
+        want[("const", s)] = tuple(np.full(n, 10.0 * s + i).tobytes() for i in range(2))
+    draws = Draws()
+    handed, live, marks = [], {}, []
+
+    def const(s):
+        def fill(*slots):
+            handed.extend(draws.work(3, n))
+            for i, a in enumerate(slots):
+                a.fill(10.0 * s + i)
+
+        return fill
+
+    for op, s in calls:
+        if op == "work":
+            handed.extend(draws.work(s, n))
+        elif op == "mark":
+            marks.append((draws.mark(), len(live)))
+        elif op == "release":
+            mark, count = marks.pop() if marks else ((0, 0), 0)
+            draws.release(mark)
+            live = dict(list(live.items())[:count])
+        elif op == "normals":
+            live.setdefault(("z", s), (draws.normals(s, n),))
+        elif op == "descending":
+            live.setdefault(("descending", s), (draws.descending_normals(s, n),))
+        elif op == "const":
+            live.setdefault(("const", s), draws.reuse(("const", s), 2, n, const(s)))
+        else:
+            # the fill keeps z before the provider keeps its product
+            twice = draws.reuse(("twice", s), 1, n, lambda A: np.multiply(draws.normals(s, n), 2.0, out=A))
+            live.setdefault(("z", s), (draws.normals(s, n),))
+            live.setdefault(("twice", s), twice)
+        for w in handed:
+            w.fill(np.nan)
+        for key, arrays in live.items():
+            assert tuple(a.tobytes() for a in arrays) == want[key], (key, calls)
 
 
 def test_a_price_past_the_largest_float_names_the_leaves_of_its_law():
