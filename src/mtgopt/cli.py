@@ -251,9 +251,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_qq(args: argparse.Namespace) -> int:
     model, dyn, contract, cfg, draws = _materialize(args)
     check_quantile_count(args.quantiles)
-    prices = simulate_terminal_prices(model, dyn, contract.T, cfg, draws)
+    prices, work, spare = draws.work(3, cfg.n)
+    simulate_terminal_prices(model, dyn, contract.T, cfg, draws, (prices, work))
     with naming_leaves("a moment of P", model, dyn, contract.T, cfg.n):
-        fit = fit_shifted_lognormal(central_moments(prices))
+        fit = fit_shifted_lognormal(central_moments(prices, (work, spare)))
     points = qq_export(prices, fit, args.quantiles)
     write_csv(qq_csv_lines(points), args.out)
     gap = max(abs(emp - fitted) for _, emp, fitted in points)

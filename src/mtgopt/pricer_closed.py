@@ -6,11 +6,13 @@ discount factor df, in orientation o = +-1 (a call on Z or a put on Z);
 shifted-lognormal pricing, which fits theta + o Z to the moments of P/P0 and
 prices P0 times the kernel with K_eff = o (K/P0 - theta); and the parametric
 lognormal, which matches P/P0 in closed form by writing (P/P0)^{-1/scale} as
-a sum of two perfectly correlated lognormals, once per call, and prices the
-kernel on (M1/P0, sigma_P, K/P0). Both prices, and the LN Greeks, are
-multiples of the spot and need no sample at all: the SLN's moments come from
-quadrature_moments, 21-node Gauss-Hermite quadrature over the rate law, which
-is also the regime proxy.
+a sum of two perfectly correlated lognormals and prices the kernel on
+(M1/P0, sigma_P, K/P0). Each LN entry point works the law out at most once
+per call and keeps the last law, so the next entry point called on the same
+spec and dynamics objects and an equal expiry reads it. Both prices, and the
+LN Greeks, are multiples of the spot and need no sample at all: the SLN's
+moments come from quadrature_moments, 21-node Gauss-Hermite quadrature over
+the rate law, which is also the regime proxy.
 
 The parametric route assumes positively skewed terminal prices (low
 curvature); results outside that regime carry a warning rather than an
@@ -176,18 +178,40 @@ def _matched_law(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -
         e11, e12, e22 = math.expm1(a1s * a1s), math.expm1(a1s * a2s), math.expm1(a2s * a2s)
         var_x = math.log1p(w1 * w1 * e11 + 2.0 * w1 * w2 * e12 + w2 * w2 * e22)
     except OverflowError:
-        raise NonFiniteResultError(f"matched lognormal overflows at {law_leaves(spec, dyn, T)}") from None
+        step = var_x = math.nan  # so the check below names the leaves
     log_m1 = a1 * d + 0.5 * a1s * a1s + step
     if not (math.isfinite(log_m1) and math.isfinite(var_x)):
-        raise NonFiniteResultError(
-            f"matched lognormal has log M1 = {log_m1}, sigma_X^2 = {var_x} at {law_leaves(spec, dyn, T)}"
-        )
+        raise NonFiniteResultError(f"matched lognormal overflows at {law_leaves(spec, dyn, T)}")
     scale = p.U / C
     mu, sigma_P = -scale * (log_m1 - 0.5 * var_x), scale * math.sqrt(var_x)
     log_mean = mu + 0.5 * sigma_P * sigma_P
     if not log_mean <= MAX_EXP_ARG:
         raise NonFiniteResultError(f"matched lognormal mean overflows at {law_leaves(spec, dyn, T)}")
     return mu, sigma_P, math.exp(log_mean)
+
+
+# the last law _law worked out: (spec, dyn, T, rate law, matched law)
+_last_law = None
+
+
+def _law(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[NormalLaw, tuple[float, float, float]]:
+    """The rate law and _matched_law's (mu, sigma_P, M1/P0) at (spec, dyn, T).
+
+    The last result is kept for a call on the same spec and dyn objects and
+    an equal T: both are frozen and the memo holds them, so no other object
+    can take their ids. A call that raises keeps nothing, so an error is
+    raised afresh and the memo holds one law at most. The memo is one tuple,
+    read and replaced whole, so threads that share it can miss each other's
+    law but never read it.
+    """
+    global _last_law
+    last = _last_law
+    if last is not None and last[0] is spec and last[1] is dyn and last[2] == T:
+        return last[3], last[4]
+    law = terminal_rate_law(dyn, T)
+    matched = _matched_law(spec, dyn, T, law)
+    _last_law = (spec, dyn, T, law, matched)
+    return law, matched
 
 
 def _quadrature(spec: ModelSpec, dyn: RateDynamics, T: float, law: NormalLaw) -> tuple[float, float, float]:
@@ -249,7 +273,7 @@ def ln_terminal_params(spec: ModelSpec, dyn: RateDynamics, T: float) -> Terminal
     two moments, sigma_X^2 as log1p(sum_ij wi wj expm1(ai s aj s)) over the normalized
     means wi, so nothing cancels as C -> 0; raised to -U/C it is LogN(mu, sigma_P^2).
     """
-    mu, sigma_P, _ = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
+    mu, sigma_P, _ = _law(spec, dyn, T)[1]
     return TerminalLognormalLaw(mu=mu, sigma_P=sigma_P, P0=spec.market.P0)
 
 
@@ -261,8 +285,8 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
     assumes positive skew. The moments are those of P/P0 = e^{-A - B} (the
     terms of model.log_shape): the test is homogeneous of degree 3 in the
     price, so the spot changes no decision and cannot overflow it. The check
-    costs about twice a delta_ln, so delta_ln and gamma_ln leave it to their
-    callers.
+    costs more than the matched law, so delta_ln and gamma_ln leave it to
+    their callers.
     """
     return _proxy_warning(spec, dyn, T, terminal_rate_law(dyn, T))
 
@@ -270,14 +294,13 @@ def regime_warning(spec: ModelSpec, dyn: RateDynamics, T: float) -> str | None:
 def ln_kernel(spec: ModelSpec, dyn: RateDynamics, T: float) -> tuple[float, float]:
     """(M1/P0, sigma_P) of the matched law of P/P0 at expiry T: with K/P0 the
     kernel's inputs, on which prices are multiples of P0."""
-    _, sigma_P, m1 = _matched_law(spec, dyn, T, terminal_rate_law(dyn, T))
+    _, sigma_P, m1 = _law(spec, dyn, T)[1]
     return m1, sigma_P
 
 
 def price_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> PriceResult:
     """Closed-form call under the matched lognormal terminal law."""
-    law = terminal_rate_law(dyn, c.T)
-    mu, sigma_P, m1 = _matched_law(spec, dyn, c.T, law)
+    law, (mu, sigma_P, m1) = _law(spec, dyn, c.T)
     P0 = spec.market.P0
     return PriceResult(
         price=P0 * bs_call(m1, sigma_P, c.K / P0, c.df),
@@ -312,11 +335,11 @@ def delta_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     Exact because C_LN is P0 times a function of K/P0, and the law of P/P0
     does not depend on P0 at all.
     """
-    _, sigma_P, m1 = _matched_law(spec, dyn, c.T, terminal_rate_law(dyn, c.T))
+    _, sigma_P, m1 = _law(spec, dyn, c.T)[1]
     return delta_from_kernel(m1, sigma_P, c.K / spec.market.P0, c.df)
 
 
 def gamma_ln(spec: ModelSpec, dyn: RateDynamics, c: OptionContract) -> float:
     """Exact d2C_LN/dP0^2 = df e^{mu + sigma_P^2/2} phi(d1) / (sigma_P P0)."""
-    _, sigma_P, m1 = _matched_law(spec, dyn, c.T, terminal_rate_law(dyn, c.T))
+    _, sigma_P, m1 = _law(spec, dyn, c.T)[1]
     return gamma_from_kernel(m1, sigma_P, c.K / spec.market.P0, c.df, spec.market.P0)

@@ -1,7 +1,10 @@
 """CLI behavior: config/override plumbing, seed precedence, output shape,
 exit codes, determinism."""
+import contextlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cold_provider, provider_slots, unit_spot
 from mtgopt import mc_engine, pricer_closed
@@ -386,6 +391,24 @@ def test_a_warm_fit_allocates_no_array_of_n(capsys):
     assert again == first
 
 
+def test_a_warm_qq_maps_and_reduces_in_the_provider_s_work_slots(capsys, tmp_path):
+    # qq draws, maps and reduces in three work slots, where a new array of
+    # prices and the moments' temporaries took about three arrays of n; the
+    # copy that np.quantile sorts is what remains
+    out = tmp_path / "qq.csv"
+    at = ("qq", "--set", "C=3", "--set", "n=70000", "--out", str(out))
+    cold_provider()
+    first = run_cli(capsys, *at), out.read_bytes()
+    tracemalloc.start()
+    try:
+        again = run_cli(capsys, *at), out.read_bytes()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 70000 * 8, peak / (70000 * 8)
+    assert again == first and first[0][0] == 0
+
+
 # 10**17 floats take 800 PB, past any 57-bit address space, so allocating
 # them fails whatever the overcommit setting; 10**20 is past any array numpy
 # can describe
@@ -507,6 +530,20 @@ def test_overflow_messages_name_their_parameters(capsys):
         "error: non-finite result: matched lognormal overflows at L=1.0, U=9.0, C=3.0, mu=0.0, "
         "sigma=1e+150, T=0.25\n"
     )
+    # log M1 or sigma_X^2 past double range with no OverflowError on the way
+    # (inf at mu = 1e308 and at a tiny U, nan at huge L and -mu): the same text
+    for argv, at in [
+        (("price", "--set", "C=10", "--set", "mu=1e308"), "L=1.0, U=9.0, C=10.0, mu=1e+308"),
+        (("greeks", "--set", "C=10", "--set", "mu=1e308"), "L=1.0, U=9.0, C=10.0, mu=1e+308"),
+        (("price", "--set", "C=3", "--set", "U=5.378201806232963e-195"),
+         "L=1.0, U=5.378201806232963e-195, C=3.0, mu=0.0"),
+        (("price", "--set", "C=3", "--set", "mu=-1.504390154324462e+187", "--set", "L=1.1332676081387775e+248"),
+         "L=1.1332676081387775e+248, U=9.0, C=3.0, mu=-1.504390154324462e+187"),
+    ]:
+        code, out, err = run_cli(capsys, argv[0], "--method", "ln", *argv[1:])
+        assert (code, out, err) == (
+            3, "", f"error: non-finite result: matched lognormal overflows at {at}, sigma=0.02, T=0.25\n"
+        ), argv
 
 
 @pytest.mark.parametrize("argv, leaf", [
@@ -951,6 +988,30 @@ def test_extreme_finite_inputs_exit_cleanly(capsys, tmp_path, command):
                 csv.unlink()
             else:
                 _strict_json(out)
+
+
+NAMES_A_LEAF = re.compile(r"\b(?:" + "|".join(FLOAT_LEAVES) + r")=[-+0-9]")
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(("price", "greeks")),
+       st.dictionaries(st.sampled_from(FLOAT_LEAVES), st.tuples(st.sampled_from((1.0, -1.0)), st.floats(-300.0, 300.0)),
+                       min_size=1, max_size=3))
+def test_ln_commands_keep_the_cli_contract_at_any_magnitude(command, leaves):
+    # 1-3 leaves at log-uniform magnitudes sign * 10^e, e in [-300, 300], at
+    # C = 3: exit 0 with strict JSON, or exit 2, or exit 3 naming a leaf and no NaN
+    argv = [command, "--method", "ln", "--set", "C=3"]
+    for leaf, (sign, exponent) in leaves.items():
+        argv += ["--set", f"{leaf}={sign * 10.0**exponent!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code == 0:
+        _strict_json(out)
+    elif code == 3:
+        assert NAMES_A_LEAF.search(err) and "nan" not in err, (argv, err)
 
 
 def test_tiny_spot_skewness_underflow_exits_3(capsys, tmp_path):

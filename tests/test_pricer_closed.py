@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from conftest import (
@@ -23,7 +26,7 @@ from conftest import (
 import mtgopt
 from mtgopt import model, pricer_closed
 from mtgopt.distfit import SampleMoments, central_moments, fit_shifted_lognormal
-from mtgopt.errors import NonFiniteResultError
+from mtgopt.errors import NonFiniteResultError, ValidationError
 from mtgopt.mc_engine import McConfig, crn_delta, price_mc, simulate_terminal_prices
 from mtgopt.model import (
     DurationParams,
@@ -38,8 +41,12 @@ from mtgopt.model import (
 from mtgopt.pricer_closed import (
     _PROXY_NODES,
     _PROXY_WEIGHTS,
+    PriceResult,
+    TerminalLognormalLaw,
     _log_bracket,
+    _matched_law,
     _ndtr,
+    _proxy_warning,
     bs_call,
     delta_from_kernel,
     delta_ln,
@@ -496,20 +503,46 @@ def test_regime_warning_that_overflows_names_its_parameters(sigma):
     )
 
 
-def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
-    # price, delta, gamma and the warning at the 13 x 12 (K, C) points of the
-    # benchmark's closed_form workload, as hex, recorded before the LN entry
-    # points shared their curve terms
+# the LN entry points of one contract in the closed_form workload's order and
+# in two others, so that each is the first to work out a law and the last
+LN_CALL_ORDERS = {
+    "price-delta-gamma": ("price", "delta", "gamma"),
+    "gamma-delta-price": ("gamma", "delta", "price"),
+    "delta-gamma-price": ("delta", "gamma", "price"),
+}
+LN_CALLS = {"price": price_ln, "delta": delta_ln, "gamma": gamma_ln}
+
+
+def _ln_calls(order: tuple[str, ...], *at) -> dict:
+    return {name: LN_CALLS[name](*at) for name in order}
+
+
+def _reference_grid_ln(order: tuple[str, ...]) -> tuple[list, dict]:
     doc = json.loads((Path(__file__).resolve().parent / "golden" / "closed_form_ln_hex.json").read_text())
     got = []
     for C in REFERENCE_CURVATURES:
         spec = default_spec(C)
         for K in REFERENCE_STRIKES:
             c = OptionContract(K, DEFAULT_CONTRACT.T, DEFAULT_CONTRACT.r_f)
-            res = price_ln(spec, DEFAULT_DYNAMICS, c)
+            out = _ln_calls(order, spec, DEFAULT_DYNAMICS, c)
+            res = out["price"]
             assert res.warning in (None, doc["warning"])
-            got.append([C, K, res.price.hex(), delta_ln(spec, DEFAULT_DYNAMICS, c).hex(),
-                        gamma_ln(spec, DEFAULT_DYNAMICS, c).hex(), res.warning is not None])
+            got.append([C, K, res.price.hex(), out["delta"].hex(), out["gamma"].hex(), res.warning is not None])
+    return got, doc
+
+
+def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit():
+    # price, delta, gamma and the warning at the 13 x 12 (K, C) points of the
+    # benchmark's closed_form workload, as hex, recorded before the LN entry
+    # points shared their curve terms
+    got, doc = _reference_grid_ln(LN_CALL_ORDERS["price-delta-gamma"])
+    assert got == doc["points"]
+
+
+@pytest.mark.parametrize("order", ["gamma-delta-price", "delta-gamma-price"])
+def test_ln_outputs_on_the_reference_grid_are_pinned_bit_for_bit_in_any_call_order(order):
+    # the greek called first works out the law that the others read
+    got, doc = _reference_grid_ln(LN_CALL_ORDERS[order])
     assert got == doc["points"]
 
 
@@ -552,23 +585,37 @@ def test_kernel_limit_branches_are_pinned_bit_for_bit():
     assert got == doc["kernel"]
 
 
-def test_ln_entry_points_off_the_default_bundle_are_pinned_bit_for_bit():
-    # price, mu, sigma_P, warning, delta and gamma at tiny and huge C, sigma
-    # and spot, recorded while the kernel still took a BsKernelInputs record
-    doc = json.loads(LIMIT_PINS.read_text())
+def _price_hex(f):
+    try:
+        res = f()
+    except NonFiniteResultError as exc:
+        return f"NonFiniteResultError: {exc}"
+    return [res.price.hex(), res.diagnostics.mu.hex(), res.diagnostics.sigma_P.hex(), res.warning]
+
+
+def _off_the_default_bundle_ln(order: tuple[str, ...]) -> dict:
     got = {}
     for C, sigma, P0, K in LN_LIMIT_POINTS:
         spec = ModelSpec.calibrate(DurationParams(1.0, 9.0, C, 0.055), MarketState(P0, 0.01))
         at = (spec, RateDynamics(0.0, sigma), OptionContract(K, 0.25, 0.0209))
-        try:
-            res = price_ln(*at)
-            price_ = [res.price.hex(), res.diagnostics.mu.hex(), res.diagnostics.sigma_P.hex(), res.warning]
-        except NonFiniteResultError as exc:
-            price_ = f"NonFiniteResultError: {exc}"
-        got[repr((C, sigma, P0, K))] = {
-            "price": price_, "delta": _hex_or_error(lambda: delta_ln(*at)), "gamma": _hex_or_error(lambda: gamma_ln(*at)),
-        }
-    assert got == doc["ln"]
+        out = {name: (_price_hex if name == "price" else _hex_or_error)(lambda: LN_CALLS[name](*at))
+               for name in order}
+        got[repr((C, sigma, P0, K))] = {name: out[name] for name in ("price", "delta", "gamma")}
+    return got
+
+
+def test_ln_entry_points_off_the_default_bundle_are_pinned_bit_for_bit():
+    # price, mu, sigma_P, warning, delta and gamma at tiny and huge C, sigma
+    # and spot, recorded while the kernel still took a BsKernelInputs record
+    doc = json.loads(LIMIT_PINS.read_text())
+    assert _off_the_default_bundle_ln(LN_CALL_ORDERS["price-delta-gamma"]) == doc["ln"]
+
+
+@pytest.mark.parametrize("order", ["gamma-delta-price", "delta-gamma-price"])
+def test_ln_entry_points_off_the_default_bundle_are_pinned_bit_for_bit_in_any_call_order(order):
+    # the greek called first works out the law, or raises for the others to raise afresh
+    doc = json.loads(LIMIT_PINS.read_text())
+    assert _off_the_default_bundle_ln(LN_CALL_ORDERS[order]) == doc["ln"]
 
 
 def _counting(monkeypatch, name: str, module=pricer_closed) -> list:
@@ -592,10 +639,131 @@ def test_one_ln_call_computes_the_rate_law_and_softplus_terms_once(monkeypatch):
     res = price_ln(spec, DEFAULT_DYNAMICS, c)
     assert res.warning is not None
     assert (len(laws), len(softplus)) == (1, 2)
+
+
+def test_price_delta_and_gamma_of_one_contract_work_out_one_law(monkeypatch):
+    # the closed_form workload's op: delta_ln and gamma_ln read the law that
+    # price_ln kept; a value-equal but distinct spec, a distinct dyn or
+    # another T is one more law, and a lone greek works out its own
+    spec, twin = default_spec(3.0), default_spec(3.0)
+    dyn, other_dyn = RateDynamics(0.0, 0.02), RateDynamics(0.0, 0.02)
+    assert (twin, other_dyn) == (spec, dyn) and twin is not spec and other_dyn is not dyn
+    c, later = DEFAULT_CONTRACT, OptionContract(DEFAULT_CONTRACT.K, 0.5, DEFAULT_CONTRACT.r_f)
+    calls = [_counting(monkeypatch, name) for name in ("terminal_rate_law", "_matched_law", "_quadrature")]
+
+    def evaluations() -> tuple[int, ...]:
+        return tuple(len(made) for made in calls)
+
+    for n, at in enumerate([(spec, dyn, c), (twin, dyn, c), (twin, other_dyn, c), (twin, other_dyn, later)], 1):
+        _ln_calls(LN_CALL_ORDERS["price-delta-gamma"], *at)
+        assert evaluations() == (n, n, n), at
     for greek in (delta_ln, gamma_ln):
-        laws.clear()
-        greek(spec, DEFAULT_DYNAMICS, c)
-        assert (len(laws), len(softplus)) == (1, 2), greek.__name__
+        for made in calls:
+            made.clear()
+        greek(default_spec(3.0), dyn, c)
+        assert evaluations() == (1, 1, 0), greek.__name__
+
+
+def _outcome(f) -> tuple[str, str]:
+    """What f() returns, or the type and text of what it raises."""
+    try:
+        return ("value", repr(f()))
+    except (NonFiniteResultError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _direct_ln(name: str, spec: ModelSpec, dyn: RateDynamics, T: float, K: float):
+    """An LN entry point's result, worked out from a direct _matched_law call."""
+    law = model.terminal_rate_law(dyn, T)
+    mu, sigma_P, m1 = _matched_law(spec, dyn, T, law)
+    P0 = spec.market.P0
+    if name == "ln_kernel":
+        return m1, sigma_P
+    if name == "ln_terminal_params":
+        return TerminalLognormalLaw(mu, sigma_P, P0)
+    c = OptionContract(K, T, 0.0209)
+    if name == "price_ln":
+        return PriceResult(P0 * bs_call(m1, sigma_P, K / P0, c.df), "LN", None,
+                           TerminalLognormalLaw(mu, sigma_P, P0), _proxy_warning(spec, dyn, T, law))
+    if name == "delta_ln":
+        return delta_from_kernel(m1, sigma_P, K / P0, c.df)
+    return gamma_from_kernel(m1, sigma_P, K / P0, c.df, P0)
+
+
+def _memo_ln(name: str, spec: ModelSpec, dyn: RateDynamics, T: float, K: float):
+    if name in ("ln_kernel", "ln_terminal_params"):
+        return getattr(pricer_closed, name)(spec, dyn, T)
+    return getattr(pricer_closed, name)(spec, dyn, OptionContract(K, T, 0.0209))
+
+
+def _memo_pools() -> tuple[list, list, list]:
+    # value-equal but distinct specs and dynamics, a subnormal spot at which a
+    # gamma at K = P0 overflows, and laws that overflow: the rate law at
+    # mu = 1e308 past T = 1, the matched law at L = 1e200, at sigma = 1e150 and
+    # at mu = 1e308 with C = 10 (whose log M1 is inf), and its mean at
+    # C = 1e-6 with sigma = 20
+    specs = [default_spec(3.0), default_spec(3.0), default_spec(30.0), default_spec(10.0), default_spec(1e-6),
+             ModelSpec.calibrate(default_duration(3.0), MarketState(1e-310, 0.01)),
+             ModelSpec.calibrate(DurationParams(1e200, 9.0, 3.0, 0.055), DEFAULT_MARKET)]
+    dyns = [DEFAULT_DYNAMICS, RateDynamics(0.0, 0.02), RateDynamics(0.01, 0.05),
+            RateDynamics(0.0, 20.0), RateDynamics(0.0, 1e150), RateDynamics(1e308, 0.02)]
+    return specs, dyns, [0.25, 1.0, 10.0]
+
+
+LN_ENTRY_POINTS = ("price_ln", "delta_ln", "gamma_ln", "ln_kernel", "ln_terminal_params")
+MEMO_CALLS = st.lists(
+    st.tuples(st.sampled_from(LN_ENTRY_POINTS), st.integers(0, 6), st.integers(0, 5), st.integers(0, 2),
+              st.sampled_from([1e-310, 97.0, 100.0, 103.0])),
+    min_size=1, max_size=30,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(MEMO_CALLS)
+def test_the_kept_law_is_never_stale(calls):
+    # any interleaving of the five LN entry points over (spec, dyn, T) gives
+    # what a direct _matched_law call gives, value or error text, and an input
+    # that raised raises the same text on its next call
+    specs, dyns, expiries = _memo_pools()
+    raised = {}
+    for name, i, j, k, K in calls:
+        at = (specs[i], dyns[j], expiries[k], K)
+        got = _outcome(lambda: _memo_ln(name, *at))
+        assert got == _outcome(lambda: _direct_ln(name, *at)), (name, i, j, k, K)
+        key = (name, i, j, k, K)
+        if key in raised:
+            assert got == raised[key]
+        if got[0] != "value":
+            raised[key] = got
+
+
+def test_threads_pricing_their_own_contracts_get_their_own_laws():
+    # each of four threads, more than the cores of a small host, alternates
+    # two contracts of its own, so the kept law passes between the threads at
+    # any switch; each must read only its own laws
+    own = [[(default_spec(C), RateDynamics(mu, 0.02)) for C in pair]
+           for pair, mu in (((0.5, 3.0), 0.0), ((10.0, 30.0), 0.01), ((1.0, 6.0), -0.01), ((2.0, 40.0), 0.02))]
+    c = DEFAULT_CONTRACT
+    want = [[tuple(_outcome(lambda: _direct_ln(name, spec, dyn, c.T, c.K)) for name in LN_ENTRY_POINTS)
+             for spec, dyn in pair] for pair in own]
+
+    def run(t: int) -> list:
+        wrong = []
+        for step in range(1000):
+            spec, dyn = own[t][step % 2]
+            got = tuple(_outcome(lambda: _memo_ln(name, spec, dyn, c.T, c.K)) for name in LN_ENTRY_POINTS)
+            if got != want[t][step % 2]:
+                wrong.append(step)
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(own)) as pool:
+            wrong = [f.result(timeout=60) for f in [pool.submit(run, t) for t in range(len(own))]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [[]] * len(own)
 
 
 def test_calibrate_stores_the_softplus_pair_bit_for_bit():
